@@ -277,8 +277,27 @@ def isometric_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(n, basis, tol)
 
 
+def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
+    """Stacked parts of the images of span(basis) that leave the span.
+
+    Each image holds the exact action of one operator on the basis columns,
+    with the window coefficients in rows start .. start + n - 1.  Rows outside
+    that range lie outside the window and count in full; the window part
+    counts by its component orthogonal to the span.  The span is invariant
+    under every operator, within tol, exactly when
+    ``nullspace(rows, tol)`` keeps all basis columns.
+    """
+    n = basis.shape[0]
+    rows = []
+    for img in images:
+        inside = img[start:start + n]
+        rows += [img[:start], img[start + n:],
+                 inside - basis @ (basis.conj().T @ inside)]
+    return np.vstack(rows)
+
+
 def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
-                              n_max: int) -> np.ndarray:
+                              n_max: int, stop_when_closed: bool = False):
     """Window polynomials satisfying the power structure equations.
 
     For n = 1 .. n_max accumulates the h with F^n h and (F*)^n h analytic and
@@ -286,11 +305,28 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
     These constraints live at the two-sided (Laurent) level, so directions
     violating them fail with full-size margins; no slowly-decaying chains
     appear the way they do for window-projected invariance conditions.
+
+    With ``stop_when_closed`` the loop ends at the first power m after which
+    the solution span S is closed under the exact actions of F and F*: F S
+    and F* S have no coefficient at a negative degree or at degree >= window
+    and their window part lies in S.  S then solves every higher equation.
+    By induction on k, F^k h and (F*)^k h stay in S for h in S, so they are
+    analytic window polynomials; and since S solves the m = 1 equations,
+    F^k (F*)^k h = F^(k-1) (F F*) (F*)^(k-1) h = F^(k-1) (F*)^(k-1) h = ... = h,
+    and likewise (F*)^k F^k h = h.  The solution sets only shrink as the
+    power grows, so S is also the answer of the full budget.  The test runs
+    after the first power and then only after a power that lowers the
+    dimension: an unchanged dimension means an unchanged span, whose test
+    result is already known.
+
+    Returns (basis, powers formed, stop reason), the reason being ``closed``,
+    ``empty`` (no solution left) or ``budget`` (n_max powers formed).
     """
     d = sym.dim_out
     n = d * window
     basis = np.eye(n, dtype=complex)
     fwd = MatrixSymbol.constant(np.eye(d))
+    powers, stop, tested_dim = 0, "budget", None
     for m in range(1, n_max + 1):
         r = basis.shape[1]
         if r == 0:
@@ -312,7 +348,19 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
             img[2 * bm:2 * bm + window] -= blocks
             rows.append(img.reshape(-1, r))
         basis = normalize_column_phases(basis @ nullspace(np.vstack(rows), tol))
-    return basis
+        powers = m
+        r = basis.shape[1]
+        if stop_when_closed and 0 < r != tested_dim:
+            tested_dim = r
+            blocks = basis.reshape(window, d, r)
+            images = [convolve_block_columns(s, blocks).reshape(-1, r)
+                      for s in (sym, adjoint_symbol(sym))]
+            if nullspace(_stray_rows(basis, images, sym.band * d), tol).shape[1] == r:
+                stop = "closed"
+                break
+    if basis.shape[1] == 0:
+        stop = "empty"
+    return basis, powers, stop
 
 
 def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
@@ -324,7 +372,8 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     polish is a no-op whenever the structure solutions are window invariant
     (every planted family), and where it does remove directions the kill
     margins are boundary-coefficient sized, so the iteration stays stable.
-    Returns (basis, certification dict, iterations used).
+    Returns (basis, certification dict, trail) where the trail holds the
+    polish iterations and the structure powers and stop reason.
     """
     d = sym.dim_out
     band = sym.band
@@ -342,19 +391,14 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     t_fwd = toeplitz_window_matrix(sym, window, window + band)
     t_adj = toeplitz_window_matrix(adj, window, window + band)
 
-    basis = _structure_solution_basis(sym, window, tol, n_max=n)
+    basis, powers, stop = _structure_solution_basis(
+        sym, window, tol, n_max=n, stop_when_closed=True)
     iterations = 0
     for _ in range(n + 1):
         r = basis.shape[1]
         if r == 0:
             break
-        proj = basis @ basis.conj().T
-        rows = []
-        for t_full in (t_fwd, t_adj):
-            img = t_full @ basis
-            rows.append(img[n:])                      # must stay in the window
-            rows.append(img[:n] - proj @ img[:n])     # and inside the subspace
-        coeff_null = nullspace(np.vstack(rows), tol)
+        coeff_null = nullspace(_stray_rows(basis, (t_fwd @ basis, t_adj @ basis), 0), tol)
         iterations += 1
         if coeff_null.shape[1] == r:
             break
@@ -381,7 +425,9 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
                 (basis.conj().T @ img_f[:n]).conj().T @ (basis.conj().T @ img_f[:n]) - eye_r
             ),
         }
-    return basis, cert, iterations
+    trail = {"refinement_iterations": iterations,
+             "structure_powers": powers, "structure_stop": stop}
+    return basis, cert, trail
 
 
 def shift_matrix(dim: int, n_in: int, n_out: int | None = None) -> np.ndarray:
@@ -560,7 +606,7 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
 
     d = sym.dim_out
-    basis, cert, iterations = _window_refinement(sym, window, tol)
+    basis, cert, trail = _window_refinement(sym, window, tol)
     subspace = Subspace(d * window, basis, tol)
     params = {
         "window": window,
@@ -568,8 +614,8 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         "dim": d,
         "tol": tol,
         "grid_size": grid.size,
-        "refinement_iterations": iterations,
         "sup_norm_estimate": sup,
+        **trail,
     }
 
     if subspace.dim == 0:
@@ -634,7 +680,7 @@ def toeplitz_unitary_part_brute(sym: MatrixSymbol, window: int,
     n = sym.dim_out * window
     if n_max is None:
         n_max = n
-    basis = _structure_solution_basis(sym, window, tol, n_max)
+    basis, _, _ = _structure_solution_basis(sym, window, tol, n_max)
     return Subspace(n, basis, tol)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_complex, spectral_norm
-from .symbols import MatrixSymbol, adjoint_symbol, sup_norm_estimate
+from .symbols import MatrixSymbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,16 +216,3 @@ def brown_halmos_check(t: ToeplitzTruncation, tol: float = 1e-12) -> tuple[float
     res = brown_halmos_residual(t.matrix, t.symbol.dim_out)
     return res, res <= tol
 
-
-def truncation_norm_bound_residual(t: ToeplitzTruncation) -> float:
-    """How far the section norm exceeds the symbol sup-norm estimate (<= 0 is fine)."""
-    return spectral_norm(t.matrix) - sup_norm_estimate(t.symbol)
-
-
-def toeplitz_norm_on(sym: MatrixSymbol, h: HardyVector) -> float:
-    return toeplitz_apply_exact(sym, h).norm()
-
-
-def adjoint_toeplitz_apply_exact(sym: MatrixSymbol, h: HardyVector) -> HardyVector:
-    """Action of the adjoint Toeplitz operator, realized via the adjoint symbol."""
-    return toeplitz_apply_exact(adjoint_symbol(sym), h)

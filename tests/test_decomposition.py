@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+from toeplitz_unitary import decomposition
+from toeplitz_unitary.colligation import (
+    bcl_colligation,
+    embed_unitary_block,
+    polynomial_from_colligation,
+)
 from toeplitz_unitary.linalg import (
     haar_unitary,
     principal_angles,
     random_contraction,
+    random_projection,
     spectral_norm,
     subspace_gap,
 )
@@ -14,10 +21,12 @@ from toeplitz_unitary.symbols import (
     bcl_symbol,
     block_diag_symbol,
     compose_scalar_polynomial,
+    multiply,
 )
 from toeplitz_unitary.hardy import toeplitz_window_matrix
 from toeplitz_unitary.decomposition import (
     Subspace,
+    _structure_solution_basis,
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
@@ -31,6 +40,12 @@ from toeplitz_unitary.decomposition import (
     unitary_part_matrix,
     unitary_residuals,
     verify_maincondn,
+)
+from toeplitz_unitary.scenarios import (
+    planted_block_symbol,
+    planted_colligation,
+    random_trig_scalar,
+    swap_inner_symbol,
 )
 
 P = np.diag([1.0, 0.0])
@@ -228,6 +243,80 @@ class TestToeplitzUnitaryPart:
                                  MatrixSymbol(1, 1, {1: [[0.4]]})])
         rep = toeplitz_unitary_part(sym, 5)
         assert rep.extraction_residuals["shift_invariance"] <= 1e-8
+
+
+class TestStructureEarlyStop:
+    """The structure equations stop once their span is closed under F and F*."""
+
+    @staticmethod
+    def _coll4():
+        w, _ = planted_colligation(np.random.default_rng(4), 1, 2)
+        return polynomial_from_colligation(w).as_symbol()
+
+    @staticmethod
+    def _rank2_colligation():
+        rng = np.random.default_rng(12)
+        inner = bcl_colligation(haar_unitary(2, rng), random_projection(2, 2, rng))
+        w = embed_unitary_block(haar_unitary(1, rng), inner)
+        return polynomial_from_colligation(w).as_symbol()
+
+    @pytest.mark.parametrize("name, window", [
+        ("planted_d2", 8), ("planted_d2", 16), ("planted_d4", 8), ("planted_d4", 16),
+        ("colligation_rank2", 16), ("swap", 8), ("scalar_band4", 8), ("coll4", 6),
+        ("nilpotent_constant", 4),
+    ])
+    def test_early_stop_matches_full_budget(self, name, window):
+        rng = np.random.default_rng(11)
+        sym = {
+            "planted_d2": lambda: planted_block_symbol(rng, 1, 1)[0],
+            "planted_d4": lambda: planted_block_symbol(rng, 2, 2)[0],
+            "colligation_rank2": self._rank2_colligation,
+            "swap": swap_inner_symbol,
+            "scalar_band4": lambda: random_trig_scalar(rng, 4),
+            "coll4": self._coll4,
+            # the first-power span holds the polynomials along e2; F e2 = e3
+            # leaves it while F and F* keep the window, so only the in-span
+            # part of the closure test keeps the loop going
+            "nilpotent_constant": lambda: MatrixSymbol.constant(np.eye(3, k=-1)),
+        }[name]()
+        n = sym.dim_out * window
+        early, _, _ = _structure_solution_basis(
+            sym, window, 1e-8, n, stop_when_closed=True)
+        full = toeplitz_unitary_part_brute(sym, window)
+        assert early.shape == full.basis.shape
+        assert subspace_gap(early, full.basis) <= 1e-7
+
+    def test_coll4_needs_more_than_two_powers(self):
+        # its structure span first closes after 12 powers (dimension 17 after
+        # the first power), so a blind cap on the powers shows here
+        sym = self._coll4()
+        rep = toeplitz_unitary_part(sym, 6)
+        assert rep.subspace.dim == 6
+        assert rep.params["structure_stop"] == "closed"
+        assert rep.params["structure_powers"] > 2
+        brute = toeplitz_unitary_part_brute(sym, 6)
+        assert subspace_gap(rep.subspace.basis, brute.basis) <= 1e-7
+
+    def test_stop_reasons(self):
+        rng = np.random.default_rng(13)
+        planted = toeplitz_unitary_part(planted_block_symbol(rng, 2, 2)[0], 8)
+        assert (planted.params["structure_stop"], planted.params["structure_powers"]) == ("closed", 1)
+        swap = toeplitz_unitary_part(swap_inner_symbol(), 8)
+        assert (swap.params["structure_stop"], swap.params["structure_powers"]) == ("budget", 16)
+        scalar = toeplitz_unitary_part(random_trig_scalar(rng, 4), 8)
+        assert (scalar.params["structure_stop"], scalar.params["structure_powers"]) == ("empty", 1)
+
+    def test_brute_oracle_keeps_full_budget(self, monkeypatch):
+        calls = []
+
+        def counting_multiply(a, b):
+            calls.append(1)
+            return multiply(a, b)
+
+        monkeypatch.setattr(decomposition, "multiply", counting_multiply)
+        sym = planted_block_symbol(np.random.default_rng(13), 2, 2)[0]
+        assert toeplitz_unitary_part_brute(sym, 8).dim == 16
+        assert len(calls) == 4 * 8
 
 
 class TestBeurlingExtract:
