@@ -12,6 +12,7 @@ from .symbols import (
     bcl_symbol,
     block_diag_symbol,
     compose_scalar_polynomial,
+    eval_on_grid,
     eval_symbol,
     is_inner,
     multiply,
@@ -62,8 +63,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CircleGrid", "GridMask", "InnerReport", "MatrixSymbol", "PolyMatrix",
     "adjoint_symbol", "bcl_symbol", "block_diag_symbol",
-    "compose_scalar_polynomial", "eval_symbol", "is_inner", "multiply",
-    "pointwise_unitarity_mask", "sup_norm_estimate", "symbol_power",
+    "compose_scalar_polynomial", "eval_on_grid", "eval_symbol", "is_inner",
+    "multiply", "pointwise_unitarity_mask", "sup_norm_estimate", "symbol_power",
     "HardyVector", "LaurentVector", "ToeplitzTruncation", "brown_halmos_check",
     "laurent_apply_exact", "toeplitz_apply_exact", "truncate",
     "Colligation", "TransferReport", "bcl_colligation", "defect_identities",

@@ -42,13 +42,15 @@ from .linalg import (
     orthonormal_columns,
     psd_kernel,
     spectral_norm,
+    spectral_norms,
 )
 from .symbols import (
+    DEFAULT_GRID_SIZE,
     CircleGrid,
     MatrixSymbol,
     PolyMatrix,
     adjoint_symbol,
-    eval_symbol,
+    eval_on_grid,
     is_inner,
     multiply,
     sup_norm_estimate,
@@ -296,6 +298,16 @@ def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _is_unimodular_scalar(sym: MatrixSymbol) -> bool:
+    """Whether sym = c I with |c| = 1, entrywise within NOISE_CUT."""
+    c = sym.coeff(0)[0, 0]
+    if abs(abs(c) - 1.0) > NOISE_CUT:
+        return False
+    rest = [mat for k, mat in sym.coeffs.items() if k != 0]
+    rest.append(sym.coeff(0) - c * np.eye(sym.dim_out))
+    return all(np.abs(mat).max() <= NOISE_CUT for mat in rest)
+
+
 def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
                               n_max: int, stop_when_closed: bool = False):
     """Window polynomials satisfying the power structure equations.
@@ -319,8 +331,17 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
     dimension: an unchanged dimension means an unchanged span, whose test
     result is already known.
 
-    Returns (basis, powers formed, stop reason), the reason being ``closed``,
-    ``empty`` (no solution left) or ``budget`` (n_max powers formed).
+    Also with ``stop_when_closed``, the loop ends before solving power m once
+    F^m = c I with |c| = 1 (entrywise within NOISE_CUT).  Then
+    F^(m+k) = c F^k and (F*)^(m+k) = conj(c) (F*)^k, so the power m + k
+    equations are the power k equations times unimodular factors: analytic
+    stays analytic and F^(m+k) (F*)^(m+k) = |c|^2 F^k (F*)^k = F^k (F*)^k.
+    The power m equations hold for every h, so every later equation repeats
+    one already solved and the span of the first m - 1 powers is the answer.
+
+    Returns (basis, powers solved, stop reason), the reason being ``closed``,
+    ``periodic``, ``empty`` (no solution left) or ``budget`` (n_max powers
+    solved).
     """
     d = sym.dim_out
     n = d * window
@@ -332,6 +353,9 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
         if r == 0:
             break
         fwd = multiply(fwd, sym)  # m-th symbol power, grown incrementally
+        if stop_when_closed and _is_unimodular_scalar(fwd):
+            stop = "periodic"
+            break
         adj = adjoint_symbol(fwd)
         bm = fwd.band
         blocks = basis.reshape(window, d, r)
@@ -522,6 +546,22 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     )
 
 
+def _intertwining_residuals(sym: MatrixSymbol, theta: PolyMatrix, u,
+                            grid: CircleGrid | None):
+    """Grid maxima of norm(F theta - theta U) and norm(F* theta - theta U*).
+
+    Also returns the theta values on the grid.  The default grid resolves
+    every Fourier index of both identities.
+    """
+    if grid is None:
+        grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * (sym.band + 2 * theta.degree) + 1))
+    phi = eval_on_grid(sym, grid)
+    th = eval_on_grid(theta.as_symbol(), grid)
+    res_fwd = float(spectral_norms(phi @ th - th @ u).max())
+    res_adj = float(spectral_norms(phi.conj().transpose(0, 2, 1) @ th - th @ u.conj().T).max())
+    return res_fwd, res_adj, th
+
+
 def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix,
                              grid: CircleGrid | None = None):
     """Constant unitary intertwined with the symbol through an inner polynomial.
@@ -533,15 +573,7 @@ def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix,
     theta_sym = theta.as_symbol()
     prod = multiply(adjoint_symbol(theta_sym), multiply(sym, theta_sym))
     u = prod.coeff(0)
-    if grid is None:
-        grid = CircleGrid(max(512, 2 * (sym.band + 2 * theta.degree) + 1))
-    res_fwd = 0.0
-    res_adj = 0.0
-    for t in grid.points:
-        phi = eval_symbol(sym, t)
-        th = eval_symbol(theta_sym, t)
-        res_fwd = max(res_fwd, spectral_norm(phi @ th - th @ u))
-        res_adj = max(res_adj, spectral_norm(phi.conj().T @ th - th @ u.conj().T))
+    res_fwd, res_adj, _ = _intertwining_residuals(sym, theta, u, grid)
     res_unitary = spectral_norm(u.conj().T @ u - np.eye(theta.dim_in))
     return u, {
         "intertwine_fwd": res_fwd,
@@ -561,23 +593,12 @@ def verify_maincondn(sym: MatrixSymbol, theta: PolyMatrix, u,
     u = as_complex(u)
     if theta.dim_out != sym.dim_in or u.shape != (theta.dim_in, theta.dim_in):
         raise ValueError("dimension mismatch between symbol, inner polynomial and unitary")
-    if grid is None:
-        grid = CircleGrid(max(512, 2 * (sym.band + 2 * theta.degree) + 1))
-    theta_sym = theta.as_symbol()
-    res_fwd = 0.0
-    res_adj = 0.0
-    res_inner = 0.0
+    res_fwd, res_adj, th = _intertwining_residuals(sym, theta, u, grid)
     eye = np.eye(theta.dim_in)
-    for t in grid.points:
-        phi = eval_symbol(sym, t)
-        th = eval_symbol(theta_sym, t)
-        res_fwd = max(res_fwd, spectral_norm(phi @ th - th @ u))
-        res_adj = max(res_adj, spectral_norm(phi.conj().T @ th - th @ u.conj().T))
-        res_inner = max(res_inner, spectral_norm(th.conj().T @ th - eye))
     residuals = {
         "intertwine_fwd": res_fwd,
         "intertwine_adj": res_adj,
-        "inner": res_inner,
+        "inner": float(spectral_norms(th.conj().transpose(0, 2, 1) @ th - eye).max()),
         "unitary": spectral_norm(u.conj().T @ u - eye),
     }
     ok = all(v <= tol for v in residuals.values())
@@ -600,7 +621,7 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     if window < 1:
         raise ValueError("window must be positive")
     if grid is None:
-        grid = CircleGrid(max(512, 2 * sym.band + 1))
+        grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * sym.band + 1))
     sup = sup_norm_estimate(sym, grid)
     if sup > 1.0 + tol:
         raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
@@ -720,7 +741,7 @@ def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,
         raise ValueError("symbol sup-norm estimate exceeds 1 + tol")
     coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())
     if boundary_grid is None:
-        boundary_grid = CircleGrid(max(512, 4 * len(coeffs)))
+        boundary_grid = CircleGrid(max(DEFAULT_GRID_SIZE, 4 * len(coeffs)))
     vals = np.polyval(coeffs[::-1], np.exp(1j * boundary_grid.points))
     if np.max(np.abs(vals)) >= 1.0:
         raise ValueError("scalar polynomial must satisfy |u| < 1 on the boundary grid")

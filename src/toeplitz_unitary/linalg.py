@@ -25,6 +25,18 @@ def spectral_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def spectral_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix in a (G, m, n) stack.
+
+    One batched SVD; each entry equals ``spectral_norm`` of its slice, and
+    empty matrices give 0.0.
+    """
+    stack = as_complex(stack)
+    if stack.shape[1] == 0 or stack.shape[2] == 0:
+        return np.zeros(stack.shape[0])
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def empty_basis(n: int) -> np.ndarray:
     return np.zeros((n, 0), dtype=complex)
 

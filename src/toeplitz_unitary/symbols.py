@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex, spectral_norm
+from .linalg import DEFAULT_TOL, as_complex, spectral_norm, spectral_norms
 
 DEFAULT_GRID_SIZE = 512
 
@@ -225,6 +225,19 @@ def eval_symbol(sym: MatrixSymbol, t: float) -> np.ndarray:
     return out
 
 
+def eval_on_grid(sym: MatrixSymbol, grid: CircleGrid) -> np.ndarray:
+    """Values at every grid point, stacked as (grid.size, dim_out, dim_in).
+
+    The same Fourier sum as ``eval_symbol``, term by term in the same order,
+    so every slice equals the per-point value exactly.
+    """
+    t = grid.points
+    out = np.zeros((grid.size, sym.dim_out, sym.dim_in), dtype=complex)
+    for k, mat in sym.coeffs.items():
+        out += mat * np.exp(1j * k * t)[:, None, None]
+    return out
+
+
 def adjoint_symbol(sym: MatrixSymbol) -> MatrixSymbol:
     """Pointwise adjoint: coefficient at k becomes the adjoint of the one at -k."""
     return MatrixSymbol(
@@ -287,10 +300,8 @@ def is_inner(theta: PolyMatrix, grid: CircleGrid | None = None,
     sym = theta.as_symbol()
     eye = np.eye(theta.dim_in)
 
-    residual_grid = 0.0
-    for t in grid.points:
-        v = eval_symbol(sym, t)
-        residual_grid = max(residual_grid, spectral_norm(v.conj().T @ v - eye))
+    v = eval_on_grid(sym, grid)
+    residual_grid = float(spectral_norms(v.conj().transpose(0, 2, 1) @ v - eye).max())
 
     prod = multiply(adjoint_symbol(sym), sym)
     residual_coeff = spectral_norm(prod.coeff(0) - eye)
@@ -306,13 +317,9 @@ def pointwise_unitarity_mask(sym: MatrixSymbol, grid: CircleGrid,
     if not sym.is_square:
         raise ValueError("unitarity mask needs a square symbol")
     eye = np.eye(sym.dim_out)
-    flags = np.zeros(grid.size, dtype=bool)
-    for j, t in enumerate(grid.points):
-        v = eval_symbol(sym, t)
-        flags[j] = (
-            spectral_norm(v.conj().T @ v - eye) <= tol
-            and spectral_norm(v @ v.conj().T - eye) <= tol
-        )
+    v = eval_on_grid(sym, grid)
+    vh = v.conj().transpose(0, 2, 1)
+    flags = (spectral_norms(vh @ v - eye) <= tol) & (spectral_norms(v @ vh - eye) <= tol)
     return GridMask(grid, flags)
 
 
@@ -324,10 +331,7 @@ def sup_norm_estimate(sym: MatrixSymbol, grid: CircleGrid | None = None) -> floa
     """
     if grid is None:
         grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * sym.band + 1))
-    best = 0.0
-    for t in grid.points:
-        best = max(best, spectral_norm(eval_symbol(sym, t)))
-    return best
+    return float(spectral_norms(eval_on_grid(sym, grid)).max())
 
 
 def bcl_symbol(u, p) -> MatrixSymbol:
