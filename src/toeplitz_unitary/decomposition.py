@@ -298,16 +298,6 @@ def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _is_unimodular_scalar(sym: MatrixSymbol) -> bool:
-    """Whether sym = c I with |c| = 1, entrywise within NOISE_CUT."""
-    c = sym.coeff(0)[0, 0]
-    if abs(abs(c) - 1.0) > NOISE_CUT:
-        return False
-    rest = [mat for k, mat in sym.coeffs.items() if k != 0]
-    rest.append(sym.coeff(0) - c * np.eye(sym.dim_out))
-    return all(np.abs(mat).max() <= NOISE_CUT for mat in rest)
-
-
 def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
                               n_max: int, stop_when_closed: bool = False):
     """Window polynomials satisfying the power structure equations.
@@ -331,17 +321,8 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
     dimension: an unchanged dimension means an unchanged span, whose test
     result is already known.
 
-    Also with ``stop_when_closed``, the loop ends before solving power m once
-    F^m = c I with |c| = 1 (entrywise within NOISE_CUT).  Then
-    F^(m+k) = c F^k and (F*)^(m+k) = conj(c) (F*)^k, so the power m + k
-    equations are the power k equations times unimodular factors: analytic
-    stays analytic and F^(m+k) (F*)^(m+k) = |c|^2 F^k (F*)^k = F^k (F*)^k.
-    The power m equations hold for every h, so every later equation repeats
-    one already solved and the span of the first m - 1 powers is the answer.
-
-    Returns (basis, powers solved, stop reason), the reason being ``closed``,
-    ``periodic``, ``empty`` (no solution left) or ``budget`` (n_max powers
-    solved).
+    Returns (basis, powers formed, stop reason), the reason being ``closed``,
+    ``empty`` (no solution left) or ``budget`` (n_max powers formed).
     """
     d = sym.dim_out
     n = d * window
@@ -353,9 +334,6 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
         if r == 0:
             break
         fwd = multiply(fwd, sym)  # m-th symbol power, grown incrementally
-        if stop_when_closed and _is_unimodular_scalar(fwd):
-            stop = "periodic"
-            break
         adj = adjoint_symbol(fwd)
         bm = fwd.band
         blocks = basis.reshape(window, d, r)
