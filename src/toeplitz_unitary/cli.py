@@ -14,12 +14,14 @@ required).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 
 from .colligation import defect_identities, disc_grid, validate
 from .decomposition import toeplitz_unitary_part
+from .linalg import DEFAULT_TOL
 from .scenarios import SCENARIOS, run_scenario
 from .serialize import (
     SCHEMA_VERSION,
@@ -29,11 +31,20 @@ from .serialize import (
     symbol_from_json,
     write_json_atomic,
 )
+from .symbols import DEFAULT_GRID_SIZE, CircleGrid
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_ASSERTION = 3
+
+
+def _tolerance(text: str) -> float:
+    """Argument type of ``--tol``: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,10 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--out", required=True, help="report JSON output path")
     p_dec.add_argument("--window", type=int, default=8,
                        help="degree window size N (default 8)")
-    p_dec.add_argument("--grid", type=int, default=512,
-                       help="circle grid size (default 512)")
-    p_dec.add_argument("--tol", type=float, default=1e-8,
-                       help="classification tolerance (default 1e-8)")
+    p_dec.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
+                       help="circle grid size (default %(default)s)")
+    p_dec.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="classification tolerance (default %(default)s)")
     p_dec.add_argument("--seed", type=int, default=0,
                        help="seed recorded in the report (default 0)")
 
@@ -69,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of disc sample points (default 64)")
     p_tr.add_argument("--radius", type=float, default=0.95,
                       help="disc sample radius < 1 (default 0.95)")
-    p_tr.add_argument("--tol", type=float, default=1e-8,
-                      help="validation tolerance (default 1e-8)")
+    p_tr.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                      help="validation tolerance (default %(default)s)")
 
     p_sc = sub.add_parser("scenario", help="run one or all theorem scenarios")
     p_sc.add_argument("--scenario", default="all",
@@ -82,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="seed override for seeded scenarios")
     p_sc.add_argument("--window", type=int, default=None,
                       help="window override for windowed scenarios")
-    p_sc.add_argument("--tol", type=float, default=None,
+    p_sc.add_argument("--tol", type=_tolerance, default=None,
                       help="tolerance override")
     return parser
 
@@ -93,8 +104,8 @@ def _config_dict(args, keys) -> dict:
 
 
 def cmd_decompose(args) -> int:
-    if args.window < 1 or args.tol <= 0 or args.grid < 1:
-        print("error: window and grid must be positive, tol > 0", file=sys.stderr)
+    if args.window < 1 or args.grid < 1:
+        print("error: window and grid must be positive", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         raw = load_json(args.input)
@@ -110,8 +121,6 @@ def cmd_decompose(args) -> int:
         print(f"error: grid size {args.grid} below 2*band+1 = {2 * sym.band + 1}",
               file=sys.stderr)
         return EXIT_DOMAIN
-
-    from .symbols import CircleGrid
 
     try:
         report = toeplitz_unitary_part(sym, args.window, args.tol,
@@ -147,8 +156,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    if not 0 <= args.radius < 1 or args.grid < 1 or args.tol <= 0:
-        print("error: need 0 <= radius < 1, grid >= 1, tol > 0", file=sys.stderr)
+    if not 0 <= args.radius < 1 or args.grid < 1:
+        print("error: need 0 <= radius < 1, grid >= 1", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         raw = load_json(args.input)

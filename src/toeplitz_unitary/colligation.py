@@ -192,21 +192,14 @@ def polynomial_from_colligation(w: Colligation, tol: float = DEFAULT_TOL) -> Pol
     """
     if w.dim_k == 0:
         return PolyMatrix(w.dim_e, w.dim_e, (w.A,))
-    power = np.eye(w.dim_k, dtype=complex)
-    index = None
-    for q in range(w.dim_k + 1):
-        if spectral_norm(power) <= tol:
-            index = q
-            break
-        power = power @ w.D
-    if index is None:
-        raise ValueError("state block D is not nilpotent; use tau_eval directly")
     coeffs = [w.A]
     power = np.eye(w.dim_k, dtype=complex)
-    for _ in range(index):
+    for _ in range(w.dim_k + 1):
+        if spectral_norm(power) <= tol:
+            return PolyMatrix(w.dim_e, w.dim_e, tuple(coeffs))
         coeffs.append(w.B @ power @ w.C)
         power = power @ w.D
-    return PolyMatrix(w.dim_e, w.dim_e, tuple(coeffs))
+    raise ValueError("state block D is not nilpotent; use tau_eval directly")
 
 
 def random_colligation(dim_e: int, dim_k: int, rng: np.random.Generator) -> Colligation:

@@ -186,36 +186,21 @@ def _constraint_refinement(initial_rows, operators, n, tol):
     ``rows @ op`` and form-preserving compression: past violations are never
     forgotten and no projector of a current iterate enters the data, which is
     what keeps slowly-dying directions from dragging exact kernel vectors
-    along.  A short invariance polish then removes the tails of decaying
-    chains whose accumulated violations sit below tolerance.  Returns
-    (kernel basis, iterations).
+    along.  The invariance polish then removes the tails of decaying chains
+    whose accumulated violations sit below tolerance.
     """
     rows = _compress_rows(initial_rows)
     basis = nullspace(rows, tol)
-    iterations = 0
     for _ in range(n + 1):
         r = basis.shape[1]
         if r == 0:
-            return basis, iterations
+            break
         rows = _compress_rows([rows] + [rows @ op for op in operators])
         basis = nullspace(rows, tol)
-        iterations += 1
         if basis.shape[1] == r:
             break
-
-    # polish: enforce invariance of the span itself
-    for _ in range(n + 1):
-        r = basis.shape[1]
-        if r == 0:
-            return basis, iterations
-        proj = basis @ basis.conj().T
-        stray = [op @ basis - proj @ (op @ basis) for op in operators]
-        coeff_null = nullspace(np.vstack(stray), tol)
-        iterations += 1
-        if coeff_null.shape[1] == r:
-            return basis, iterations
-        basis = normalize_column_phases(basis @ coeff_null)
-    return basis, iterations
+    basis, _ = _invariance_polish(basis, operators, tol)
+    return basis
 
 
 def unitary_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
@@ -230,7 +215,7 @@ def unitary_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
     n = t.shape[0]
     _check_contraction(t, tol)
     eye = np.eye(n)
-    basis, _ = _constraint_refinement(
+    basis = _constraint_refinement(
         [eye - t.conj().T @ t, eye - t @ t.conj().T],
         [t, t.conj().T], n, tol)
     return Subspace(n, basis, tol)
@@ -275,7 +260,7 @@ def isometric_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
     t = as_complex(t)
     n = t.shape[0]
     _check_contraction(t, tol)
-    basis, _ = _constraint_refinement([np.eye(n) - t.conj().T @ t], [t], n, tol)
+    basis = _constraint_refinement([np.eye(n) - t.conj().T @ t], [t], n, tol)
     return Subspace(n, basis, tol)
 
 
@@ -296,6 +281,28 @@ def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
         rows += [img[:start], img[start + n:],
                  inside - basis @ (basis.conj().T @ inside)]
     return np.vstack(rows)
+
+
+def _invariance_polish(basis: np.ndarray, operators, tol: float):
+    """Largest part of span(basis) that every operator maps into itself.
+
+    Each operator acts on the basis coordinates; rows past the first
+    basis.shape[0] lie outside the span's ambient space and count in full
+    (see ``_stray_rows``).  Each iteration keeps the directions whose images
+    stay in the span, within tol, until no direction is dropped.  Returns
+    (basis, iterations).
+    """
+    iterations = 0
+    for _ in range(basis.shape[0] + 1):
+        r = basis.shape[1]
+        if r == 0:
+            break
+        coeff_null = nullspace(_stray_rows(basis, [op @ basis for op in operators], 0), tol)
+        iterations += 1
+        if coeff_null.shape[1] == r:
+            break
+        basis = normalize_column_phases(basis @ coeff_null)
+    return basis, iterations
 
 
 def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
@@ -378,33 +385,22 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     polish iterations and the structure powers and stop reason.
     """
     d = sym.dim_out
-    band = sym.band
     n = d * window
     adj = adjoint_symbol(sym)
 
-    lf, off_f = laurent_window_matrix(sym, window)
-    la, off_a = laurent_window_matrix(adj, window)
-    neg_f = lf[: -off_f * d] if off_f < 0 else np.zeros((0, n))
-    neg_a = la[: -off_a * d] if off_a < 0 else np.zeros((0, n))
+    # exact symbol action; the rows from degree 0 on track the Toeplitz action
+    # up to degree window - 1 + band
+    band_rows = sym.band * d
+    lf, _ = laurent_window_matrix(sym, window)
+    la, _ = laurent_window_matrix(adj, window)
+    neg_f, t_fwd = lf[:band_rows], lf[band_rows:]
+    neg_a, t_adj = la[:band_rows], la[band_rows:]
     defect_f = np.eye(n) - lf.conj().T @ lf
     defect_a = np.eye(n) - la.conj().T @ la
 
-    # exact Toeplitz action, tracked up to degree window - 1 + band
-    t_fwd = toeplitz_window_matrix(sym, window, window + band)
-    t_adj = toeplitz_window_matrix(adj, window, window + band)
-
     basis, powers, stop = _structure_solution_basis(
         sym, window, tol, n_max=n, stop_when_closed=True)
-    iterations = 0
-    for _ in range(n + 1):
-        r = basis.shape[1]
-        if r == 0:
-            break
-        coeff_null = nullspace(_stray_rows(basis, (t_fwd @ basis, t_adj @ basis), 0), tol)
-        iterations += 1
-        if coeff_null.shape[1] == r:
-            break
-        basis = normalize_column_phases(basis @ coeff_null)
+    basis, iterations = _invariance_polish(basis, (t_fwd, t_adj), tol)
 
     cert = {}
     if basis.shape[1]:
@@ -432,17 +428,6 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     return basis, cert, trail
 
 
-def shift_matrix(dim: int, n_in: int, n_out: int | None = None) -> np.ndarray:
-    """Degree-raising map a_k -> a_{k+1} between coefficient windows."""
-    if n_out is None:
-        n_out = n_in
-    m = np.zeros((n_out * dim, n_in * dim), dtype=complex)
-    eye = np.eye(dim)
-    for k in range(min(n_in, n_out - 1)):
-        m[(k + 1) * dim:(k + 2) * dim, k * dim:(k + 1) * dim] = eye
-    return m
-
-
 def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> ExtractionResult:
     """Extract the inner polynomial generating a shift-invariant window subspace.
 
@@ -463,10 +448,11 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     # vectors of degree <= window - 2, in basis coordinates
     top_rows = m.basis[(window - 1) * dim:, :]
     low = normalize_column_phases(m.basis @ nullspace(top_rows, tol))
-    s_in = shift_matrix(dim, window)
+    # block shift into the window extended by one degree
+    s_ext = toeplitz_window_matrix(MatrixSymbol.shift(dim), window, window + 1)
     if low.shape[1]:
         off = np.eye(n) - m.projector()
-        shift_residual = spectral_norm(off @ (s_in @ low))
+        shift_residual = spectral_norm(off @ (s_ext[:n] @ low))
     else:
         shift_residual = 0.0
     if shift_residual > tol:
@@ -475,7 +461,6 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
         )
 
     # wandering space inside the window extended by one degree
-    s_ext = shift_matrix(dim, window, window + 1)
     basis_ext = np.vstack([m.basis, np.zeros((dim, m.dim))])
     shifted = s_ext @ m.basis  # isometric image, columns stay orthonormal
     zm = intersect_subspaces(shifted, basis_ext, tol)
@@ -497,22 +482,15 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
 
     inner_rep = is_inner(theta, tol=tol)
 
-    col_degrees = []
+    columns = []
     for j in range(r):
         dj = theta.degree
         while dj > 0 and np.linalg.norm(theta.coeffs[dj][:, j]) <= 1e-12 * scale:
             dj -= 1
-        col_degrees.append(dj)
-    columns = []
-    for j in range(r):
-        vec = np.zeros(n, dtype=complex)
-        for k in range(col_degrees[j] + 1):
-            vec[k * dim:(k + 1) * dim] = theta.coeffs[k][:, j]
-        for shift in range(window - col_degrees[j]):
-            shifted_vec = np.zeros(n, dtype=complex)
-            shifted_vec[shift * dim:] = vec[: n - shift * dim]
-            columns.append(shifted_vec)
-    span = orthonormal_columns(np.column_stack(columns), tol)
+        # theta column j and its shifts that fit in the window
+        col = MatrixSymbol(dim, 1, {k: theta.coeffs[k][:, j:j + 1] for k in range(dj + 1)})
+        columns.append(toeplitz_window_matrix(col, window - dj, window))
+    span = orthonormal_columns(np.hstack(columns), tol)
     span_residual = spectral_norm(m.basis - span @ (span.conj().T @ m.basis))
 
     return ExtractionResult(

@@ -203,10 +203,7 @@ def brown_halmos_residual(matrix: np.ndarray, dim: int) -> float:
     window = n // dim
     if window < 2:
         return 0.0
-    s = np.zeros((n, n), dtype=complex)
-    eye = np.eye(dim)
-    for j in range(window - 1):
-        s[(j + 1) * dim:(j + 2) * dim, j * dim:(j + 1) * dim] = eye
+    s = toeplitz_window_matrix(MatrixSymbol.shift(dim), window, window)
     diff = s.conj().T @ matrix @ s - matrix
     inner = (window - 1) * dim
     return spectral_norm(diff[:inner, :inner])

@@ -26,6 +26,7 @@ from .linalg import (
     subspace_gap,
 )
 from .symbols import (
+    DEFAULT_GRID_SIZE,
     CircleGrid,
     MatrixSymbol,
     PolyMatrix,
@@ -139,28 +140,14 @@ def swap_inner_symbol(phase: complex = 1.0) -> MatrixSymbol:
 
 def coefficient_embedding(dim: int, window: int, basis: np.ndarray) -> np.ndarray:
     """Window basis of {polynomials with all coefficients in range(basis)}."""
-    cols = []
-    for k in range(window):
-        for j in range(basis.shape[1]):
-            v = np.zeros(dim * window, dtype=complex)
-            v[k * dim:(k + 1) * dim] = basis[:, j]
-            cols.append(v)
-    if not cols:
-        return np.zeros((dim * window, 0), dtype=complex)
-    return np.column_stack(cols)
+    return np.kron(np.eye(window), basis)
 
 
 def product_form_core(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Largest coefficient subspace whose full degree window sits inside m."""
     window = m.ambient_dim // dim
-    proj = m.projector()
-    off = np.eye(m.ambient_dim) - proj
-    rows = []
-    for k in range(window):
-        embed = np.zeros((m.ambient_dim, dim), dtype=complex)
-        embed[k * dim:(k + 1) * dim] = np.eye(dim)
-        rows.append(off @ embed)
-    return nullspace(np.vstack(rows), tol)
+    off = np.eye(m.ambient_dim) - m.projector()
+    return nullspace(np.vstack([off[:, k * dim:(k + 1) * dim] for k in range(window)]), tol)
 
 
 def coefficient_span(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -620,7 +607,8 @@ def scenario_bcl_theorem(u=None, p=None, seed: int | None = None, dim: int = 3,
 
 
 def scenario_laurent(sym: MatrixSymbol | None = None, expected_measure: float | None = None,
-                     grid_size: int = 512, tol: float = DEFAULT_TOL) -> ScenarioResult:
+                     grid_size: int = DEFAULT_GRID_SIZE,
+                     tol: float = DEFAULT_TOL) -> ScenarioResult:
     """Measure of the pointwise unitarity set on the grid.
 
     For trigonometric polynomial symbols the unitarity set has measure 0 or 1:

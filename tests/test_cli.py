@@ -151,3 +151,46 @@ class TestScenario:
         assert rc == 3
         index = json.loads((tmp_path / "res" / "index.json").read_text())
         assert index["all_pass"] is False
+
+
+class TestToleranceArgument:
+    """--tol takes only a finite value > 0, in every subcommand."""
+
+    @pytest.fixture
+    def big_scalar_file(self, tmp_path):
+        # sup norm 5: a NaN tolerance must not carry it past the contraction gate
+        path = tmp_path / "big.json"
+        write_json_atomic(str(path), symbol_to_json(MatrixSymbol(1, 1, {0: [[5.0]]})))
+        return path
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5", "1e-400"])
+    def test_decompose_rejects(self, big_scalar_file, tmp_path, tol):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--input", str(big_scalar_file), "--out", str(out),
+                  "--tol", tol])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_transfer_rejects(self, colligation_file, tmp_path, tol):
+        out = tmp_path / "transfer.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["transfer", "--input", str(colligation_file), "--out", str(out),
+                  "--tol", tol])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_scenario_rejects(self, tmp_path, tol):
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "--scenario", "goor", "--out", str(out), "--tol", tol])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_finite_positive_tolerance_is_used(self, symbol_file, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["decompose", "--input", str(symbol_file), "--out", str(out),
+                     "--tol", "1e-9"]) == 0
+        assert json.loads(out.read_text())["config"]["tol"] == 1e-9

@@ -26,6 +26,7 @@ from toeplitz_unitary.symbols import (
 from toeplitz_unitary.hardy import toeplitz_window_matrix
 from toeplitz_unitary.decomposition import (
     Subspace,
+    _invariance_polish,
     _structure_solution_basis,
     beurling_extract,
     cdot0_test,
@@ -33,7 +34,6 @@ from toeplitz_unitary.decomposition import (
     isometric_part_matrix,
     poly_calculus,
     reducing_check,
-    shift_matrix,
     toeplitz_unitary_part,
     toeplitz_unitary_part_brute,
     unitary_part_brute,
@@ -149,6 +149,31 @@ class TestIsometricPart:
                 assert spectral_norm(
                     uni.basis - iso.projector() @ uni.basis) <= 1e-8
             assert iso.dim == uni.dim
+
+
+class TestInvariancePolish:
+    """The polish shared by the matrix and the window refinements, on the
+    truncated forward shift S e_k = e_(k+1) of C^6."""
+
+    SHIFT = np.eye(6, k=-1)
+
+    def test_chain_leaving_the_span_is_removed(self):
+        # S e4 = e5 leaves span(e0..e4); then e3, e2, e1 and e0 follow
+        basis, _ = _invariance_polish(np.eye(6)[:, :5].astype(complex), [self.SHIFT], 1e-8)
+        assert basis.shape[1] == 0
+
+    def test_invariant_span_is_kept(self):
+        start = np.eye(6)[:, 2:].astype(complex)
+        basis, iterations = _invariance_polish(start, [self.SHIFT], 1e-8)
+        assert basis.shape[1] == 4
+        assert iterations == 1
+        assert subspace_gap(basis, start) <= 1e-12
+
+    def test_rows_outside_the_window_count_in_full(self):
+        # a seventh row takes S e5 out of the window
+        basis, _ = _invariance_polish(np.eye(6)[:, 2:].astype(complex),
+                                      [np.eye(7, 6, k=-1)], 1e-8)
+        assert basis.shape[1] == 0
 
 
 class TestToeplitzUnitaryPart:
@@ -515,7 +540,7 @@ class TestPolyCalculus:
 
     def test_half_shift(self):
         m = poly_calculus(MatrixSymbol.shift(1), [0.0, 0.5], 3)
-        expected = 0.5 * shift_matrix(1, 3, 4)
+        expected = 0.5 * toeplitz_window_matrix(MatrixSymbol.shift(1), 3, 4)
         np.testing.assert_allclose(m, expected, atol=1e-14)
 
     def test_matches_composed_symbol(self):
