@@ -18,17 +18,8 @@ from .symbols import (
     multiply,
     pointwise_unitarity_mask,
     sup_norm_estimate,
-    symbol_power,
 )
-from .hardy import (
-    HardyVector,
-    LaurentVector,
-    ToeplitzTruncation,
-    brown_halmos_check,
-    laurent_apply_exact,
-    toeplitz_apply_exact,
-    truncate,
-)
+from .hardy import HardyVector, toeplitz_apply_exact
 from .colligation import (
     Colligation,
     TransferReport,
@@ -64,9 +55,8 @@ __all__ = [
     "CircleGrid", "GridMask", "InnerReport", "MatrixSymbol", "PolyMatrix",
     "adjoint_symbol", "bcl_symbol", "block_diag_symbol",
     "compose_scalar_polynomial", "eval_on_grid", "eval_symbol", "is_inner",
-    "multiply", "pointwise_unitarity_mask", "sup_norm_estimate", "symbol_power",
-    "HardyVector", "LaurentVector", "ToeplitzTruncation", "brown_halmos_check",
-    "laurent_apply_exact", "toeplitz_apply_exact", "truncate",
+    "multiply", "pointwise_unitarity_mask", "sup_norm_estimate",
+    "HardyVector", "toeplitz_apply_exact",
     "Colligation", "TransferReport", "bcl_colligation", "defect_identities",
     "disc_grid", "polynomial_from_colligation", "random_colligation",
     "tau_eval", "validate",

@@ -1,7 +1,7 @@
-"""JSON encoding of symbols, colligations, Hardy vectors and reports.
+"""JSON encoding of symbols, polynomial matrices, colligations and reports.
 
 Complex matrices are encoded as separate row-major ``re`` / ``im`` lists of
-64-bit floats.  Serialization is canonical (sorted keys, fixed separators) and
+finite 64-bit floats.  Serialization is canonical (sorted keys, fixed separators) and
 files are written atomically, so identical runs produce byte-identical files.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from .colligation import Colligation
 from .decomposition import Subspace, UnitaryPartReport
-from .hardy import HardyVector
 from .symbols import MatrixSymbol, PolyMatrix
 
 SCHEMA_VERSION = "hardy-unitary-report/1"
@@ -31,7 +30,20 @@ def decode_matrix(obj) -> np.ndarray:
     im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite")
     return re + 1j * im
+
+
+def _indexed_coeffs(obj) -> dict:
+    """The ``coeffs`` list of a file as {k: matrix}; a repeated k is an error."""
+    coeffs = {}
+    for c in obj.get("coeffs", []):
+        k = int(c["k"])
+        if k in coeffs:
+            raise ValueError(f"coefficient index {k} appears more than once")
+        coeffs[k] = decode_matrix(c)
+    return coeffs
 
 
 def symbol_to_json(sym: MatrixSymbol) -> dict:
@@ -42,8 +54,7 @@ def symbol_to_json(sym: MatrixSymbol) -> dict:
 
 
 def symbol_from_json(obj) -> MatrixSymbol:
-    coeffs = {int(c["k"]): decode_matrix(c) for c in obj.get("coeffs", [])}
-    return MatrixSymbol(int(obj["dim_out"]), int(obj["dim_in"]), coeffs)
+    return MatrixSymbol(int(obj["dim_out"]), int(obj["dim_in"]), _indexed_coeffs(obj))
 
 
 def polymatrix_to_json(p: PolyMatrix) -> dict:
@@ -59,11 +70,10 @@ def polymatrix_from_json(obj) -> PolyMatrix:
     degree = int(obj["degree"])
     dim_out, dim_in = int(obj["dim_out"]), int(obj["dim_in"])
     mats = [np.zeros((dim_out, dim_in), dtype=complex) for _ in range(degree + 1)]
-    for c in obj.get("coeffs", []):
-        k = int(c["k"])
+    for k, m in _indexed_coeffs(obj).items():
         if k < 0 or k > degree:
             raise ValueError("polynomial coefficient index out of range")
-        mats[k] = decode_matrix(c)
+        mats[k] = m
     return PolyMatrix(dim_out, dim_in, tuple(mats))
 
 
@@ -87,23 +97,6 @@ def colligation_from_json(obj) -> Colligation:
         decode_matrix(obj["C"]),
         decode_matrix(obj["D"]),
     )
-
-
-def hardy_to_json(h: HardyVector) -> dict:
-    return {
-        "dim": h.dim,
-        "coeffs": [
-            {"re": row.real.tolist(), "im": row.imag.tolist()} for row in h.coeffs
-        ],
-    }
-
-
-def hardy_from_json(obj) -> HardyVector:
-    rows = [
-        np.asarray(c["re"], dtype=float) + 1j * np.asarray(c.get("im", 0.0), dtype=float)
-        for c in obj["coeffs"]
-    ]
-    return HardyVector(int(obj["dim"]), np.vstack(rows))
 
 
 def subspace_to_json(s: Subspace) -> dict:

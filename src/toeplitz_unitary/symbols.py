@@ -260,16 +260,6 @@ def multiply(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
     return MatrixSymbol(a.dim_out, b.dim_in, out)
 
 
-def symbol_power(sym: MatrixSymbol, n: int) -> MatrixSymbol:
-    """n-th pointwise power of a square symbol (n >= 0)."""
-    if not sym.is_square:
-        raise ValueError("powers need a square symbol")
-    acc = MatrixSymbol.constant(np.eye(sym.dim_out))
-    for _ in range(n):
-        acc = multiply(acc, sym)
-    return acc
-
-
 def compose_scalar_polynomial(sym: MatrixSymbol, poly_coeffs) -> MatrixSymbol:
     """Exact symbol of u(F) = sum_j c_j F^j for a scalar polynomial u."""
     coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())

@@ -194,3 +194,43 @@ class TestToleranceArgument:
         assert main(["decompose", "--input", str(symbol_file), "--out", str(out),
                      "--tol", "1e-9"]) == 0
         assert json.loads(out.read_text())["config"]["tol"] == 1e-9
+
+
+class TestMalformedInput:
+    """Input files that json.load accepts but that do not describe a symbol or
+    colligation exit 1 and write nothing."""
+
+    @staticmethod
+    def run(command, tmp_path, text, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        rc = main([command, "--input", str(path), "--out", str(out)])
+        assert not out.exists()
+        return rc, capsys.readouterr().err
+
+    def test_repeated_fourier_index(self, tmp_path, capsys):
+        # the second k = 0 entry used to overwrite the first (sup norm 5)
+        text = json.dumps({"dim_out": 1, "dim_in": 1, "coeffs": [
+            {"k": 0, "re": [[5.0]], "im": [[0.0]]},
+            {"k": 0, "re": [[0.5]], "im": [[0.0]]}]})
+        rc, err = self.run("decompose", tmp_path, text, capsys)
+        assert rc == 1
+        assert "malformed symbol file" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_symbol(self, tmp_path, capsys, value):
+        text = ('{"dim_out": 1, "dim_in": 1, "coeffs": [{"k": 0, "re": [[%s]], '
+                '"im": [[0.0]]}]}' % value)
+        rc, err = self.run("decompose", tmp_path, text, capsys)
+        assert rc == 1
+        assert "malformed symbol file" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_colligation(self, colligation_file, tmp_path, capsys, value):
+        obj = json.loads(colligation_file.read_text())
+        obj["A"]["re"][0][0] = "PLACEHOLDER"
+        text = json.dumps(obj).replace('"PLACEHOLDER"', value)
+        rc, err = self.run("transfer", tmp_path, text, capsys)
+        assert rc == 1
+        assert "malformed colligation file" in err

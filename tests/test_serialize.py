@@ -6,7 +6,6 @@ import pytest
 
 from toeplitz_unitary.linalg import haar_unitary, random_projection
 from toeplitz_unitary.symbols import MatrixSymbol, PolyMatrix, bcl_symbol
-from toeplitz_unitary.hardy import HardyVector
 from toeplitz_unitary.colligation import bcl_colligation
 from toeplitz_unitary.decomposition import toeplitz_unitary_part
 from toeplitz_unitary.serialize import (
@@ -15,8 +14,6 @@ from toeplitz_unitary.serialize import (
     colligation_to_json,
     decode_matrix,
     encode_matrix,
-    hardy_from_json,
-    hardy_to_json,
     polymatrix_from_json,
     polymatrix_to_json,
     report_to_json,
@@ -62,10 +59,27 @@ def test_colligation_round_trip():
         np.testing.assert_array_equal(getattr(back, name), getattr(w, name))
 
 
-def test_hardy_round_trip():
-    h = HardyVector(2, np.array([[1.0, 2.0], [0.0, 1.0j]]))
-    back = hardy_from_json(hardy_to_json(h))
-    np.testing.assert_array_equal(back.coeffs, h.coeffs)
+def test_symbol_rejects_repeated_index():
+    with pytest.raises(ValueError, match="more than once"):
+        symbol_from_json({"dim_out": 1, "dim_in": 1, "coeffs": [
+            {"k": 0, "re": [[5.0]], "im": [[0.0]]},
+            {"k": 0, "re": [[0.5]], "im": [[0.0]]}]})
+
+
+def test_polymatrix_rejects_repeated_index():
+    with pytest.raises(ValueError, match="more than once"):
+        polymatrix_from_json({"dim_out": 1, "dim_in": 1, "degree": 1, "coeffs": [
+            {"k": 1, "re": [[1.0]], "im": [[0.0]]},
+            {"k": 1, "re": [[0.0]], "im": [[0.0]]}]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_decode_matrix_rejects_non_finite(part, value):
+    obj = {"re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}
+    obj[part][0][1] = value
+    with pytest.raises(ValueError, match="finite"):
+        decode_matrix(obj)
 
 
 def test_report_serialization_carries_everything():

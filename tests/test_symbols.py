@@ -14,7 +14,6 @@ from toeplitz_unitary.symbols import (
     multiply,
     pointwise_unitarity_mask,
     sup_norm_estimate,
-    symbol_power,
 )
 
 P = np.diag([1.0, 0.0])
@@ -117,7 +116,7 @@ class TestMultiply:
     def test_power_matches_repeated_eval(self):
         rng = np.random.default_rng(5)
         sym = random_symbol(rng, 2, 2, band=1, scale=0.4)
-        cube = symbol_power(sym, 3)
+        cube = compose_scalar_polynomial(sym, [0, 0, 0, 1])
         for t in CircleGrid(9).points:
             np.testing.assert_allclose(
                 eval_symbol(cube, t),
