@@ -36,7 +36,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_complex,
-    intersect_subspaces,
     normalize_column_phases,
     nullspace,
     orthonormal_columns,
@@ -55,7 +54,7 @@ from .symbols import (
     multiply,
     sup_norm_estimate,
 )
-from .hardy import convolve_block_columns, laurent_window_matrix, toeplitz_window_matrix
+from .hardy import convolve_block_columns, toeplitz_window_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +198,7 @@ def _constraint_refinement(initial_rows, operators, n, tol):
         basis = nullspace(rows, tol)
         if basis.shape[1] == r:
             break
-    basis, _ = _invariance_polish(basis, operators, tol)
+    basis, _ = _invariance_polish(basis, lambda b: [op @ b for op in operators], 0, tol)
     return basis
 
 
@@ -283,21 +282,33 @@ def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _invariance_polish(basis: np.ndarray, operators, tol: float):
+def _window_images(syms, basis: np.ndarray) -> list:
+    """Exact actions of the symbols on the basis columns of a degree window.
+
+    One (n + 2 band d, r) array per symbol, rows from degree -band on, so the
+    window coefficients sit in rows band d .. band d + n - 1 (all symbols
+    share the band).
+    """
+    r = basis.shape[1]
+    blocks = basis.reshape(-1, syms[0].dim_in, r)
+    return [convolve_block_columns(s, blocks).reshape(-1, r) for s in syms]
+
+
+def _invariance_polish(basis: np.ndarray, act, start: int, tol: float):
     """Largest part of span(basis) that every operator maps into itself.
 
-    Each operator acts on the basis coordinates; rows past the first
-    basis.shape[0] lie outside the span's ambient space and count in full
-    (see ``_stray_rows``).  Each iteration keeps the directions whose images
-    stay in the span, within tol, until no direction is dropped.  Returns
-    (basis, iterations).
+    ``act(basis)`` returns the exact images of the basis columns laid out as
+    ``_stray_rows`` expects: the span's coordinates in rows start .. start + n
+    - 1, rows outside them counting in full.  Each iteration keeps the
+    directions whose images stay in the span, within tol, until no direction
+    is dropped.  Returns (basis, iterations).
     """
     iterations = 0
     for _ in range(basis.shape[0] + 1):
         r = basis.shape[1]
         if r == 0:
             break
-        coeff_null = nullspace(_stray_rows(basis, [op @ basis for op in operators], 0), tol)
+        coeff_null = nullspace(_stray_rows(basis, act(basis), start), tol)
         iterations += 1
         if coeff_null.shape[1] == r:
             break
@@ -306,10 +317,10 @@ def _invariance_polish(basis: np.ndarray, operators, tol: float):
 
 
 def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
-                              n_max: int, stop_when_closed: bool = False):
+                              stop_when_closed: bool = False):
     """Window polynomials satisfying the power structure equations.
 
-    For n = 1 .. n_max accumulates the h with F^n h and (F*)^n h analytic and
+    For n = 1 .. d window accumulates the h with F^n h and (F*)^n h analytic and
     F^n (F*)^n h = h = (F*)^n F^n h, all by exact coefficient convolution.
     These constraints live at the two-sided (Laurent) level, so directions
     violating them fail with full-size margins; no slowly-decaying chains
@@ -329,14 +340,15 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
     result is already known.
 
     Returns (basis, powers formed, stop reason), the reason being ``closed``,
-    ``empty`` (no solution left) or ``budget`` (n_max powers formed).
+    ``empty`` (no solution left) or ``budget`` (d window powers formed).
     """
     d = sym.dim_out
     n = d * window
     basis = np.eye(n, dtype=complex)
     fwd = MatrixSymbol.constant(np.eye(d))
+    syms = (sym, adjoint_symbol(sym))
     powers, stop, tested_dim = 0, "budget", None
-    for m in range(1, n_max + 1):
+    for m in range(1, n + 1):
         r = basis.shape[1]
         if r == 0:
             break
@@ -361,9 +373,7 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
         r = basis.shape[1]
         if stop_when_closed and 0 < r != tested_dim:
             tested_dim = r
-            blocks = basis.reshape(window, d, r)
-            images = [convolve_block_columns(s, blocks).reshape(-1, r)
-                      for s in (sym, adjoint_symbol(sym))]
+            images = _window_images(syms, basis)
             if nullspace(_stray_rows(basis, images, sym.band * d), tol).shape[1] == r:
                 stop = "closed"
                 break
@@ -381,48 +391,34 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     polish is a no-op whenever the structure solutions are window invariant
     (every planted family), and where it does remove directions the kill
     margins are boundary-coefficient sized, so the iteration stays stable.
+    The polish and the certificate act on the basis columns by the same exact
+    convolution as the closure test of the structure equations.
     Returns (basis, certification dict, trail) where the trail holds the
     polish iterations and the structure powers and stop reason.
     """
-    d = sym.dim_out
-    n = d * window
-    adj = adjoint_symbol(sym)
+    n = sym.dim_out * window
+    syms = (sym, adjoint_symbol(sym))
+    start = sym.band * sym.dim_out
 
-    # exact symbol action; the rows from degree 0 on track the Toeplitz action
-    # up to degree window - 1 + band
-    band_rows = sym.band * d
-    lf, _ = laurent_window_matrix(sym, window)
-    la, _ = laurent_window_matrix(adj, window)
-    neg_f, t_fwd = lf[:band_rows], lf[band_rows:]
-    neg_a, t_adj = la[:band_rows], la[band_rows:]
-    defect_f = np.eye(n) - lf.conj().T @ lf
-    defect_a = np.eye(n) - la.conj().T @ la
-
-    basis, powers, stop = _structure_solution_basis(
-        sym, window, tol, n_max=n, stop_when_closed=True)
-    basis, iterations = _invariance_polish(basis, (t_fwd, t_adj), tol)
+    basis, powers, stop = _structure_solution_basis(sym, window, tol, stop_when_closed=True)
+    basis, iterations = _invariance_polish(
+        basis, lambda b: _window_images(syms, b), start, tol)
 
     cert = {}
     if basis.shape[1]:
-        proj = basis @ basis.conj().T
-        img_f = t_fwd @ basis
-        img_a = t_adj @ basis
-        eye_r = np.eye(basis.shape[1])
-        cert = {
-            "analytic_fwd": spectral_norm(neg_f @ basis),
-            "analytic_adj": spectral_norm(neg_a @ basis),
-            "norm_fwd": spectral_norm(basis.conj().T @ defect_f @ basis),
-            "norm_adj": spectral_norm(basis.conj().T @ defect_a @ basis),
-            "invariance_fwd": max(
-                spectral_norm(img_f[n:]), spectral_norm(img_f[:n] - proj @ img_f[:n])
-            ),
-            "invariance_adj": max(
-                spectral_norm(img_a[n:]), spectral_norm(img_a[:n] - proj @ img_a[:n])
-            ),
-            "restriction_unitary": spectral_norm(
-                (basis.conj().T @ img_f[:n]).conj().T @ (basis.conj().T @ img_f[:n]) - eye_r
-            ),
-        }
+        images = _window_images(syms, basis)
+        gram = basis.conj().T @ basis
+        for name, img in zip(("fwd", "adj"), images):
+            inside = img[start:start + n]
+            # Parseval: norm preservation is B*B = (F B)*(F B) on the full image
+            cert[f"analytic_{name}"] = spectral_norm(img[:start])
+            cert[f"norm_{name}"] = spectral_norm(gram - img.conj().T @ img)
+            cert[f"invariance_{name}"] = max(
+                spectral_norm(img[start + n:]),
+                spectral_norm(inside - basis @ (basis.conj().T @ inside)))
+        coords = basis.conj().T @ images[0][start:start + n]
+        cert["restriction_unitary"] = spectral_norm(
+            coords.conj().T @ coords - np.eye(basis.shape[1]))
     trail = {"refinement_iterations": iterations,
              "structure_powers": powers, "structure_stop": stop}
     return basis, cert, trail
@@ -431,46 +427,32 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
 def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> ExtractionResult:
     """Extract the inner polynomial generating a shift-invariant window subspace.
 
-    The wandering space m minus (shift of m) is computed inside the window
-    extended by one degree, so no shifted coefficient is dropped; its
-    orthonormal basis, read as polynomial columns, is the candidate inner
-    polynomial.  Reported diagnostics: shift-invariance of the input,
-    isometry defect of the candidate on the circle and in coefficients, and
-    how much of the input span the candidate's polynomial multiples miss.
+    The wandering space m minus (shift of m) has an orthonormal basis that,
+    read as polynomial columns, is the candidate inner polynomial.  Reported
+    diagnostics: shift-invariance of the input, isometry defect of the
+    candidate on the circle and in coefficients, and how much of the input
+    span the candidate's polynomial multiples miss.
     """
     if m.dim == 0:
         raise ValueError("cannot extract from the zero subspace")
     if m.ambient_dim % dim:
         raise ValueError("ambient dimension is not a multiple of the coefficient dim")
     window = m.ambient_dim // dim
-    n = m.ambient_dim
 
-    # vectors of degree <= window - 2, in basis coordinates
+    # vectors of degree <= window - 2, in basis coordinates; the shift moves
+    # their coefficients down one block and keeps them in the window
     top_rows = m.basis[(window - 1) * dim:, :]
     low = normalize_column_phases(m.basis @ nullspace(top_rows, tol))
-    # block shift into the window extended by one degree
-    s_ext = toeplitz_window_matrix(MatrixSymbol.shift(dim), window, window + 1)
-    if low.shape[1]:
-        off = np.eye(n) - m.projector()
-        shift_residual = spectral_norm(off @ (s_ext[:n] @ low))
-    else:
-        shift_residual = 0.0
+    shifted = np.vstack([np.zeros((dim, low.shape[1])), low[:-dim]])
+    shift_residual = spectral_norm(shifted - m.basis @ (m.basis.conj().T @ shifted))
     if shift_residual > tol:
         raise ValueError(
             f"subspace is not shift invariant within the window (residual {shift_residual:.3g})"
         )
 
-    # wandering space inside the window extended by one degree
-    basis_ext = np.vstack([m.basis, np.zeros((dim, m.dim))])
-    shifted = s_ext @ m.basis  # isometric image, columns stay orthonormal
-    zm = intersect_subspaces(shifted, basis_ext, tol)
-    if zm.shape[1]:
-        wandering = orthonormal_columns(
-            basis_ext - zm @ (zm.conj().T @ basis_ext), tol
-        )
-    else:
-        wandering = basis_ext
-    wandering = normalize_column_phases(wandering)[:n, :]
+    # z m stays in the window only for the vectors in low, so once the shift
+    # check holds, the part of z m inside m is the span of shifted
+    wandering = orthonormal_columns(m.basis - shifted @ (shifted.conj().T @ m.basis), tol)
 
     r = wandering.shape[1]
     blocks = wandering.reshape(window, dim, r)
@@ -502,15 +484,13 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     )
 
 
-def _intertwining_residuals(sym: MatrixSymbol, theta: PolyMatrix, u,
-                            grid: CircleGrid | None):
+def _intertwining_residuals(sym: MatrixSymbol, theta: PolyMatrix, u):
     """Grid maxima of norm(F theta - theta U) and norm(F* theta - theta U*).
 
-    Also returns the theta values on the grid.  The default grid resolves
-    every Fourier index of both identities.
+    Also returns the theta values on the grid.  The grid resolves every
+    Fourier index of both identities.
     """
-    if grid is None:
-        grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * (sym.band + 2 * theta.degree) + 1))
+    grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * (sym.band + 2 * theta.degree) + 1))
     phi = eval_on_grid(sym, grid)
     th = eval_on_grid(theta.as_symbol(), grid)
     res_fwd = float(spectral_norms(phi @ th - th @ u).max())
@@ -518,8 +498,7 @@ def _intertwining_residuals(sym: MatrixSymbol, theta: PolyMatrix, u,
     return res_fwd, res_adj, th
 
 
-def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix,
-                             grid: CircleGrid | None = None):
+def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix):
     """Constant unitary intertwined with the symbol through an inner polynomial.
 
     U is the zeroth Fourier coefficient of theta* F theta (exact coefficient
@@ -529,7 +508,7 @@ def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix,
     theta_sym = theta.as_symbol()
     prod = multiply(adjoint_symbol(theta_sym), multiply(sym, theta_sym))
     u = prod.coeff(0)
-    res_fwd, res_adj, _ = _intertwining_residuals(sym, theta, u, grid)
+    res_fwd, res_adj, _ = _intertwining_residuals(sym, theta, u)
     res_unitary = spectral_norm(u.conj().T @ u - np.eye(theta.dim_in))
     return u, {
         "intertwine_fwd": res_fwd,
@@ -539,7 +518,6 @@ def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix,
 
 
 def verify_maincondn(sym: MatrixSymbol, theta: PolyMatrix, u,
-                     grid: CircleGrid | None = None,
                      tol: float = DEFAULT_TOL):
     """Residual check of the intertwining pair F theta = theta U (and adjoint).
 
@@ -549,7 +527,7 @@ def verify_maincondn(sym: MatrixSymbol, theta: PolyMatrix, u,
     u = as_complex(u)
     if theta.dim_out != sym.dim_in or u.shape != (theta.dim_in, theta.dim_in):
         raise ValueError("dimension mismatch between symbol, inner polynomial and unitary")
-    res_fwd, res_adj, th = _intertwining_residuals(sym, theta, u, grid)
+    res_fwd, res_adj, th = _intertwining_residuals(sym, theta, u)
     eye = np.eye(theta.dim_in)
     residuals = {
         "intertwine_fwd": res_fwd,
@@ -615,7 +593,7 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         )
 
     theta = extraction.theta
-    u, residuals = extract_constant_unitary(sym, theta, grid=None)
+    u, residuals = extract_constant_unitary(sym, theta)
     diagnostics = {
         "shift_invariance": extraction.shift_residual,
         "span": extraction.span_residual,
@@ -641,11 +619,10 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
 
 
 def toeplitz_unitary_part_brute(sym: MatrixSymbol, window: int,
-                                tol: float = DEFAULT_TOL,
-                                n_max: int | None = None) -> Subspace:
+                                tol: float = DEFAULT_TOL) -> Subspace:
     """Window solutions of the power structure equations.
 
-    For n = 1 .. n_max accumulates the window polynomials h with F^n h and
+    For n = 1 .. d window accumulates the window polynomials h with F^n h and
     (F*)^n h analytic and F^n (F*)^n h = h = (F*)^n F^n h, all as exact
     coefficient identities of symbol powers.  This checks the defining
     equations of the unitary part directly, with no invariance iteration; the
@@ -654,11 +631,8 @@ def toeplitz_unitary_part_brute(sym: MatrixSymbol, window: int,
     """
     if not sym.is_square:
         raise ValueError("decomposition needs a square symbol")
-    n = sym.dim_out * window
-    if n_max is None:
-        n_max = n
-    basis, _, _ = _structure_solution_basis(sym, window, tol, n_max)
-    return Subspace(n, basis, tol)
+    basis, _, _ = _structure_solution_basis(sym, window, tol)
+    return Subspace(sym.dim_out * window, basis, tol)
 
 
 def reducing_check(v_basis, a, tol: float = DEFAULT_TOL) -> bool:
@@ -680,8 +654,7 @@ def cdot0_test(a, tol: float = DEFAULT_TOL) -> bool:
 
 
 def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,
-                  tol: float = DEFAULT_TOL,
-                  boundary_grid: CircleGrid | None = None) -> np.ndarray:
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
     """Polynomial function of an analytic Toeplitz operator, on the window.
 
     Builds u(T) column by column with exact repeated symbol application; the
@@ -696,8 +669,7 @@ def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,
     if sup_norm_estimate(sym) > 1.0 + tol:
         raise ValueError("symbol sup-norm estimate exceeds 1 + tol")
     coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())
-    if boundary_grid is None:
-        boundary_grid = CircleGrid(max(DEFAULT_GRID_SIZE, 4 * len(coeffs)))
+    boundary_grid = CircleGrid(max(DEFAULT_GRID_SIZE, 4 * len(coeffs)))
     vals = np.polyval(coeffs[::-1], np.exp(1j * boundary_grid.points))
     if np.max(np.abs(vals)) >= 1.0:
         raise ValueError("scalar polynomial must satisfy |u| < 1 on the boundary grid")

@@ -8,7 +8,7 @@ every operation carries all of its nonzero coefficients.
 
 The adjoint Toeplitz operator is always realized through the adjoint symbol
 (T_F^* = T_{F^*}), never as the transpose of a finite section; finite
-sections appear only as the window matrices below, where the block-Toeplitz
+sections appear only as ``toeplitz_window_matrix``, where the block-Toeplitz
 matrix itself is the object of interest.
 """
 
@@ -46,23 +46,20 @@ class HardyVector:
         return HardyVector(vec.shape[1], vec)
 
 
-def _banded_block_matrix(sym: MatrixSymbol, n_in: int, n_rows: int,
-                         row_offset: int) -> np.ndarray:
-    """Block matrix with block (j, k) = coefficient at j - k, j starting at
-    row_offset.  Filled one diagonal per coefficient."""
+def toeplitz_window_matrix(sym: MatrixSymbol, n_in: int, n_out: int) -> np.ndarray:
+    """Matrix of the exact Toeplitz action from degrees < n_in into degrees < n_out.
+
+    Block (j, k) is the coefficient at j - k; filled one diagonal per
+    coefficient.
+    """
     d_out, d_in = sym.dim_out, sym.dim_in
-    blocks = np.zeros((n_rows, n_in, d_out, d_in), dtype=complex)
+    blocks = np.zeros((n_out, n_in, d_out, d_in), dtype=complex)
     cols = np.arange(n_in)
     for diff, mat in sym.coeffs.items():
-        rows = cols + diff - row_offset
-        keep = (rows >= 0) & (rows < n_rows)
+        rows = cols + diff
+        keep = (rows >= 0) & (rows < n_out)
         blocks[rows[keep], cols[keep]] = mat
-    return blocks.transpose(0, 2, 1, 3).reshape(n_rows * d_out, n_in * d_in)
-
-
-def toeplitz_window_matrix(sym: MatrixSymbol, n_in: int, n_out: int) -> np.ndarray:
-    """Matrix of the exact Toeplitz action from degrees < n_in into degrees < n_out."""
-    return _banded_block_matrix(sym, n_in, n_out, 0)
+    return blocks.transpose(0, 2, 1, 3).reshape(n_out * d_out, n_in * d_in)
 
 
 def convolve_block_columns(sym: MatrixSymbol, blocks: np.ndarray) -> np.ndarray:
@@ -89,17 +86,3 @@ def toeplitz_apply_exact(sym: MatrixSymbol, h: HardyVector) -> HardyVector:
         raise ValueError(f"symbol expects dimension {sym.dim_in}, vector has {h.dim}")
     return HardyVector(sym.dim_out,
                        convolve_block_columns(sym, h.coeffs[:, :, None])[sym.band:, :, 0])
-
-
-def laurent_window_matrix(sym: MatrixSymbol, n_in: int) -> tuple[np.ndarray, int]:
-    """Matrix of the full symbol action on degrees < n_in, with its row offset.
-
-    Rows cover output indices offset .. offset + rows/d_out - 1, where
-    offset = -band; no coefficient of the product is dropped.  The banded
-    structure only depends on relative degrees, so the same matrix applies to
-    any translated input window (with a translated output offset).
-    """
-    band = sym.band
-    offset = -band
-    return _banded_block_matrix(sym, n_in, n_in + 2 * band, offset), offset
-

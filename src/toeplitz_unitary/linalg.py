@@ -96,22 +96,6 @@ def psd_kernel(q, tol: float = DEFAULT_TOL) -> np.ndarray:
     return normalize_column_phases(v[:, keep])
 
 
-def intersect_subspaces(b1, b2, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of range(b1) ∩ range(b2).
-
-    Uses the nullspace of the stacked complementary projectors, which is
-    numerically robust for nearly-aligned subspaces.
-    """
-    b1 = as_complex(b1)
-    b2 = as_complex(b2)
-    n = b1.shape[0]
-    if b1.shape[1] == 0 or b2.shape[1] == 0:
-        return empty_basis(n)
-    eye = np.eye(n, dtype=complex)
-    stacked = np.vstack([eye - b1 @ b1.conj().T, eye - b2 @ b2.conj().T])
-    return nullspace(stacked, tol)
-
-
 def principal_angles(b1, b2) -> np.ndarray:
     """Principal angles (radians, ascending) between two orthonormal ranges.
 

@@ -35,11 +35,20 @@ def decode_matrix(obj) -> np.ndarray:
     return re + 1j * im
 
 
+def _json_int(obj, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: a fraction, a boolean or a
+    string is an error, not a value to round."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _indexed_coeffs(obj) -> dict:
     """The ``coeffs`` list of a file as {k: matrix}; a repeated k is an error."""
     coeffs = {}
     for c in obj.get("coeffs", []):
-        k = int(c["k"])
+        k = _json_int(c, "k")
         if k in coeffs:
             raise ValueError(f"coefficient index {k} appears more than once")
         coeffs[k] = decode_matrix(c)
@@ -54,7 +63,8 @@ def symbol_to_json(sym: MatrixSymbol) -> dict:
 
 
 def symbol_from_json(obj) -> MatrixSymbol:
-    return MatrixSymbol(int(obj["dim_out"]), int(obj["dim_in"]), _indexed_coeffs(obj))
+    return MatrixSymbol(_json_int(obj, "dim_out"), _json_int(obj, "dim_in"),
+                        _indexed_coeffs(obj))
 
 
 def polymatrix_to_json(p: PolyMatrix) -> dict:
@@ -67,8 +77,8 @@ def polymatrix_to_json(p: PolyMatrix) -> dict:
 
 
 def polymatrix_from_json(obj) -> PolyMatrix:
-    degree = int(obj["degree"])
-    dim_out, dim_in = int(obj["dim_out"]), int(obj["dim_in"])
+    degree = _json_int(obj, "degree")
+    dim_out, dim_in = _json_int(obj, "dim_out"), _json_int(obj, "dim_in")
     mats = [np.zeros((dim_out, dim_in), dtype=complex) for _ in range(degree + 1)]
     for k, m in _indexed_coeffs(obj).items():
         if k < 0 or k > degree:
@@ -90,8 +100,8 @@ def colligation_to_json(w: Colligation) -> dict:
 
 def colligation_from_json(obj) -> Colligation:
     return Colligation(
-        int(obj["dim_e"]),
-        int(obj["dim_k"]),
+        _json_int(obj, "dim_e"),
+        _json_int(obj, "dim_k"),
         decode_matrix(obj["A"]),
         decode_matrix(obj["B"]),
         decode_matrix(obj["C"]),

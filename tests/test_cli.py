@@ -234,3 +234,24 @@ class TestMalformedInput:
         rc, err = self.run("transfer", tmp_path, text, capsys)
         assert rc == 1
         assert "malformed colligation file" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim_out", 1.9), ("dim_in", True), ("k", 0.7), ("k", "1")])
+    def test_non_integer_symbol_field(self, tmp_path, capsys, key, value):
+        # each used to be truncated or cast: 1.9 -> 1, True -> 1, 0.7 -> 0, "1" -> 1
+        obj = {"dim_out": 1, "dim_in": 1, "coeffs": [{"k": 0, "re": [[0.5]], "im": [[0.0]]}]}
+        if key == "k":
+            obj["coeffs"][0]["k"] = value
+        else:
+            obj[key] = value
+        rc, err = self.run("decompose", tmp_path, json.dumps(obj), capsys)
+        assert rc == 1
+        assert "malformed symbol file" in err
+
+    @pytest.mark.parametrize("key", ["dim_e", "dim_k"])
+    def test_non_integer_colligation_field(self, colligation_file, tmp_path, capsys, key):
+        obj = json.loads(colligation_file.read_text())
+        obj[key] = obj[key] + 0.5
+        rc, err = self.run("transfer", tmp_path, json.dumps(obj), capsys)
+        assert rc == 1
+        assert "malformed colligation file" in err

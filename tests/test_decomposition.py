@@ -9,6 +9,9 @@ from toeplitz_unitary.colligation import (
 )
 from toeplitz_unitary.linalg import (
     haar_unitary,
+    normalize_column_phases,
+    nullspace,
+    orthonormal_columns,
     principal_angles,
     random_contraction,
     random_projection,
@@ -18,13 +21,16 @@ from toeplitz_unitary.linalg import (
 from toeplitz_unitary.symbols import (
     MatrixSymbol,
     PolyMatrix,
+    adjoint_symbol,
     bcl_symbol,
     block_diag_symbol,
     compose_scalar_polynomial,
+    is_inner,
     multiply,
 )
-from toeplitz_unitary.hardy import toeplitz_window_matrix
+from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matrix
 from toeplitz_unitary.decomposition import (
+    ExtractionResult,
     Subspace,
     _invariance_polish,
     _structure_solution_basis,
@@ -157,22 +163,32 @@ class TestInvariancePolish:
 
     SHIFT = np.eye(6, k=-1)
 
+    @staticmethod
+    def polish(basis, op, start=0):
+        return _invariance_polish(basis, lambda b: [op @ b], start, 1e-8)
+
     def test_chain_leaving_the_span_is_removed(self):
         # S e4 = e5 leaves span(e0..e4); then e3, e2, e1 and e0 follow
-        basis, _ = _invariance_polish(np.eye(6)[:, :5].astype(complex), [self.SHIFT], 1e-8)
+        basis, _ = self.polish(np.eye(6)[:, :5].astype(complex), self.SHIFT)
         assert basis.shape[1] == 0
 
     def test_invariant_span_is_kept(self):
         start = np.eye(6)[:, 2:].astype(complex)
-        basis, iterations = _invariance_polish(start, [self.SHIFT], 1e-8)
+        basis, iterations = self.polish(start, self.SHIFT)
         assert basis.shape[1] == 4
         assert iterations == 1
         assert subspace_gap(basis, start) <= 1e-12
 
     def test_rows_outside_the_window_count_in_full(self):
         # a seventh row takes S e5 out of the window
-        basis, _ = _invariance_polish(np.eye(6)[:, 2:].astype(complex),
-                                      [np.eye(7, 6, k=-1)], 1e-8)
+        basis, _ = self.polish(np.eye(6)[:, 2:].astype(complex), np.eye(7, 6, k=-1))
+        assert basis.shape[1] == 0
+
+    def test_rows_below_the_window_count_in_full(self):
+        # with the window in rows 1..6, np.eye(7, 6) is the backward shift
+        # e_k -> e_(k-1) with e0 sent to row 0, below the window; the window
+        # part alone would keep span(e0..e3)
+        basis, _ = self.polish(np.eye(6)[:, :4].astype(complex), np.eye(7, 6), start=1)
         assert basis.shape[1] == 0
 
 
@@ -304,9 +320,7 @@ class TestStructureEarlyStop:
             # part of the closure test keeps the loop going
             "nilpotent_constant": lambda: MatrixSymbol.constant(np.eye(3, k=-1)),
         }[name]()
-        n = sym.dim_out * window
-        early, _, _ = _structure_solution_basis(
-            sym, window, 1e-8, n, stop_when_closed=True)
+        early, _, _ = _structure_solution_basis(sym, window, 1e-8, stop_when_closed=True)
         full = toeplitz_unitary_part_brute(sym, window)
         assert early.shape == full.basis.shape
         assert subspace_gap(early, full.basis) <= 1e-7
@@ -342,6 +356,136 @@ class TestStructureEarlyStop:
         sym = planted_block_symbol(np.random.default_rng(13), 2, 2)[0]
         assert toeplitz_unitary_part_brute(sym, 8).dim == 16
         assert len(calls) == 4 * 8
+
+
+def dense_certification(sym, basis, window):
+    """The window certificate from dense Laurent window matrices L (full symbol
+    action on degrees < window, rows from degree -band), as it was computed
+    before the certificate moved onto the basis columns; L is read off
+    ``convolve_block_columns`` on identity blocks."""
+    d = sym.dim_out
+    n = d * window
+    band_rows = sym.band * d
+    proj = basis @ basis.conj().T
+    cert = {}
+    for name, s in (("fwd", sym), ("adj", adjoint_symbol(sym))):
+        lap = convolve_block_columns(s, np.eye(n).reshape(window, d, n)).reshape(-1, n)
+        img = lap[band_rows:] @ basis
+        cert[f"analytic_{name}"] = spectral_norm(lap[:band_rows] @ basis)
+        cert[f"norm_{name}"] = spectral_norm(
+            basis.conj().T @ (np.eye(n) - lap.conj().T @ lap) @ basis)
+        cert[f"invariance_{name}"] = max(
+            spectral_norm(img[n:]), spectral_norm(img[:n] - proj @ img[:n]))
+        if name == "fwd":
+            coords = basis.conj().T @ img[:n]
+    cert["restriction_unitary"] = spectral_norm(
+        coords.conj().T @ coords - np.eye(basis.shape[1]))
+    return cert
+
+
+def intersection_extract(m, dim, tol=1e-8):
+    """``beurling_extract`` as it was with dense matrices: shift residual by
+    the complementary projector of m, wandering space as m minus the
+    intersection of S m and m, both in the window extended by one degree and
+    intersected through stacked complementary projectors."""
+    window = m.ambient_dim // dim
+    n = m.ambient_dim
+    top_rows = m.basis[(window - 1) * dim:, :]
+    low = normalize_column_phases(m.basis @ nullspace(top_rows, tol))
+    s_ext = toeplitz_window_matrix(MatrixSymbol.shift(dim), window, window + 1)
+    shift_residual = 0.0
+    if low.shape[1]:
+        shift_residual = spectral_norm((np.eye(n) - m.projector()) @ (s_ext[:n] @ low))
+    if shift_residual > tol:
+        raise ValueError("subspace is not shift invariant within the window")
+    basis_ext = np.vstack([m.basis, np.zeros((dim, m.dim))])
+    shifted = s_ext @ m.basis
+    eye = np.eye(n + dim)
+    zm = nullspace(np.vstack([eye - shifted @ shifted.conj().T,
+                              eye - basis_ext @ basis_ext.conj().T]), tol)
+    wandering = basis_ext
+    if zm.shape[1]:
+        wandering = orthonormal_columns(basis_ext - zm @ (zm.conj().T @ basis_ext), tol)
+    wandering = normalize_column_phases(wandering)[:n, :]
+
+    r = wandering.shape[1]
+    blocks = wandering.reshape(window, dim, r)
+    scale = max(np.max(np.abs(blocks)), 1.0)
+    degree = window - 1
+    while degree > 0 and np.all(np.abs(blocks[degree]) <= 1e-12 * scale):
+        degree -= 1
+    theta = PolyMatrix(dim, r, tuple(blocks[k] for k in range(degree + 1)))
+    inner_rep = is_inner(theta, tol=tol)
+    columns = []
+    for j in range(r):
+        dj = theta.degree
+        while dj > 0 and np.linalg.norm(theta.coeffs[dj][:, j]) <= 1e-12 * scale:
+            dj -= 1
+        col = MatrixSymbol(dim, 1, {k: theta.coeffs[k][:, j:j + 1] for k in range(dj + 1)})
+        columns.append(toeplitz_window_matrix(col, window - dj, window))
+    span = orthonormal_columns(np.hstack(columns), tol)
+    return ExtractionResult(
+        theta=theta, shift_residual=shift_residual,
+        inner_residual_grid=inner_rep.residual_grid,
+        inner_residual_coeff=inner_rep.residual_coeff,
+        span_residual=spectral_norm(m.basis - span @ (span.conj().T @ m.basis)))
+
+
+class TestExactWindowAction:
+    """The window polish, certificate and extraction act on the basis columns
+    by exact convolution; they agree with the dense Laurent-matrix and
+    projector-intersection formulas they replace."""
+
+    @staticmethod
+    def symbol(name):
+        rng = np.random.default_rng(21)
+        return {
+            "planted_d2": lambda: planted_block_symbol(rng, 1, 1)[0],
+            "planted_d4": lambda: planted_block_symbol(rng, 2, 2)[0],
+            "colligation_rank2": TestStructureEarlyStop._rank2_colligation,
+            "swap": swap_inner_symbol,
+            "coll4": TestStructureEarlyStop._coll4,
+        }[name]()
+
+    @staticmethod
+    def classification(sym, ext, tol=1e-8):
+        _, res = extract_constant_unitary(sym, ext.theta)
+        ok = (max(res.values()) <= tol
+              and max(ext.inner_residual_grid, ext.inner_residual_coeff) <= tol
+              and ext.span_residual <= tol)
+        return "constant_type" if ok else "extraction_inconclusive"
+
+    @pytest.mark.parametrize("name, window", [
+        ("planted_d2", 8), ("planted_d4", 8), ("colligation_rank2", 8), ("swap", 5),
+        ("coll4", 6),
+    ])
+    def test_certification_matches_dense_laurent_matrices(self, name, window):
+        sym = self.symbol(name)
+        rep = toeplitz_unitary_part(sym, window)
+        assert rep.subspace.dim
+        want = dense_certification(sym, rep.subspace.basis, window)
+        assert set(rep.certification) == set(want)
+        for key, value in want.items():
+            assert abs(rep.certification[key] - value) <= 1e-13, key
+
+    @pytest.mark.parametrize("name, window, brute", [
+        ("planted_d2", 8, False), ("planted_d4", 6, False), ("colligation_rank2", 8, False),
+        ("coll4", 6, False), ("swap", 4, True), ("swap", 8, True),
+    ])
+    def test_extraction_matches_projector_intersection(self, name, window, brute):
+        sym = self.symbol(name)
+        if brute:
+            m = toeplitz_unitary_part_brute(sym, window)
+        else:
+            m = toeplitz_unitary_part(sym, window).subspace
+        assert m.dim
+        got = beurling_extract(m, sym.dim_out)
+        want = intersection_extract(m, sym.dim_out)
+        assert got.theta.degree == want.theta.degree
+        assert got.theta.dim_in == want.theta.dim_in
+        assert subspace_gap(orthonormal_columns(np.vstack(got.theta.coeffs)),
+                            orthonormal_columns(np.vstack(want.theta.coeffs))) <= 1e-12
+        assert self.classification(sym, got) == self.classification(sym, want)
 
 
 class TestBeurlingExtract:

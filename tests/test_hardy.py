@@ -14,7 +14,6 @@ from toeplitz_unitary.symbols import (
 from toeplitz_unitary.hardy import (
     HardyVector,
     convolve_block_columns,
-    laurent_window_matrix,
     toeplitz_apply_exact,
     toeplitz_window_matrix,
 )
@@ -29,8 +28,7 @@ def random_hardy(rng, dim, degree):
 
 def laurent_apply(sym, h):
     """Full symbol action on h: coefficients at indices -band .. deg h + band."""
-    m, offset = laurent_window_matrix(sym, h.coeffs.shape[0])
-    return (m @ h.coeffs.ravel()).reshape(-1, sym.dim_out), offset
+    return convolve_block_columns(sym, h.coeffs[:, :, None])[:, :, 0], -sym.band
 
 
 def row_form_apply(sym, h):
@@ -109,7 +107,7 @@ class TestToeplitzApply:
 
 
 class TestLaurentApply:
-    """The full (two-sided) symbol action, read off ``laurent_window_matrix``."""
+    """The full (two-sided) symbol action, read off ``convolve_block_columns``."""
 
     def test_constant_symbol(self):
         u = haar_unitary(2, np.random.default_rng(2))
@@ -208,15 +206,6 @@ class TestWindowMatrices:
         out = toeplitz_apply_exact(sym, h)
         m = toeplitz_window_matrix(sym, 4, 5)
         np.testing.assert_allclose(m @ h.coeffs.ravel(), out.coeffs.ravel(), atol=1e-13)
-
-    def test_laurent_window_matrix_matches_apply(self):
-        rng = np.random.default_rng(9)
-        sym = MatrixSymbol(2, 2, {k: rng.standard_normal((2, 2)) for k in (-1, 0, 1)})
-        h = random_hardy(rng, 2, 3)
-        out = convolve_block_columns(sym, h.coeffs[:, :, None])
-        m, offset = laurent_window_matrix(sym, 4)
-        assert offset == -1
-        np.testing.assert_allclose(m @ h.coeffs.ravel(), out.ravel(), atol=1e-13)
 
 
 class TestIsometryCharacterization:

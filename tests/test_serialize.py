@@ -73,6 +73,47 @@ def test_polymatrix_rejects_repeated_index():
             {"k": 1, "re": [[0.0]], "im": [[0.0]]}]})
 
 
+SYMBOL = {"dim_out": 1, "dim_in": 1, "coeffs": [{"k": 0, "re": [[0.5]], "im": [[0.0]]}]}
+POLY = {"dim_out": 1, "dim_in": 1, "degree": 1,
+        "coeffs": [{"k": 0, "re": [[0.5]], "im": [[0.0]]}]}
+
+
+def _with(obj, key, value):
+    obj = json.loads(json.dumps(obj))
+    if key == "k":
+        obj["coeffs"][0]["k"] = value
+    else:
+        obj[key] = value
+    return obj
+
+
+NON_INTEGERS = [1.9, 0.7, 1.0, True, "1"]
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize("key", ["dim_out", "dim_in", "k"])
+def test_symbol_rejects_non_integer(key, value):
+    # int() used to truncate: dim_out 1.9 loaded as 1, k 0.7 as 0, True as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        symbol_from_json(_with(SYMBOL, key, value))
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize("key", ["degree", "dim_out", "dim_in", "k"])
+def test_polymatrix_rejects_non_integer(key, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        polymatrix_from_json(_with(POLY, key, value))
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize("key", ["dim_e", "dim_k"])
+def test_colligation_rejects_non_integer(key, value):
+    rng = np.random.default_rng(2)
+    obj = colligation_to_json(bcl_colligation(haar_unitary(3, rng), random_projection(3, 1, rng)))
+    with pytest.raises(ValueError, match="must be an integer"):
+        colligation_from_json(_with(obj, key, value))
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("part", ["re", "im"])
 def test_decode_matrix_rejects_non_finite(part, value):
