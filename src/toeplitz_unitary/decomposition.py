@@ -40,6 +40,7 @@ from .linalg import (
     nullspace,
     orthonormal_columns,
     psd_kernel,
+    right_svd,
     spectral_norm,
     spectral_norms,
 )
@@ -172,7 +173,7 @@ def _compress_rows(rows, cut: float = NOISE_CUT) -> np.ndarray:
     m = np.vstack(rows)
     if m.size == 0:
         return m
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    s, vh = right_svd(m)
     keep = s > cut * max(s[0], 1.0)
     return s[keep, None] * vh[keep]
 

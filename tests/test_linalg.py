@@ -1,0 +1,271 @@
+"""The rank-decision kernels against in-test copies of their plain versions.
+
+``nullspace`` and ``decomposition._compress_rows`` take (sigma, V^H) from
+``right_svd``, which factors tall inputs by QR first, and
+``normalize_column_phases`` works on whole arrays.  Every rank decision sits
+at a ``tol * max(sigma_1, 1)`` cut, so these must give the same bits as the
+plain SVD and the per-column loop below, not just close values.
+"""
+
+import numpy as np
+import pytest
+
+from toeplitz_unitary import decomposition, linalg
+from toeplitz_unitary.decomposition import NOISE_CUT, _compress_rows, toeplitz_unitary_part
+from toeplitz_unitary.linalg import (
+    DEFAULT_TOL,
+    R_FACTOR_MIN_COLS,
+    empty_basis,
+    haar_unitary,
+    normalize_column_phases,
+    nullspace,
+    right_svd,
+)
+from toeplitz_unitary.scenarios import planted_block_symbol
+from toeplitz_unitary.symbols import MatrixSymbol
+
+
+def reference_normalize_column_phases(b):
+    b = np.asarray(b, dtype=complex).copy()
+    for j in range(b.shape[1]):
+        col = b[:, j]
+        mags = np.abs(col)
+        top = mags.max() if mags.size else 0.0
+        if top == 0.0:
+            continue
+        i = int(np.argmax(mags > 1e-12 * top))
+        phase = col[i] / abs(col[i])
+        b[:, j] = col * np.conj(phase)
+    return b
+
+
+def reference_nullspace(a, tol=DEFAULT_TOL):
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[1]
+    if a.size == 0 or n == 0:
+        return np.eye(n, dtype=complex) if n else empty_basis(0)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
+    cut = tol * max(s[0] if s.size else 0.0, 1.0)
+    r = int(np.sum(s > cut))
+    return reference_normalize_column_phases(vh[r:].conj().T)
+
+
+def reference_compress_rows(rows, cut=NOISE_CUT):
+    m = np.vstack(rows)
+    if m.size == 0:
+        return m
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > cut * max(s[0], 1.0)
+    return s[keep, None] * vh[keep]
+
+
+def same_bits(x, y):
+    """Equal shapes and equal bit patterns (so -0.0 differs from 0.0)."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _planted(rng, rows, cols, rank):
+    """A rows x cols matrix of the given rank, so its kernel has cols - rank."""
+    if rank == 0:
+        return np.zeros((rows, cols), dtype=complex)
+    return _gaussian(rng, rows, rank) @ _gaussian(rng, rank, cols)
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Counts the QR factorizations ``right_svd`` makes."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    return calls
+
+
+class TestRFactorRoute:
+    def test_every_planted_kernel_rank(self, qr_calls):
+        rng = np.random.default_rng(0)
+        n = R_FACTOR_MIN_COLS
+        for rank in range(n + 1):
+            for rows in (2 * n, 5 * n):
+                a = _planted(rng, rows, n, rank)
+                kern = nullspace(a)
+                assert same_bits(kern, reference_nullspace(a))
+                assert kern.shape[1] == n - rank
+        assert len(qr_calls) == 2 * (n + 1)
+
+    @pytest.mark.parametrize("cols", [R_FACTOR_MIN_COLS, 17, 24, 40, 64, 80])
+    def test_tall_inputs_match_plain_svd(self, cols, qr_calls):
+        rng = np.random.default_rng(cols)
+        for rows in (2 * cols, 2 * cols + 1, 3 * cols, 7 * cols, 12 * cols):
+            for rank in (0, 1, cols // 2, cols - 1, cols):
+                a = _planted(rng, rows, cols, rank)
+                assert same_bits(nullspace(a), reference_nullspace(a))
+                # weak rows next to strong ones, as when the structure loop
+                # stacks constraint rows of very different size
+                stacked = [a[:rows // 2], 1e-9 * a[rows // 2:]]
+                assert same_bits(_compress_rows(stacked), reference_compress_rows(stacked))
+        assert len(qr_calls) == 2 * 5 * 5
+
+    def test_right_svd_matches_economy_svd(self):
+        rng = np.random.default_rng(7)
+        for cols in (R_FACTOR_MIN_COLS, 33):
+            a = _gaussian(rng, 4 * cols, cols)
+            _, s, vh = np.linalg.svd(a, full_matrices=False)
+            s_r, vh_r = right_svd(a)
+            assert same_bits(s_r, s) and same_bits(vh_r, vh)
+
+    @pytest.mark.parametrize("shape", [
+        (2 * R_FACTOR_MIN_COLS - 1, R_FACTOR_MIN_COLS),  # too few rows
+        (12 * (R_FACTOR_MIN_COLS - 1), R_FACTOR_MIN_COLS - 1),  # too few columns
+        (40, 40), (8, 30), (1, 60), (2, 1), (300, 3),
+    ])
+    def test_below_thresholds_take_the_plain_route(self, shape, qr_calls):
+        rng = np.random.default_rng(sum(shape))
+        rows, cols = shape
+        for rank in {0, 1, min(rows, cols) // 2, min(rows, cols)}:
+            a = _planted(rng, rows, cols, rank)
+            assert same_bits(nullspace(a), reference_nullspace(a))
+            assert same_bits(_compress_rows([a]), reference_compress_rows([a]))
+        assert qr_calls == []
+
+    def test_full_svd_takes_the_plain_route(self, qr_calls):
+        a = _gaussian(np.random.default_rng(5), 4 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS)
+        _, s, vh = np.linalg.svd(a)
+        s_r, vh_r = right_svd(a, full_matrices=True)
+        assert same_bits(s_r, s) and same_bits(vh_r, vh)
+        assert qr_calls == []
+
+    def test_empty_inputs(self):
+        for shape in ((0, 5), (5, 0), (0, 0)):
+            a = np.zeros(shape, dtype=complex)
+            assert same_bits(nullspace(a), reference_nullspace(a))
+            assert same_bits(_compress_rows([a]), reference_compress_rows([a]))
+
+    @pytest.mark.parametrize("shape", [(4 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS), (6, 4)])
+    def test_nan_input_raises_on_both_routes(self, shape):
+        a = np.full(shape, np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            nullspace(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            _compress_rows([a])
+
+
+class TestNormalizeColumnPhases:
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 32, 100])
+    @pytest.mark.parametrize("cols", [1, 2, 5, 16, 33])
+    def test_matches_per_column_loop(self, rows, cols):
+        rng = np.random.default_rng(100 * rows + cols)
+        for k in range(8):
+            b = _gaussian(rng, rows, cols)
+            if k % 2:
+                b *= 10.0 ** rng.integers(-20, 5, size=(rows, cols))
+            if k == 2:
+                b = np.asfortranarray(b)
+            if k == 4:
+                b = b.real.copy()
+            assert same_bits(normalize_column_phases(b), reference_normalize_column_phases(b))
+
+    def test_zero_columns_stay_untouched(self):
+        rng = np.random.default_rng(1)
+        for cols in (1, 2, 5):
+            b = _gaussian(rng, 6, cols)
+            b[:, 0] = 0.0
+            b[3, 0] = -0.0
+            out = normalize_column_phases(b)
+            assert same_bits(out, reference_normalize_column_phases(b))
+            assert same_bits(out[:, 0], b[:, 0])
+        with np.errstate(all="raise"):
+            assert same_bits(normalize_column_phases(np.zeros((3, 4))), np.zeros((3, 4), complex))
+
+    def test_entries_below_the_pivot_threshold_are_skipped(self):
+        rng = np.random.default_rng(2)
+        b = _gaussian(rng, 5, 4)
+        b[0] *= 1e-13  # below 1e-12 of every column maximum
+        # tiny, but above 1e-12 of its column maximum
+        b[1, 1] = 2e-12 * np.abs(b[2:, 1]).max() * np.exp(1j)
+        out = normalize_column_phases(b)
+        assert same_bits(out, reference_normalize_column_phases(b))
+        # row 1 holds the pivot of every column, made real positive to roundoff
+        assert np.all(np.abs(out[1].imag) <= 1e-15 * out[1].real)
+
+    def test_single_row_inputs(self):
+        # one-element products take another numpy kernel than longer ones
+        rng = np.random.default_rng(3)
+        for cols in (1, 2, 3, 9):
+            for _ in range(50):
+                b = _gaussian(rng, 1, cols)
+                assert same_bits(normalize_column_phases(b), reference_normalize_column_phases(b))
+        b = _gaussian(rng, 1, 3)
+        b[0, 1] = 0.0
+        assert same_bits(normalize_column_phases(b), reference_normalize_column_phases(b))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_inputs(self, shape):
+        assert same_bits(normalize_column_phases(np.zeros(shape)),
+                         reference_normalize_column_phases(np.zeros(shape)))
+
+    def test_input_is_not_modified(self):
+        b = _gaussian(np.random.default_rng(4), 6, 3)
+        kept = b.copy()
+        normalize_column_phases(b)
+        assert same_bits(b, kept)
+
+
+def _colligation_symbol(seed, rank, d0=1, d1=2):
+    """Transfer polynomial A + z B C of a unitary colligation (D = 0) with a
+    planted d0-dimensional unitary block and a projection of the given rank."""
+    rng = np.random.default_rng(seed)
+    d = d0 + d1
+    u0 = haar_unitary(d0, rng)
+    u1 = haar_unitary(d1, rng)
+    q = haar_unitary(d1, rng)[:, :rank]
+    a = np.zeros((d, d), dtype=complex)
+    a[:d0, :d0] = u0
+    a[d0:, d0:] = u1 @ (np.eye(d1) - q @ q.conj().T)
+    b = np.vstack([np.zeros((d0, rank)), u1 @ q])
+    c = np.hstack([np.zeros((rank, d0)), q.conj().T])
+    return MatrixSymbol(d, d, {0: a, 1: b @ c})
+
+
+def _rotated_swap_symbol(seed):
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.uniform())
+    q = haar_unitary(2, rng)
+    e12 = np.array([[0.0, phase], [0.0, 0.0]])
+    return MatrixSymbol(2, 2, {1: q @ e12 @ q.conj().T, -1: q @ e12.conj().T @ q.conj().T})
+
+
+# inputs whose rank decisions sit closest to the cut: the first to move
+# under any roundoff change in the structure loop
+CANARIES = [
+    ("colligation_rank1_seed14", lambda: _colligation_symbol(14, 1), 6),
+    ("colligation_rank1_seed14", lambda: _colligation_symbol(14, 1), 8),
+    ("swap", lambda: _rotated_swap_symbol(8), 8),
+    ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0], 8),
+]
+
+
+@pytest.mark.parametrize("name,make_symbol,window", CANARIES,
+                         ids=[f"{c[0]}-w{c[2]}" for c in CANARIES])
+def test_decomposition_matches_reference_kernels(name, make_symbol, window, monkeypatch):
+    sym = make_symbol()
+    fast = toeplitz_unitary_part(sym, window)
+    with monkeypatch.context() as patch:
+        for module in (linalg, decomposition):
+            patch.setattr(module, "normalize_column_phases", reference_normalize_column_phases)
+        patch.setattr(decomposition, "nullspace", reference_nullspace)
+        patch.setattr(decomposition, "_compress_rows", reference_compress_rows)
+        reference = toeplitz_unitary_part(sym, window)
+    assert same_bits(fast.subspace.basis, reference.subspace.basis)
+    assert fast.params == reference.params
+    assert fast.certification == reference.certification
+    assert fast.classification == reference.classification
