@@ -10,6 +10,11 @@ The adjoint Toeplitz operator is always realized through the adjoint symbol
 (T_F^* = T_{F^*}), never as the transpose of a finite section; finite
 sections appear only as ``toeplitz_window_matrix``, where the block-Toeplitz
 matrix itself is the object of interest.
+
+``convolve_block_columns`` takes the coefficient products a chunk at a time,
+stacked along the rows (``symbols._coefficient_products``).  Its result has
+the bits of one matmul per coefficient summed in coefficient order, which the
+rank decisions downstream depend on.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_complex
-from .symbols import MatrixSymbol
+from .symbols import MatrixSymbol, _coefficient_products
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +72,18 @@ def convolve_block_columns(sym: MatrixSymbol, blocks: np.ndarray) -> np.ndarray:
 
     ``blocks`` has shape (n_in, dim_in, r): r vectors given by their n_in
     coefficient blocks.  Returns shape (n_in + 2 band, dim_out, r) covering
-    output degrees shifted down by the band, one fused update per coefficient.
+    output degrees shifted down by the band, one fused update per coefficient
+    in the order of the symbol's coefficients.
     """
     n_in, d_in, _ = blocks.shape
     if d_in != sym.dim_in:
         raise ValueError("coefficient blocks do not match the symbol dimension")
     band = sym.band
     out = np.zeros((n_in + 2 * band, sym.dim_out, blocks.shape[2]), dtype=complex)
-    for diff, mat in sym.coeffs.items():
+    prods = _coefficient_products(list(sym.coeffs.values()), [blocks])
+    for diff, (prod,) in zip(sym.coeffs, prods):
         at = diff + band
-        out[at:at + n_in] += np.matmul(mat, blocks)
+        out[at:at + n_in] += prod
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from toeplitz_unitary import symbols
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm
 from toeplitz_unitary.symbols import (
     MatrixSymbol,
@@ -39,6 +40,95 @@ def row_form_apply(sym, h):
     for k, mat in sym.coeffs.items():
         out[k + band:k + band + n_in] += h.coeffs @ mat.T
     return out[band:]
+
+
+def reference_convolve_block_columns(sym, blocks):
+    """``convolve_block_columns`` as one ``np.matmul`` per coefficient."""
+    n_in, d_in, _ = blocks.shape
+    if d_in != sym.dim_in:
+        raise ValueError("coefficient blocks do not match the symbol dimension")
+    band = sym.band
+    out = np.zeros((n_in + 2 * band, sym.dim_out, blocks.shape[2]), dtype=complex)
+    for diff, mat in sym.coeffs.items():
+        at = diff + band
+        out[at:at + n_in] += np.matmul(mat, blocks)
+    return out
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal signs of zero in both the real and imaginary parts."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def parity_symbol(rng, d_out, d_in, count, adjoint=False, spread=3):
+    """``count`` coefficients at shuffled, sparse indices, some holding -0.0
+    rows; ``adjoint`` gives the Fortran-ordered coefficients of ``adjoint_symbol``."""
+    if adjoint:
+        d_out, d_in = d_in, d_out
+    keys = rng.choice(np.arange(-spread * count, spread * count + 1), size=count, replace=False)
+    coeffs = {}
+    for k in keys:
+        mat = gaussian(rng, d_out, d_in)
+        if rng.uniform() < 0.3:
+            mat[rng.integers(d_out)] = -0.0
+            mat[rng.integers(d_out), rng.integers(d_in)] = 1.0  # never all zero
+        coeffs[k] = mat
+    sym = MatrixSymbol(d_out, d_in, coeffs)
+    return adjoint_symbol(sym) if adjoint else sym
+
+
+class TestConvolveParity:
+    """Row-stacked coefficient products against one matmul per coefficient."""
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["plain", "adjoint"])
+    @pytest.mark.parametrize("d_out", [1, 2, 3, 4, 5])
+    def test_matches_per_coefficient_loop(self, d_out, adjoint):
+        rng = np.random.default_rng(10 * d_out + adjoint)
+        for d_in in (1, 2, 3, 5):
+            for n_in, r in ((1, 1), (1, 2), (1, 3), (1, 40), (1, 57), (4, 1), (4, 2), (7, 5)):
+                sym = parity_symbol(rng, d_out, d_in, int(rng.integers(1, 9)), adjoint)
+                blocks = gaussian(rng, n_in, d_in, r)
+                blocks[rng.integers(n_in)] = -0.0
+                assert_same_bits(convolve_block_columns(sym, blocks),
+                                 reference_convolve_block_columns(sym, blocks))
+
+    def test_strided_blocks(self):
+        rng = np.random.default_rng(20)
+        sym = parity_symbol(rng, 3, 2, 6)
+        base = gaussian(rng, 8, 2, 6)
+        for blocks in (base[::-1], base[::2], base[:, :, ::-2], np.asfortranarray(base),
+                       base.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+            assert_same_bits(convolve_block_columns(sym, blocks),
+                             reference_convolve_block_columns(sym, blocks))
+
+    @pytest.mark.parametrize("max_entries", [1, None, 2 ** 40], ids=["one", "default", "huge"])
+    def test_many_coefficients_across_chunks(self, max_entries, monkeypatch):
+        # the brute oracle's outer convolution: 73 3x3 coefficients on 78
+        # slices of 12 columns, several chunks at the default bound
+        if max_entries is not None:
+            monkeypatch.setattr(symbols, "COEFF_PRODUCT_MAX_ENTRIES", max_entries)
+        rng = np.random.default_rng(21)
+        for adjoint in (False, True):
+            sym = parity_symbol(rng, 3, 3, 73, adjoint, spread=1)
+            for r in (1, 2, 12):
+                blocks = gaussian(rng, 78, 3, r)
+                assert_same_bits(convolve_block_columns(sym, blocks),
+                                 reference_convolve_block_columns(sym, blocks))
+
+    def test_empty_and_zero_column_inputs(self):
+        rng = np.random.default_rng(22)
+        sym = parity_symbol(rng, 2, 2, 3)
+        for blocks in (np.zeros((3, 2, 0), complex), gaussian(rng, 3, 2, 4)):
+            for s in (sym, MatrixSymbol.zero(2, 2)):
+                assert_same_bits(convolve_block_columns(s, blocks),
+                                 reference_convolve_block_columns(s, blocks))
 
 
 class TestToeplitzApply:

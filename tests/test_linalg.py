@@ -4,14 +4,24 @@
 ``right_svd``, which factors tall inputs by QR first, and
 ``normalize_column_phases`` works on whole arrays.  Every rank decision sits
 at a ``tol * max(sigma_1, 1)`` cut, so these must give the same bits as the
-plain SVD and the per-column loop below, not just close values.
+plain SVD and the per-column loop below, not just close values.  The same
+holds for the row-stacked coefficient products of ``convolve_block_columns``
+and ``multiply``, whose per-coefficient loops live in test_hardy.py and
+test_symbols.py.
 """
 
 import numpy as np
 import pytest
 
-from toeplitz_unitary import decomposition, linalg
-from toeplitz_unitary.decomposition import NOISE_CUT, _compress_rows, toeplitz_unitary_part
+from test_hardy import reference_convolve_block_columns
+from test_symbols import reference_multiply
+from toeplitz_unitary import decomposition, hardy, linalg, symbols
+from toeplitz_unitary.decomposition import (
+    NOISE_CUT,
+    _compress_rows,
+    toeplitz_unitary_part,
+    toeplitz_unitary_part_brute,
+)
 from toeplitz_unitary.linalg import (
     DEFAULT_TOL,
     R_FACTOR_MIN_COLS,
@@ -269,3 +279,24 @@ def test_decomposition_matches_reference_kernels(name, make_symbol, window, monk
     assert fast.params == reference.params
     assert fast.certification == reference.certification
     assert fast.classification == reference.classification
+
+
+@pytest.mark.parametrize("name,make_symbol,window", CANARIES,
+                         ids=[f"{c[0]}-w{c[2]}" for c in CANARIES])
+def test_decomposition_matches_per_coefficient_products(name, make_symbol, window,
+                                                        monkeypatch):
+    sym = make_symbol()
+    fast = toeplitz_unitary_part(sym, window)
+    fast_brute = toeplitz_unitary_part_brute(sym, window)
+    with monkeypatch.context() as patch:
+        for module in (hardy, decomposition):
+            patch.setattr(module, "convolve_block_columns", reference_convolve_block_columns)
+        for module in (symbols, decomposition):
+            patch.setattr(module, "multiply", reference_multiply)
+        reference = toeplitz_unitary_part(sym, window)
+        reference_brute = toeplitz_unitary_part_brute(sym, window)
+    assert same_bits(fast.subspace.basis, reference.subspace.basis)
+    assert fast.params == reference.params
+    assert fast.certification == reference.certification
+    assert fast.classification == reference.classification
+    assert same_bits(fast_brute.basis, reference_brute.basis)

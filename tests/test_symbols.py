@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from test_hardy import assert_same_bits, parity_symbol
+from toeplitz_unitary import symbols
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm
 from toeplitz_unitary.symbols import (
     CircleGrid,
@@ -123,6 +125,82 @@ class TestMultiply:
                 np.linalg.matrix_power(eval_symbol(sym, t), 3), atol=1e-12)
 
 
+def reference_multiply(a, b):
+    """``multiply`` as one matrix product per pair of coefficients."""
+    if a.dim_in != b.dim_out:
+        raise ValueError("symbol shapes do not match")
+    out = {}
+    for j, ma in a.coeffs.items():
+        for k, mb in b.coeffs.items():
+            idx = j + k
+            cur = out.get(idx)
+            out[idx] = ma @ mb if cur is None else cur + ma @ mb
+    return MatrixSymbol(a.dim_out, b.dim_in, out)
+
+
+def assert_same_symbol(got, want):
+    """Same key order, same coefficient bits and layouts."""
+    assert (got.dim_out, got.dim_in) == (want.dim_out, want.dim_in)
+    assert list(got.coeffs) == list(want.coeffs)
+    for k, mat in want.coeffs.items():
+        assert_same_bits(got.coeffs[k], mat)
+        assert got.coeffs[k].flags.c_contiguous == mat.flags.c_contiguous
+
+
+class TestMultiplyParity:
+    """Row-stacked coefficient products against one product per pair."""
+
+    @pytest.mark.parametrize("d_out", [1, 2, 3, 4, 5])
+    def test_matches_per_pair_loop(self, d_out):
+        rng = np.random.default_rng(30 + d_out)
+        for d_mid in (1, 2, 3):
+            for d_in in (1, 2, 4):
+                for adj_a, adj_b in ((False, False), (True, False), (False, True), (True, True)):
+                    a = parity_symbol(rng, d_out, d_mid, int(rng.integers(1, 8)), adj_a)
+                    b = parity_symbol(rng, d_mid, d_in, int(rng.integers(1, 5)), adj_b)
+                    assert_same_symbol(multiply(a, b), reference_multiply(a, b))
+
+    def test_cancellation_and_signed_zeros(self):
+        # terms that cancel exactly drop their index; -0.0 products keep their sign
+        a = MatrixSymbol(2, 2, {0: np.eye(2), 1: np.eye(2), 3: [[-0.0, 1.0], [2.0, -0.0]]})
+        b = MatrixSymbol(2, 2, {1: np.eye(2), 0: -np.eye(2), -5: [[1.0, -0.0], [-0.0, 1.0]]})
+        got = multiply(a, b)
+        assert_same_symbol(got, reference_multiply(a, b))
+        assert 1 not in got.coeffs
+
+    @pytest.mark.parametrize("max_entries", [1, None, 2 ** 40], ids=["one", "default", "huge"])
+    def test_many_coefficients_across_chunks(self, max_entries, monkeypatch):
+        # symbol powers of the brute oracle: dozens of 3x3 coefficients
+        if max_entries is not None:
+            monkeypatch.setattr(symbols, "COEFF_PRODUCT_MAX_ENTRIES", max_entries)
+        rng = np.random.default_rng(40)
+        for count in (40, 2000):
+            for adj_a, adj_b in ((False, False), (True, True)):
+                a = parity_symbol(rng, 3, 3, count, adj_a, spread=1)
+                b = parity_symbol(rng, 3, 3, 3, adj_b, spread=1)
+                assert_same_symbol(multiply(a, b), reference_multiply(a, b))
+                assert_same_symbol(multiply(b, a), reference_multiply(b, a))
+
+    def test_powers(self):
+        rng = np.random.default_rng(41)
+        for d in (1, 2, 3, 4):
+            sym = random_symbol(rng, d, d, band=1, scale=0.5)
+            adj = adjoint_symbol(sym)
+            fast = slow = MatrixSymbol.constant(np.eye(d))
+            for _ in range(12):
+                fast, slow = multiply(fast, sym), reference_multiply(slow, sym)
+                assert_same_symbol(fast, slow)
+                assert_same_symbol(multiply(adjoint_symbol(fast), fast),
+                                   reference_multiply(adjoint_symbol(slow), slow))
+                assert_same_symbol(multiply(fast, adj), reference_multiply(slow, adj))
+
+    def test_zero_symbols(self):
+        rng = np.random.default_rng(42)
+        a = parity_symbol(rng, 2, 3, 4)
+        for x, y in ((a, MatrixSymbol.zero(3, 2)), (MatrixSymbol.zero(2, 2), a)):
+            assert multiply(x, y).coeffs == {}
+
+
 class TestIsInner:
     def test_constant_isometric_column(self):
         theta = PolyMatrix(2, 1, (np.array([[1.0], [0.0]]),))
@@ -218,6 +296,22 @@ class TestValidation:
         sym = MatrixSymbol(2, 2, {0: np.eye(2), 3: np.zeros((2, 2))})
         assert set(sym.coeffs) == {0}
         assert sym.band == 0
+
+    @pytest.mark.parametrize("key", [0.7, 1.0, -2.5, True, np.float64(1.0), "1", None])
+    def test_non_integer_keys_rejected(self, key):
+        # int(0.7) == 0 would silently replace the 0.5 at k = 0
+        with pytest.raises(ValueError, match="not an integer"):
+            MatrixSymbol(1, 1, {0: [[0.5]], key: [[0.25]]})
+
+    def test_numpy_integer_keys_accepted(self):
+        sym = MatrixSymbol(1, 1, {np.int64(-2): [[0.5]], np.int32(1): [[0.25]], 3: [[1.0]]})
+        assert list(sym.coeffs) == [-2, 1, 3]
+        assert all(type(k) is int for k in sym.coeffs)
+
+    def test_nonzero_test_on_complex_entries(self):
+        sym = MatrixSymbol(1, 2, {0: [[0.0, 1e-300j]], 1: [[np.nan, 0.0]],
+                                  2: [[-0.0, -0.0j]], 3: [[0.0, complex(-0.0, -0.0)]]})
+        assert list(sym.coeffs) == [0, 1]
 
     def test_polymatrix_trims_leading_zeros(self):
         p = PolyMatrix(1, 1, ([[1.0]], [[0.0]], [[0.0]]))
