@@ -22,9 +22,11 @@ basis vector h satisfies, with certified residuals:
 
 On such a subspace the Toeplitz operator restricts to a unitary and the
 subspace is reducing, so the result is a certified subspace of the true
-unitary part; completeness is only claimed within the window.  A wandering
-subspace construction then extracts the inner polynomial spanning the
-subspace and the constant unitary it intertwines.
+unitary part; completeness is only claimed within the window.  For an
+analytic symbol the subspace has a closed form, the window polynomials with
+coefficients in the unitary part of F(0), and the same residuals certify it.
+A wandering subspace construction then extracts the inner polynomial
+spanning the subspace and the constant unitary it intertwines.
 """
 
 from __future__ import annotations
@@ -383,6 +385,34 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
     return basis, powers, stop
 
 
+def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
+    """Certificate of a window subspace from the exact images of its basis.
+
+    Analyticity, norm preservation and invariance of F and F* on
+    span(basis), and unitarity of the restriction of F, all by exact
+    coefficient convolution.  Empty for an empty basis.
+    """
+    if basis.shape[1] == 0:
+        return {}
+    n = basis.shape[0]
+    start = sym.band * sym.dim_out
+    images = _window_images((sym, adjoint_symbol(sym)), basis)
+    gram = basis.conj().T @ basis
+    cert = {}
+    for name, img in zip(("fwd", "adj"), images):
+        inside = img[start:start + n]
+        # Parseval: norm preservation is B*B = (F B)*(F B) on the full image
+        cert[f"analytic_{name}"] = spectral_norm(img[:start])
+        cert[f"norm_{name}"] = spectral_norm(gram - img.conj().T @ img)
+        cert[f"invariance_{name}"] = max(
+            spectral_norm(img[start + n:]),
+            spectral_norm(inside - basis @ (basis.conj().T @ inside)))
+    coords = basis.conj().T @ images[0][start:start + n]
+    cert["restriction_unitary"] = spectral_norm(
+        coords.conj().T @ coords - np.eye(basis.shape[1]))
+    return cert
+
+
 def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     """Joint refinement on the degree window with exact symbol action.
 
@@ -397,32 +427,32 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     Returns (basis, certification dict, trail) where the trail holds the
     polish iterations and the structure powers and stop reason.
     """
-    n = sym.dim_out * window
     syms = (sym, adjoint_symbol(sym))
-    start = sym.band * sym.dim_out
-
     basis, powers, stop = _structure_solution_basis(sym, window, tol, stop_when_closed=True)
     basis, iterations = _invariance_polish(
-        basis, lambda b: _window_images(syms, b), start, tol)
-
-    cert = {}
-    if basis.shape[1]:
-        images = _window_images(syms, basis)
-        gram = basis.conj().T @ basis
-        for name, img in zip(("fwd", "adj"), images):
-            inside = img[start:start + n]
-            # Parseval: norm preservation is B*B = (F B)*(F B) on the full image
-            cert[f"analytic_{name}"] = spectral_norm(img[:start])
-            cert[f"norm_{name}"] = spectral_norm(gram - img.conj().T @ img)
-            cert[f"invariance_{name}"] = max(
-                spectral_norm(img[start + n:]),
-                spectral_norm(inside - basis @ (basis.conj().T @ inside)))
-        coords = basis.conj().T @ images[0][start:start + n]
-        cert["restriction_unitary"] = spectral_norm(
-            coords.conj().T @ coords - np.eye(basis.shape[1]))
+        basis, lambda b: _window_images(syms, b), sym.band * sym.dim_out, tol)
     trail = {"refinement_iterations": iterations,
              "structure_powers": powers, "structure_stop": stop}
-    return basis, cert, trail
+    return basis, _window_certificate(sym, basis), trail
+
+
+def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
+    """Window part of an analytic symbol: polynomials with coefficients in E_u.
+
+    E_u is the unitary part of F(0).  Every x in E_u has norm(F_0 x) =
+    norm(x), so contractivity and Parseval force F_k x = 0 and F_k* x = 0
+    for k >= 1: F = U0 + Psi splits along E_u, and T_F acts on H^2(E_u) as
+    the constant unitary U0.  The unitary part of T_Psi is zero: by the
+    paper's theorem it is Theta H^2 with Psi Theta = Theta U, and the lowest
+    nonzero coefficient Theta_j satisfies Psi_0 Theta_j = Theta_j U, which
+    would give Psi_0 a unitary part.  So the window part is kron(I, E_u).
+    Returns (basis, certification dict, trail) like ``_window_refinement``.
+    """
+    e_u = unitary_part_matrix(sym.coeff(0), tol).basis
+    basis = np.kron(np.eye(window), e_u)
+    trail = {"refinement_iterations": 0,
+             "structure_powers": 0, "structure_stop": "analytic"}
+    return basis, _window_certificate(sym, basis), trail
 
 
 def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> ExtractionResult:
@@ -550,6 +580,10 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     directions, then attempts to extract the generating inner polynomial and
     the constant unitary it intertwines.  Every residual that backs the
     classification is carried in the report.
+
+    An analytic symbol takes its subspace from the unitary part of F(0)
+    (``structure_stop`` ``analytic``); any other symbol from the structure
+    equations and the window polish.  Both certify it the same way.
     """
     if not sym.is_square:
         raise ValueError("decomposition needs a square symbol")
@@ -562,7 +596,8 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
 
     d = sym.dim_out
-    basis, cert, trail = _window_refinement(sym, window, tol)
+    route = _analytic_window_part if sym.is_analytic else _window_refinement
+    basis, cert, trail = route(sym, window, tol)
     subspace = Subspace(d * window, basis, tol)
     params = {
         "window": window,

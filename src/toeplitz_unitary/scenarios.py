@@ -529,7 +529,14 @@ def scenario_analytic_main(seed: int = 0, d0: int = 1, d1: int = 2,
                            tol: float = DEFAULT_TOL) -> ScenarioResult:
     """If the constant term acts isometrically on the computed unitary
     vectors, it has a unitary part of its own; probes where the hypothesis
-    fails are recorded, never asserted."""
+    fails are recorded, never asserted.
+
+    The symbol is analytic, so ``toeplitz_unitary_part`` takes its subspace
+    from the unitary part of the constant term: the implication holds here
+    by construction.  The independent evidence is
+    ``tests/test_decomposition.py::TestAnalyticRoute``, which compares that
+    route with the planted block, the window pipeline and the brute oracle.
+    """
     rng = np.random.default_rng(seed)
     w, _ = planted_colligation(rng, d0 if planted else 0, d1)
     dim = w.dim_e
@@ -564,7 +571,13 @@ def scenario_analytic_main(seed: int = 0, d0: int = 1, d1: int = 2,
 def scenario_bcl_theorem(u=None, p=None, seed: int | None = None, dim: int = 3,
                          window: int = 6, tol: float = DEFAULT_TOL) -> ScenarioResult:
     """Degree-one model symbols: either norm condition on the computed
-    unitary vectors forces a unitary part of the constant term."""
+    unitary vectors forces a unitary part of the constant term.
+
+    The model symbol is analytic, so the computed vectors come from the
+    unitary part of the constant term and the implication holds by
+    construction; ``tests/test_decomposition.py::TestAnalyticRoute`` holds
+    the independent evidence.
+    """
     if u is None or p is None:
         rng = np.random.default_rng(0 if seed is None else seed)
         u = haar_unitary(dim, rng)

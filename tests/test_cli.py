@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from test_linalg import colligation_symbol
 from toeplitz_unitary.cli import main
 from toeplitz_unitary.colligation import Colligation, bcl_colligation
 from toeplitz_unitary.linalg import haar_unitary
@@ -49,6 +50,19 @@ class TestDecompose:
         rc = main(["decompose", "--input", str(path), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["classification"] == "trivial"
+
+    def test_rank1_colligation_is_constant_type(self, tmp_path):
+        # the input whose window pipeline stops one shift residual over tol;
+        # as an analytic symbol it is decomposed through F(0)
+        path = tmp_path / "colligation.json"
+        write_json_atomic(str(path), symbol_to_json(colligation_symbol(14, 1)))
+        out = tmp_path / "report.json"
+        rc = main(["decompose", "--input", str(path), "--out", str(out), "--window", "6"])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["classification"] == "constant_type"
+        assert report["subspace"]["dim"] == 6
+        assert report["params"]["structure_stop"] == "analytic"
 
     def test_malformed_json_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from test_linalg import colligation_symbol
 from toeplitz_unitary import decomposition
 from toeplitz_unitary.colligation import (
     bcl_colligation,
@@ -34,6 +35,7 @@ from toeplitz_unitary.decomposition import (
     Subspace,
     _invariance_polish,
     _structure_solution_basis,
+    _window_refinement,
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
@@ -328,13 +330,14 @@ class TestStructureEarlyStop:
     def test_coll4_needs_more_than_two_powers(self):
         # its structure span first closes after 12 powers (dimension 17 after
         # the first power), so a blind cap on the powers shows here
+        # (coll4 is analytic, so toeplitz_unitary_part would not run the loop)
         sym = self._coll4()
-        rep = toeplitz_unitary_part(sym, 6)
-        assert rep.subspace.dim == 6
-        assert rep.params["structure_stop"] == "closed"
-        assert rep.params["structure_powers"] > 2
+        basis, _, trail = _window_refinement(sym, 6, 1e-8)
+        assert basis.shape[1] == 6
+        assert trail["structure_stop"] == "closed"
+        assert trail["structure_powers"] > 2
         brute = toeplitz_unitary_part_brute(sym, 6)
-        assert subspace_gap(rep.subspace.basis, brute.basis) <= 1e-7
+        assert subspace_gap(basis, brute.basis) <= 1e-7
 
     def test_stop_reasons(self):
         rng = np.random.default_rng(13)
@@ -344,6 +347,9 @@ class TestStructureEarlyStop:
         assert (swap.params["structure_stop"], swap.params["structure_powers"]) == ("budget", 16)
         scalar = toeplitz_unitary_part(random_trig_scalar(rng, 4), 8)
         assert (scalar.params["structure_stop"], scalar.params["structure_powers"]) == ("empty", 1)
+        analytic = toeplitz_unitary_part(self._coll4(), 6)
+        assert (analytic.params["structure_stop"], analytic.params["structure_powers"]) == ("analytic", 0)
+        assert analytic.params["refinement_iterations"] == 0
 
     def test_brute_oracle_keeps_full_budget(self, monkeypatch):
         calls = []
@@ -356,6 +362,54 @@ class TestStructureEarlyStop:
         sym = planted_block_symbol(np.random.default_rng(13), 2, 2)[0]
         assert toeplitz_unitary_part_brute(sym, 8).dim == 16
         assert len(calls) == 4 * 8
+
+
+class TestAnalyticRoute:
+    """Analytic symbols take their window part from the unitary part of F(0).
+
+    The sweep is the benchmark's colligation family: d0 = 1 planted unitary
+    coordinate, d1 = 2, projection rank 1 and 2, windows 6 and 10, seeds
+    0-29.  The planted answer and the window pipeline are independent of the
+    route; the brute oracle is compared on rank 2 only, since on rank 1 at
+    w = 10 it misses the planted block on 8 of the 30 seeds, by up to 1.7e-6.
+    """
+
+    @pytest.mark.parametrize("rank, window", [(1, 6), (1, 10), (2, 6), (2, 10)])
+    def test_analytic_route_sweep(self, rank, window):
+        planted = np.kron(np.eye(window), np.eye(3)[:, :1])
+        wrong, outside, brute_wrong = [], [], []
+        for seed in range(30):
+            sym = colligation_symbol(seed, rank)
+            rep = toeplitz_unitary_part(sym, window)
+            assert rep.params["structure_stop"] == "analytic"
+            if (rep.classification != "constant_type" or not rep.certified_sound
+                    or rep.subspace.dim != window
+                    or subspace_gap(rep.subspace.basis, planted) > 1e-7):
+                wrong.append(seed)
+            loop, _, _ = _window_refinement(sym, window, 1e-8)
+            if spectral_norm(loop - rep.subspace.projector() @ loop) > 1e-7:
+                outside.append(seed)
+            if rank == 2:
+                brute = toeplitz_unitary_part_brute(sym, window)
+                if (brute.dim != rep.subspace.dim
+                        or subspace_gap(brute.basis, rep.subspace.basis) > 1e-7):
+                    brute_wrong.append(seed)
+        assert (wrong, outside, brute_wrong) == ([], [], [])
+
+    def test_constant_term_without_unitary_part_is_trivial(self, monkeypatch):
+        # nilpotent F(0) and a strict contraction: E_u = 0, and the empty
+        # window basis must not reach the symbol action
+        def no_images(*args):
+            raise AssertionError("_window_images called on an empty basis")
+
+        monkeypatch.setattr(decomposition, "_window_images", no_images)
+        for sym in (MatrixSymbol(2, 2, {0: np.eye(2, k=1), 1: 0.5 * np.eye(2, k=-1)}),
+                    MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]})):
+            rep = toeplitz_unitary_part(sym, 5)
+            assert rep.classification == "trivial"
+            assert rep.subspace.basis.shape == (sym.dim_out * 5, 0)
+            assert rep.certification == {}
+            assert (rep.params["structure_stop"], rep.params["structure_powers"]) == ("analytic", 0)
 
 
 def dense_certification(sym, basis, window):

@@ -19,6 +19,7 @@ from toeplitz_unitary import decomposition, hardy, linalg, symbols
 from toeplitz_unitary.decomposition import (
     NOISE_CUT,
     _compress_rows,
+    _window_refinement,
     toeplitz_unitary_part,
     toeplitz_unitary_part_brute,
 )
@@ -230,9 +231,11 @@ class TestNormalizeColumnPhases:
         assert same_bits(b, kept)
 
 
-def _colligation_symbol(seed, rank, d0=1, d1=2):
+def colligation_symbol(seed, rank, d0=1, d1=2):
     """Transfer polynomial A + z B C of a unitary colligation (D = 0) with a
-    planted d0-dimensional unitary block and a projection of the given rank."""
+    planted d0-dimensional unitary block (the first d0 coordinates) and a
+    projection of the given rank; the draws of the benchmark's
+    ``inputs.colligation_case``."""
     rng = np.random.default_rng(seed)
     d = d0 + d1
     u0 = haar_unitary(d0, rng)
@@ -255,10 +258,11 @@ def _rotated_swap_symbol(seed):
 
 
 # inputs whose rank decisions sit closest to the cut: the first to move
-# under any roundoff change in the structure loop
+# under any roundoff change in the structure loop; the colligations are
+# analytic, so the loop is run through _window_refinement as well
 CANARIES = [
-    ("colligation_rank1_seed14", lambda: _colligation_symbol(14, 1), 6),
-    ("colligation_rank1_seed14", lambda: _colligation_symbol(14, 1), 8),
+    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
+    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),
     ("swap", lambda: _rotated_swap_symbol(8), 8),
     ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0], 8),
 ]
@@ -269,16 +273,20 @@ CANARIES = [
 def test_decomposition_matches_reference_kernels(name, make_symbol, window, monkeypatch):
     sym = make_symbol()
     fast = toeplitz_unitary_part(sym, window)
+    fast_loop = _window_refinement(sym, window, DEFAULT_TOL)
     with monkeypatch.context() as patch:
         for module in (linalg, decomposition):
             patch.setattr(module, "normalize_column_phases", reference_normalize_column_phases)
         patch.setattr(decomposition, "nullspace", reference_nullspace)
         patch.setattr(decomposition, "_compress_rows", reference_compress_rows)
         reference = toeplitz_unitary_part(sym, window)
+        reference_loop = _window_refinement(sym, window, DEFAULT_TOL)
     assert same_bits(fast.subspace.basis, reference.subspace.basis)
     assert fast.params == reference.params
     assert fast.certification == reference.certification
     assert fast.classification == reference.classification
+    assert same_bits(fast_loop[0], reference_loop[0])
+    assert fast_loop[1:] == reference_loop[1:]
 
 
 @pytest.mark.parametrize("name,make_symbol,window", CANARIES,
@@ -287,6 +295,7 @@ def test_decomposition_matches_per_coefficient_products(name, make_symbol, windo
                                                         monkeypatch):
     sym = make_symbol()
     fast = toeplitz_unitary_part(sym, window)
+    fast_loop = _window_refinement(sym, window, DEFAULT_TOL)
     fast_brute = toeplitz_unitary_part_brute(sym, window)
     with monkeypatch.context() as patch:
         for module in (hardy, decomposition):
@@ -294,9 +303,12 @@ def test_decomposition_matches_per_coefficient_products(name, make_symbol, windo
         for module in (symbols, decomposition):
             patch.setattr(module, "multiply", reference_multiply)
         reference = toeplitz_unitary_part(sym, window)
+        reference_loop = _window_refinement(sym, window, DEFAULT_TOL)
         reference_brute = toeplitz_unitary_part_brute(sym, window)
     assert same_bits(fast.subspace.basis, reference.subspace.basis)
     assert fast.params == reference.params
     assert fast.certification == reference.certification
     assert fast.classification == reference.classification
+    assert same_bits(fast_loop[0], reference_loop[0])
+    assert fast_loop[1:] == reference_loop[1:]
     assert same_bits(fast_brute.basis, reference_brute.basis)
