@@ -38,7 +38,6 @@ from .decomposition import (
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
-    isometric_part_matrix,
     poly_calculus,
     reducing_check,
     toeplitz_unitary_part,
@@ -61,8 +60,8 @@ __all__ = [
     "disc_grid", "polynomial_from_colligation", "random_colligation",
     "tau_eval", "validate",
     "ExtractionResult", "Subspace", "UnitaryPartReport", "beurling_extract",
-    "cdot0_test", "extract_constant_unitary", "isometric_part_matrix",
-    "poly_calculus", "reducing_check", "toeplitz_unitary_part",
+    "cdot0_test", "extract_constant_unitary", "poly_calculus",
+    "reducing_check", "toeplitz_unitary_part",
     "toeplitz_unitary_part_brute", "unitary_part_brute", "unitary_part_matrix",
     "verify_maincondn",
     "SCENARIOS", "ScenarioResult", "run_all", "run_scenario",

@@ -117,11 +117,6 @@ def cmd_decompose(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed symbol file: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.grid < 2 * sym.band + 1:
-        print(f"error: grid size {args.grid} below 2*band+1 = {2 * sym.band + 1}",
-              file=sys.stderr)
-        return EXIT_DOMAIN
-
     try:
         report = toeplitz_unitary_part(sym, args.window, args.tol,
                                        grid=CircleGrid(args.grid))

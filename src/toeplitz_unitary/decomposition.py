@@ -251,21 +251,6 @@ def unitary_part_brute(t, tol: float = DEFAULT_TOL, n_max: int | None = None) ->
     return Subspace(n, basis, tol)
 
 
-def isometric_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
-    """Largest invariant subspace on which all powers of T preserve norm.
-
-    Only the forward direction is refined.  For square contractions the
-    result coincides with the unitary part: an invariant subspace with
-    isometric restriction is mapped onto itself in finite dimension, hence
-    reducing.
-    """
-    t = as_complex(t)
-    n = t.shape[0]
-    _check_contraction(t, tol)
-    basis = _constraint_refinement([np.eye(n) - t.conj().T @ t], [t], n, tol)
-    return Subspace(n, basis, tol)
-
-
 def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
     """Stacked parts of the images of span(basis) that leave the span.
 
@@ -319,6 +304,18 @@ def _invariance_polish(basis: np.ndarray, act, start: int, tol: float):
     return basis, iterations
 
 
+def _is_constant_unitary(sym: MatrixSymbol) -> bool:
+    """Whether sym is a constant unitary V, entrywise within NOISE_CUT.
+
+    Every coefficient at a nonzero index and every entry of V*V - I must be
+    that small.
+    """
+    if any(np.abs(mat).max() > NOISE_CUT for k, mat in sym.coeffs.items() if k):
+        return False
+    v = sym.coeff(0)
+    return np.abs(v.conj().T @ v - np.eye(sym.dim_in)).max() <= NOISE_CUT
+
+
 def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
                               stop_when_closed: bool = False):
     """Window polynomials satisfying the power structure equations.
@@ -342,8 +339,18 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
     dimension: an unchanged dimension means an unchanged span, whose test
     result is already known.
 
-    Returns (basis, powers formed, stop reason), the reason being ``closed``,
-    ``empty`` (no solution left) or ``budget`` (d window powers formed).
+    Also with ``stop_when_closed``, the loop ends before solving power m once
+    F^m is a constant unitary V (``_is_constant_unitary``).  F^m commutes with
+    F, so F^(m+k) = V F^k = F^k V for every k >= 0.  Hence F^(m+k) h = V F^k h
+    is analytic exactly when F^k h is, and (F*)^(m+k) h = V* (F*)^k h exactly
+    when (F*)^k h is; F^(m+k) (F*)^(m+k) = F^k V V* (F*)^k = F^k (F*)^k and
+    (F*)^(m+k) F^(m+k) = (F*)^k V* V F^k = (F*)^k F^k.  The power m equations
+    hold for every h.  So every later equation repeats one already solved,
+    and the span of the first m - 1 powers is the answer of the full budget.
+
+    Returns (basis, powers solved, stop reason), the reason being ``closed``,
+    ``periodic``, ``empty`` (no solution left) or ``budget`` (d window powers
+    solved).
     """
     d = sym.dim_out
     n = d * window
@@ -356,6 +363,9 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
         if r == 0:
             break
         fwd = multiply(fwd, sym)  # m-th symbol power, grown incrementally
+        if stop_when_closed and _is_constant_unitary(fwd):
+            stop = "periodic"
+            break
         adj = adjoint_symbol(fwd)
         bm = fwd.band
         blocks = basis.reshape(window, d, r)

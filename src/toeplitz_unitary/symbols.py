@@ -363,10 +363,15 @@ def sup_norm_estimate(sym: MatrixSymbol, grid: CircleGrid | None = None) -> floa
     """Grid maximum of the largest singular value.
 
     A lower bound on the true sup norm; exact up to grid resolution for the
-    trigonometric polynomials in scope.
+    trigonometric polynomials in scope.  A grid of fewer than 2 band + 1
+    points raises ``ValueError``: a nonzero symbol can vanish on all of it
+    (z^3 - z^-3 on 3 or 6 points), so the maximum would say nothing.
     """
     if grid is None:
         grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * sym.band + 1))
+    if grid.size < 2 * sym.band + 1:
+        raise ValueError(
+            f"grid size {grid.size} below 2*band+1 = {2 * sym.band + 1}")
     return float(spectral_norms(eval_on_grid(sym, grid)).max())
 
 

@@ -20,6 +20,7 @@ from toeplitz_unitary.linalg import (
     subspace_gap,
 )
 from toeplitz_unitary.symbols import (
+    CircleGrid,
     MatrixSymbol,
     PolyMatrix,
     adjoint_symbol,
@@ -39,7 +40,6 @@ from toeplitz_unitary.decomposition import (
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
-    isometric_part_matrix,
     poly_calculus,
     reducing_check,
     toeplitz_unitary_part,
@@ -134,29 +134,6 @@ class TestUnitaryPartBrute:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             unitary_part_brute(np.eye(3), n_max=2)
-
-
-class TestIsometricPart:
-    def test_unitary_full(self):
-        u = haar_unitary(3, np.random.default_rng(4))
-        assert isometric_part_matrix(u).dim == 3
-
-    def test_strict_contraction_zero(self):
-        assert isometric_part_matrix(0.5 * np.eye(2)).dim == 0
-
-    def test_contains_unitary_part(self):
-        # on square matrices the two parts coincide: an invariant subspace
-        # with isometric restriction is mapped onto itself in finite dimension
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            t, _ = planted_contraction(rng, 6, int(rng.integers(0, 4)))
-            iso = isometric_part_matrix(t)
-            uni = unitary_part_matrix(t)
-            assert uni.dim <= iso.dim
-            if uni.dim:
-                assert spectral_norm(
-                    uni.basis - iso.projector() @ uni.basis) <= 1e-8
-            assert iso.dim == uni.dim
 
 
 class TestInvariancePolish:
@@ -255,6 +232,15 @@ class TestToeplitzUnitaryPart:
         with pytest.raises(ValueError):
             toeplitz_unitary_part(MatrixSymbol.constant(2.0 * np.eye(2)), 4)
 
+    @pytest.mark.parametrize("size, message", [
+        (3, r"below 2\*band\+1 = 7"), (6, r"below 2\*band\+1 = 7"), (7, r"exceeds 1 \+ tol"),
+    ], ids=["grid3", "grid6", "grid7"])
+    def test_undersampled_grid_rejected(self, size, message):
+        # sup norm 1.4, but the symbol vanishes on the 3- and 6-point grids
+        sym = MatrixSymbol(1, 1, {3: [[0.7j]], -3: [[-0.7j]]})
+        with pytest.raises(ValueError, match=message):
+            toeplitz_unitary_part(sym, 4, grid=CircleGrid(size))
+
     def test_reducing_and_restriction_on_constant_type(self):
         # constant-type subspaces reduce the window section and the
         # restriction in the generator basis is the block-constant unitary
@@ -344,12 +330,61 @@ class TestStructureEarlyStop:
         planted = toeplitz_unitary_part(planted_block_symbol(rng, 2, 2)[0], 8)
         assert (planted.params["structure_stop"], planted.params["structure_powers"]) == ("closed", 1)
         swap = toeplitz_unitary_part(swap_inner_symbol(), 8)
-        assert (swap.params["structure_stop"], swap.params["structure_powers"]) == ("budget", 16)
+        assert (swap.params["structure_stop"], swap.params["structure_powers"]) == ("periodic", 1)
+        early, _, _ = _structure_solution_basis(swap_inner_symbol(), 8, 1e-8, stop_when_closed=True)
+        assert early.shape[1] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
         scalar = toeplitz_unitary_part(random_trig_scalar(rng, 4), 8)
         assert (scalar.params["structure_stop"], scalar.params["structure_powers"]) == ("empty", 1)
         analytic = toeplitz_unitary_part(self._coll4(), 6)
         assert (analytic.params["structure_stop"], analytic.params["structure_powers"]) == ("analytic", 0)
         assert analytic.params["refinement_iterations"] == 0
+
+    @staticmethod
+    def _rotated(sym, seed):
+        q = haar_unitary(sym.dim_out, np.random.default_rng(seed))
+        return MatrixSymbol(sym.dim_out, sym.dim_in,
+                            {k: q @ mat @ q.conj().T for k, mat in sym.coeffs.items()})
+
+    @staticmethod
+    def _three_cycle():
+        # [[0, 0, z], [1/z, 0, 0], [0, 1, 0]], whose cube is I
+        unit = np.eye(3)
+        return MatrixSymbol(3, 3, {1: np.outer(unit[0], unit[2]),
+                                   -1: np.outer(unit[1], unit[0]),
+                                   0: np.outer(unit[2], unit[1])})
+
+    @pytest.mark.parametrize("name, window, period", [
+        ("swap", 4, 2), ("swap", 8, 2), ("swap", 16, 2),
+        ("u0_plus_swap", 4, 2), ("u0_plus_swap", 8, 2),
+        ("three_cycle", 4, 3), ("three_cycle", 8, 3),
+    ])
+    def test_periodic_stop_matches_full_budget(self, name, window, period):
+        # F^period is a constant unitary (I, diag(U0^2, I), I), so the loop solves
+        # period - 1 powers and stops with the full budget's span
+        sym = self._rotated({
+            "swap": swap_inner_symbol,
+            "u0_plus_swap": lambda: block_diag_symbol([
+                MatrixSymbol.constant(haar_unitary(2, np.random.default_rng(5))),
+                swap_inner_symbol()]),
+            "three_cycle": self._three_cycle,
+        }[name](), 7)
+        early, powers, stop = _structure_solution_basis(sym, window, 1e-8, stop_when_closed=True)
+        assert (stop, powers) == ("periodic", period - 1)
+        full = toeplitz_unitary_part_brute(sym, window)
+        assert early.shape == full.basis.shape
+        assert subspace_gap(early, full.basis) <= 1e-12
+
+    def test_non_unitary_constant_power_is_not_periodic(self):
+        # F^2 = diag(I, N^2) is constant but not unitary: the power-2 equations
+        # remove the polynomials along the middle coordinate of N, which
+        # the power-1 equations keep
+        sym = self._rotated(block_diag_symbol([
+            swap_inner_symbol(), MatrixSymbol.constant(np.eye(3, k=-1))]), 7)
+        early, _, stop = _structure_solution_basis(sym, 4, 1e-8, stop_when_closed=True)
+        assert stop != "periodic"
+        full = toeplitz_unitary_part_brute(sym, 4)
+        assert early.shape == full.basis.shape
+        assert subspace_gap(early, full.basis) <= 1e-12
 
     def test_brute_oracle_keeps_full_budget(self, monkeypatch):
         calls = []
