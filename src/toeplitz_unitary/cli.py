@@ -104,9 +104,6 @@ def _config_dict(args, keys) -> dict:
 
 
 def cmd_decompose(args) -> int:
-    if args.window < 1 or args.grid < 1:
-        print("error: window and grid must be positive", file=sys.stderr)
-        return EXIT_DOMAIN
     try:
         raw = load_json(args.input)
     except (OSError, ValueError) as exc:

@@ -44,7 +44,6 @@ from .linalg import (
     psd_kernel,
     right_svd,
     spectral_norm,
-    spectral_norms,
 )
 from .symbols import (
     DEFAULT_GRID_SIZE,
@@ -52,7 +51,7 @@ from .symbols import (
     MatrixSymbol,
     PolyMatrix,
     adjoint_symbol,
-    eval_on_grid,
+    coefficient_norm_sum,
     is_inner,
     multiply,
     sup_norm_estimate,
@@ -96,8 +95,6 @@ class ExtractionResult:
 
     theta: PolyMatrix
     shift_residual: float
-    inner_residual_grid: float
-    inner_residual_coeff: float
     span_residual: float
 
 
@@ -109,6 +106,11 @@ class UnitaryPartReport:
     window), ``constant_type`` (an inner polynomial and constant unitary were
     extracted and every residual is below tolerance) or
     ``extraction_inconclusive``.
+
+    The three ``residual_*`` fields bound the sup norms on the circle of
+    F theta - theta U, F* theta - theta U* and theta* theta - I from above
+    (``coefficient_norm_sum``); each is zero exactly when its identity holds
+    almost everywhere.
     """
 
     subspace: Subspace
@@ -470,8 +472,7 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
 
     The wandering space m minus (shift of m) has an orthonormal basis that,
     read as polynomial columns, is the candidate inner polynomial.  Reported
-    diagnostics: shift-invariance of the input, isometry defect of the
-    candidate on the circle and in coefficients, and how much of the input
+    diagnostics: shift-invariance of the input and how much of the input
     span the candidate's polynomial multiples miss.
     """
     if m.dim == 0:
@@ -503,8 +504,6 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
         degree -= 1
     theta = PolyMatrix(dim, r, tuple(blocks[k] for k in range(degree + 1)))
 
-    inner_rep = is_inner(theta, tol=tol)
-
     columns = []
     for j in range(r):
         dj = theta.degree
@@ -519,65 +518,58 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     return ExtractionResult(
         theta=theta,
         shift_residual=shift_residual,
-        inner_residual_grid=inner_rep.residual_grid,
-        inner_residual_coeff=inner_rep.residual_coeff,
         span_residual=span_residual,
     )
 
 
-def _intertwining_residuals(sym: MatrixSymbol, theta: PolyMatrix, u):
-    """Grid maxima of norm(F theta - theta U) and norm(F* theta - theta U*).
-
-    Also returns the theta values on the grid.  The grid resolves every
-    Fourier index of both identities.
+def _pair_residuals(sym: MatrixSymbol, theta: PolyMatrix, u,
+                    f_theta: MatrixSymbol) -> dict:
+    """Residuals of the pair (theta, U) for the symbol F, as documented by
+    ``verify_maincondn``.  ``f_theta`` is the product F theta, which
+    ``extract_constant_unitary`` has already formed to find U.
     """
-    grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * (sym.band + 2 * theta.degree) + 1))
-    phi = eval_on_grid(sym, grid)
-    th = eval_on_grid(theta.as_symbol(), grid)
-    res_fwd = float(spectral_norms(phi @ th - th @ u).max())
-    res_adj = float(spectral_norms(phi.conj().transpose(0, 2, 1) @ th - th @ u.conj().T).max())
-    return res_fwd, res_adj, th
+    theta_sym = theta.as_symbol()
+    fwd = f_theta.add(multiply(theta_sym, MatrixSymbol.constant(-u)))
+    adj = multiply(adjoint_symbol(sym), theta_sym).add(
+        multiply(theta_sym, MatrixSymbol.constant(-u.conj().T)))
+    return {
+        "intertwine_fwd": coefficient_norm_sum(fwd),
+        "intertwine_adj": coefficient_norm_sum(adj),
+        "inner": is_inner(theta).residual,
+        "unitary": spectral_norm(u.conj().T @ u - np.eye(theta.dim_in)),
+    }
 
 
 def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix):
     """Constant unitary intertwined with the symbol through an inner polynomial.
 
     U is the zeroth Fourier coefficient of theta* F theta (exact coefficient
-    convolution); the returned residuals are grid maxima of the two
-    intertwining identities plus the unitarity defect of U, all raw.
+    convolution).  Returns U and the raw residuals of the pair (theta, U),
+    the four that ``verify_maincondn`` computes.
     """
     theta_sym = theta.as_symbol()
-    prod = multiply(adjoint_symbol(theta_sym), multiply(sym, theta_sym))
-    u = prod.coeff(0)
-    res_fwd, res_adj, _ = _intertwining_residuals(sym, theta, u)
-    res_unitary = spectral_norm(u.conj().T @ u - np.eye(theta.dim_in))
-    return u, {
-        "intertwine_fwd": res_fwd,
-        "intertwine_adj": res_adj,
-        "unitary": res_unitary,
-    }
+    f_theta = multiply(sym, theta_sym)
+    u = multiply(adjoint_symbol(theta_sym), f_theta).coeff(0)
+    return u, _pair_residuals(sym, theta, u, f_theta)
 
 
 def verify_maincondn(sym: MatrixSymbol, theta: PolyMatrix, u,
                      tol: float = DEFAULT_TOL):
     """Residual check of the intertwining pair F theta = theta U (and adjoint).
 
-    Returns (ok, residuals); ok requires innerness of theta and both
-    identities to hold on the grid within tol.
+    Returns (ok, residuals).  ``intertwine_fwd``, ``intertwine_adj`` and
+    ``inner`` are ``coefficient_norm_sum`` of F theta - theta U,
+    F* theta - theta U* and theta* theta - I, formed by exact coefficient
+    convolution: each bounds the sup norm of its defect on the circle from
+    above and is zero exactly when its identity holds almost everywhere.
+    ``unitary`` is the norm of U*U - I.  ok requires every residual to be
+    within tol.
     """
     u = as_complex(u)
     if theta.dim_out != sym.dim_in or u.shape != (theta.dim_in, theta.dim_in):
         raise ValueError("dimension mismatch between symbol, inner polynomial and unitary")
-    res_fwd, res_adj, th = _intertwining_residuals(sym, theta, u)
-    eye = np.eye(theta.dim_in)
-    residuals = {
-        "intertwine_fwd": res_fwd,
-        "intertwine_adj": res_adj,
-        "inner": float(spectral_norms(th.conj().transpose(0, 2, 1) @ th - eye).max()),
-        "unitary": spectral_norm(u.conj().T @ u - eye),
-    }
-    ok = all(v <= tol for v in residuals.values())
-    return ok, residuals
+    residuals = _pair_residuals(sym, theta, u, multiply(sym, theta.as_symbol()))
+    return all(v <= tol for v in residuals.values()), residuals
 
 
 def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
@@ -644,19 +636,15 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         "shift_invariance": extraction.shift_residual,
         "span": extraction.span_residual,
     }
-    ok = (
-        max(residuals["intertwine_fwd"], residuals["intertwine_adj"],
-            residuals["unitary"]) <= tol
-        and max(extraction.inner_residual_grid, extraction.inner_residual_coeff) <= tol
-        and extraction.span_residual <= tol
-    )
+    ok = (all(v <= tol for v in residuals.values())
+          and extraction.span_residual <= tol)
     return UnitaryPartReport(
         subspace=subspace,
         theta=theta,
         u_matrix=u,
         residual_intertwine_fwd=residuals["intertwine_fwd"],
         residual_intertwine_adj=residuals["intertwine_adj"],
-        residual_inner=max(extraction.inner_residual_grid, extraction.inner_residual_coeff),
+        residual_inner=residuals["inner"],
         classification="constant_type" if ok else "extraction_inconclusive",
         params=params,
         certification=cert,

@@ -7,7 +7,9 @@ A symbol is a matrix-valued trigonometric (Laurent) polynomial
 stored sparsely by integer Fourier index.  Analytic matrix polynomials
 (nonnegative indices only) get their own type since they are evaluated on the
 closed disc, not just on the circle.  Circle measure statements are tested on
-uniform grids with a declared tolerance, never claimed almost-everywhere.
+uniform grids with a declared tolerance, never claimed almost-everywhere;
+identities between trigonometric polynomials are checked on their Fourier
+coefficients, which decide them exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex, spectral_norm, spectral_norms
+# spectral_norm is unused here, but the benchmark tests check that the tracer
+# wraps and restores this module's binding of it
+from .linalg import DEFAULT_TOL, as_complex, spectral_norm, spectral_norms  # noqa: F401
 
 DEFAULT_GRID_SIZE = 512
 # most complex entries one row-stacked product of ``_coefficient_products``
@@ -210,20 +214,19 @@ class GridMask:
 
 @dataclass(frozen=True)
 class InnerReport:
-    """Residuals of the isometry identity P(e^{it})* P(e^{it}) = I.
+    """Residual of the isometry identity P(e^{it})* P(e^{it}) = I.
 
-    ``residual_grid`` is the grid maximum of the pointwise defect,
-    ``residual_coeff`` the largest Fourier coefficient of P*P - I (an exact
-    finite computation, equivalent to the grid identity for polynomials).
+    ``residual`` is ``coefficient_norm_sum`` of the trigonometric polynomial
+    P*P - I: an upper bound on the sup norm of the pointwise defect, zero
+    exactly when the identity holds on the whole circle.
     """
 
-    residual_grid: float
-    residual_coeff: float
+    residual: float
     tol: float
 
     @property
     def is_inner(self) -> bool:
-        return self.residual_grid <= self.tol and self.residual_coeff <= self.tol
+        return self.residual <= self.tol
 
 
 def eval_symbol(sym: MatrixSymbol, t: float) -> np.ndarray:
@@ -319,32 +322,32 @@ def compose_scalar_polynomial(sym: MatrixSymbol, poly_coeffs) -> MatrixSymbol:
     return acc
 
 
-def is_inner(theta: PolyMatrix, grid: CircleGrid | None = None,
-             tol: float = DEFAULT_TOL) -> InnerReport:
+def coefficient_norm_sum(sym: MatrixSymbol) -> float:
+    """Sum over k of the spectral norms of the Fourier coefficients.
+
+    By the triangle inequality an upper bound on the sup norm of the symbol
+    on the circle; zero exactly when every coefficient is, that is when the
+    symbol vanishes almost everywhere.
+    """
+    if not sym.coeffs:
+        return 0.0
+    return float(spectral_norms(np.stack(list(sym.coeffs.values()))).sum())
+
+
+def is_inner(theta: PolyMatrix, tol: float = DEFAULT_TOL) -> InnerReport:
     """Check that an analytic matrix polynomial has isometric boundary values.
 
-    Two routes are evaluated and both reported: the grid maximum of
-    ``norm(theta* theta - I)`` and the exact Fourier coefficients of the trig
-    polynomial theta* theta - I (all of them, not only the zeroth Gram sum;
-    the off-diagonal coefficients are what rules out non-inner polynomials
-    with an accidentally isometric coefficient Gram).
+    The residual takes every Fourier coefficient of the trig polynomial
+    theta* theta - I, not only the zeroth Gram sum: the other coefficients
+    are what rule out non-inner polynomials with an accidentally isometric
+    coefficient Gram.
     """
     if theta.dim_out < theta.dim_in:
         raise ValueError("inner polynomials need dim_out >= dim_in")
-    if grid is None:
-        grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * theta.degree + 1))
     sym = theta.as_symbol()
-    eye = np.eye(theta.dim_in)
-
-    v = eval_on_grid(sym, grid)
-    residual_grid = float(spectral_norms(v.conj().transpose(0, 2, 1) @ v - eye).max())
-
-    prod = multiply(adjoint_symbol(sym), sym)
-    residual_coeff = spectral_norm(prod.coeff(0) - eye)
-    for k in prod.coeffs:
-        if k != 0:
-            residual_coeff = max(residual_coeff, spectral_norm(prod.coeff(k)))
-    return InnerReport(residual_grid, residual_coeff, tol)
+    defect = multiply(adjoint_symbol(sym), sym).add(
+        MatrixSymbol.constant(-np.eye(theta.dim_in)))
+    return InnerReport(coefficient_norm_sum(defect), tol)
 
 
 def pointwise_unitarity_mask(sym: MatrixSymbol, grid: CircleGrid,

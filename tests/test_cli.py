@@ -87,6 +87,13 @@ class TestDecompose:
                    "--out", str(tmp_path / "x.json"), "--grid", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--window", "--grid"])
+    def test_nonpositive_window_or_grid_is_domain_error(self, symbol_file, tmp_path, flag):
+        out = tmp_path / "x.json"
+        rc = main(["decompose", "--input", str(symbol_file), "--out", str(out), flag, "0"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, symbol_file, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

@@ -3,7 +3,7 @@ import pytest
 
 from test_hardy import assert_same_bits, parity_symbol
 from toeplitz_unitary import symbols
-from toeplitz_unitary.linalg import haar_unitary, spectral_norm
+from toeplitz_unitary.linalg import haar_unitary, spectral_norm, spectral_norms
 from toeplitz_unitary.symbols import (
     CircleGrid,
     MatrixSymbol,
@@ -11,6 +11,7 @@ from toeplitz_unitary.symbols import (
     adjoint_symbol,
     bcl_symbol,
     compose_scalar_polynomial,
+    eval_on_grid,
     eval_symbol,
     is_inner,
     multiply,
@@ -205,7 +206,7 @@ class TestIsInner:
     def test_constant_isometric_column(self):
         theta = PolyMatrix(2, 1, (np.array([[1.0], [0.0]]),))
         rep = is_inner(theta)
-        assert rep.is_inner and rep.residual_grid == 0.0
+        assert rep.is_inner and rep.residual == 0.0
 
     def test_shift_times_identity(self):
         theta = PolyMatrix(2, 2, (np.zeros((2, 2)), np.eye(2)))
@@ -214,8 +215,7 @@ class TestIsInner:
     def test_half_identity(self):
         rep = is_inner(PolyMatrix(2, 2, (0.5 * np.eye(2),)))
         assert not rep.is_inner
-        np.testing.assert_allclose(rep.residual_grid, 0.75, atol=1e-14)
-        np.testing.assert_allclose(rep.residual_coeff, 0.75, atol=1e-14)
+        np.testing.assert_allclose(rep.residual, 0.75, atol=1e-14)
 
     def test_gram_sum_alone_is_not_enough(self):
         # (1 + z)/sqrt(2) has isometric coefficient Gram but is not inner
@@ -223,9 +223,13 @@ class TestIsInner:
         theta = PolyMatrix(1, 1, ([[c]], [[c]]))
         rep = is_inner(theta)
         assert not rep.is_inner
-        assert rep.residual_coeff > 0.4  # the off-diagonal Fourier coefficient
+        # the coefficients at +-1 are 1/2 each, and the sup norm of the
+        # defect cos(t) is 1
+        np.testing.assert_allclose(rep.residual, 1.0, atol=1e-14)
 
     def test_grid_and_coefficient_tests_agree(self):
+        """The coefficient residual bounds the defect on a fine grid, and is
+        within 1e-8 exactly on the two inner instances."""
         rng = np.random.default_rng(6)
         instances = []
         for _ in range(10):
@@ -235,9 +239,12 @@ class TestIsInner:
         u = haar_unitary(2, rng)
         instances.append(PolyMatrix.from_symbol(bcl_symbol(u, P)))
         instances.append(PolyMatrix(2, 2, (u,)))
-        for theta in instances:
+        for j, theta in enumerate(instances):
             rep = is_inner(theta)
-            assert (rep.residual_grid <= 1e-8) == (rep.residual_coeff <= 1e-8)
+            v = eval_on_grid(theta.as_symbol(), CircleGrid(4096))
+            defect = v.conj().transpose(0, 2, 1) @ v - np.eye(2)
+            assert rep.residual >= spectral_norms(defect).max()
+            assert (rep.residual <= 1e-8) == (j >= 10)
 
     def test_rectangular_wide_rejected(self):
         with pytest.raises(ValueError):
