@@ -63,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--out", required=True, help="report JSON output path")
     p_dec.add_argument("--window", type=int, default=8,
                        help="degree window size N (default 8)")
-    p_dec.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
-                       help="circle grid size (default %(default)s)")
+    p_dec.add_argument("--grid", type=int, default=None,
+                       help="circle grid size (default max(%d, 2 * band + 1))"
+                            % DEFAULT_GRID_SIZE)
     p_dec.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="classification tolerance (default %(default)s)")
     p_dec.add_argument("--seed", type=int, default=0,
@@ -77,9 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--input", required=True, help="colligation JSON file")
     p_tr.add_argument("--out", required=True, help="report JSON output path")
     p_tr.add_argument("--grid", type=int, default=64,
-                      help="number of disc sample points (default 64)")
+                      help="number of disc sample points, >= 1 (default 64)")
     p_tr.add_argument("--radius", type=float, default=0.95,
-                      help="disc sample radius < 1 (default 0.95)")
+                      help="disc sample radius in [0, 1) (default 0.95)")
     p_tr.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                       help="validation tolerance (default %(default)s)")
 
@@ -103,31 +104,43 @@ def _config_dict(args, keys) -> dict:
             **{k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
 
 
-def cmd_decompose(args) -> int:
+class CommandError(Exception):
+    """Ends a command: ``main`` prints the message and returns the exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _read(path: str, decode, kind: str):
+    """Load a JSON input file and decode it; I/O and format errors exit 1."""
     try:
-        raw = load_json(args.input)
+        raw = load_json(path)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     try:
-        sym = symbol_from_json(raw)
+        return decode(raw)
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed symbol file: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"malformed {kind} file: {exc}") from exc
+
+
+def _write(path: str, obj) -> None:
     try:
-        report = toeplitz_unitary_part(sym, args.window, args.tol,
-                                       grid=CircleGrid(args.grid))
+        write_json_atomic(path, obj)
+    except OSError as exc:
+        raise CommandError(EXIT_IO, f"cannot write {path}: {exc}") from exc
+
+
+def cmd_decompose(args) -> int:
+    sym = _read(args.input, symbol_from_json, "symbol")
+    try:
+        grid = None if args.grid is None else CircleGrid(args.grid)
+        report = toeplitz_unitary_part(sym, args.window, args.tol, grid=grid)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandError(EXIT_DOMAIN, str(exc)) from exc
 
     config = _config_dict(args, ["input", "window", "grid", "tol", "seed"])
-    obj = report_to_json(report, config)
-    try:
-        write_json_atomic(args.out, obj)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(args.out, report_to_json(report, config))
 
     print(f"classification: {report.classification}")
     print(f"subspace dimension: {report.subspace.dim} "
@@ -135,9 +148,8 @@ def cmd_decompose(args) -> int:
     if report.theta is not None:
         print(f"inner polynomial: degree {report.theta.degree}, "
               f"{report.theta.dim_out}x{report.theta.dim_in}")
-        print(f"residuals: fwd {report.residual_intertwine_fwd:.3e} "
-              f"adj {report.residual_intertwine_adj:.3e} "
-              f"inner {report.residual_inner:.3e}")
+        print("residuals: " + " ".join(
+            f"{name} {value:.3e}" for name, value in report.residuals.items()))
     print(f"report written to {args.out}")
     if not report.certified_sound:
         worst = max(report.certification.values(), default=0.0)
@@ -148,31 +160,18 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    if not 0 <= args.radius < 1 or args.grid < 1:
-        print("error: need 0 <= radius < 1, grid >= 1", file=sys.stderr)
-        return EXIT_DOMAIN
     try:
-        raw = load_json(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        w = colligation_from_json(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed colligation file: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+        grid = disc_grid(args.grid, args.radius)
+    except ValueError as exc:
+        raise CommandError(EXIT_DOMAIN, str(exc)) from exc
+    w = _read(args.input, colligation_from_json, "colligation")
     rep = validate(w, args.tol)
     if not rep.is_valid:
-        print(f"error: colligation is not unitary "
-              f"(residuals {rep.residual_left:.3e}, {rep.residual_right:.3e})",
-              file=sys.stderr)
-        return EXIT_DOMAIN
-
-    grid = disc_grid(args.grid, args.radius)
+        raise CommandError(EXIT_DOMAIN, f"colligation is not unitary (residuals "
+                           f"{rep.residual_left:.3e}, {rep.residual_right:.3e})")
     tr = defect_identities(w, grid)
     config = _config_dict(args, ["input", "grid", "radius", "tol"])
-    obj = {
+    _write(args.out, {
         "schema": SCHEMA_VERSION,
         "validation": {"residual_left": rep.residual_left,
                        "residual_right": rep.residual_right},
@@ -181,12 +180,7 @@ def cmd_transfer(args) -> int:
         "max_defect2": tr.max_defect2,
         "max_norm": tr.max_norm,
         "config": config,
-    }
-    try:
-        write_json_atomic(args.out, obj)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    })
     print(f"colligation valid (residual {max(rep.residual_left, rep.residual_right):.3e})")
     print(f"defect identities: {tr.max_defect1:.3e} / {tr.max_defect2:.3e}, "
           f"max transfer norm {tr.max_norm:.9f}")
@@ -201,9 +195,8 @@ def cmd_scenario(args) -> int:
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
     for name in names:
         if name not in SCENARIOS:
-            print(f"error: unknown scenario {name!r}; known: "
-                  + ", ".join(sorted(SCENARIOS)), file=sys.stderr)
-            return EXIT_DOMAIN
+            raise CommandError(EXIT_DOMAIN, f"unknown scenario {name!r}; known: "
+                               + ", ".join(sorted(SCENARIOS)))
 
     results = []
     for name in names:
@@ -211,22 +204,16 @@ def cmd_scenario(args) -> int:
             result = run_scenario(name, seed=args.seed, window=args.window,
                                   tol=args.tol)
         except ValueError as exc:
-            print(f"error: scenario {name} rejected its input: {exc}",
-                  file=sys.stderr)
-            return EXIT_DOMAIN
+            raise CommandError(EXIT_DOMAIN,
+                               f"scenario {name} rejected its input: {exc}") from exc
         results.append(result)
 
     index = {"schema": SCHEMA_VERSION, "results": {}, "all_pass": True}
-    try:
-        for result in results:
-            path = os.path.join(args.out, f"{result.scenario_id}.json")
-            write_json_atomic(path, result.to_json())
-            index["results"][result.scenario_id] = bool(result.overall)
-            index["all_pass"] = index["all_pass"] and bool(result.overall)
-        write_json_atomic(os.path.join(args.out, "index.json"), index)
-    except OSError as exc:
-        print(f"error: cannot write results: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for result in results:
+        _write(os.path.join(args.out, f"{result.scenario_id}.json"), result.to_json())
+        index["results"][result.scenario_id] = bool(result.overall)
+        index["all_pass"] = index["all_pass"] and bool(result.overall)
+    _write(os.path.join(args.out, "index.json"), index)
 
     for result in results:
         mark = "PASS" if result.overall else "FAIL"
@@ -235,13 +222,17 @@ def cmd_scenario(args) -> int:
     return EXIT_OK if index["all_pass"] else EXIT_ASSERTION
 
 
+COMMANDS = {"decompose": cmd_decompose, "transfer": cmd_transfer,
+            "scenario": cmd_scenario}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "decompose":
-        return cmd_decompose(args)
-    if args.command == "transfer":
-        return cmd_transfer(args)
-    return cmd_scenario(args)
+    try:
+        return COMMANDS[args.command](args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

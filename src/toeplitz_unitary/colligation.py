@@ -234,7 +234,13 @@ def embed_unitary_block(u0, w: Colligation) -> Colligation:
 
 
 def disc_grid(n: int, radius: float = 0.9) -> np.ndarray:
-    """n equally spaced points on the circle of the given radius (|z| < 1)."""
+    """n equally spaced points on the circle of the given radius (|z| < 1).
+
+    Raises ``ValueError`` unless n >= 1 and 0 <= radius < 1: on an empty grid
+    every grid check would pass without evaluating anything.
+    """
+    if n < 1:
+        raise ValueError("disc grid needs at least one point")
     if not 0.0 <= radius < 1.0:
         raise ValueError("disc grid radius must lie in [0, 1)")
     return radius * np.exp(2j * np.pi * np.arange(n) / n)

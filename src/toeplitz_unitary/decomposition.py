@@ -7,7 +7,7 @@ two independent ways,
 * ``unitary_part_matrix``   - start from the singular spectrum at 1 and refine
   by invariance until a fixed point;
 * ``unitary_part_brute``    - intersect the kernels of I - T^{*n} T^n and
-  I - T^n T^{*n} over n = 1 .. n_max,
+  I - T^n T^{*n} over n = 1 .. 2 dim,
 
 and the pair is kept as a cross-checking oracle throughout the test suite.
 
@@ -107,21 +107,22 @@ class UnitaryPartReport:
     extracted and every residual is below tolerance) or
     ``extraction_inconclusive``.
 
-    The three ``residual_*`` fields bound the sup norms on the circle of
-    F theta - theta U, F* theta - theta U* and theta* theta - I from above
-    (``coefficient_norm_sum``); each is zero exactly when its identity holds
-    almost everywhere.
+    ``residuals`` is the dict of the extracted pair (theta, U) that
+    ``extract_constant_unitary`` returns and the classification reads:
+    ``intertwine_fwd``, ``intertwine_adj`` and ``inner`` bound the sup norms
+    on the circle of F theta - theta U, F* theta - theta U* and
+    theta* theta - I from above (``coefficient_norm_sum``), each zero exactly
+    when its identity holds almost everywhere, and ``unitary`` is the norm of
+    U*U - I.  It is empty when no pair was extracted.
     """
 
     subspace: Subspace
     theta: PolyMatrix | None
     u_matrix: np.ndarray | None
-    residual_intertwine_fwd: float
-    residual_intertwine_adj: float
-    residual_inner: float
     classification: str
     params: dict = field(default_factory=dict)
     certification: dict = field(default_factory=dict)
+    residuals: dict = field(default_factory=dict)
     extraction_residuals: dict = field(default_factory=dict)
 
     @property
@@ -164,7 +165,7 @@ def _check_contraction(t, tol):
 NOISE_CUT = 1e-13
 
 
-def _compress_rows(rows, cut: float = NOISE_CUT) -> np.ndarray:
+def _compress_rows(rows) -> np.ndarray:
     """Compress stacked constraint rows preserving their quadratic form.
 
     The returned rows are sigma-scaled right singular vectors, so the
@@ -178,7 +179,7 @@ def _compress_rows(rows, cut: float = NOISE_CUT) -> np.ndarray:
     if m.size == 0:
         return m
     s, vh = right_svd(m)
-    keep = s > cut * max(s[0], 1.0)
+    keep = s > NOISE_CUT * max(s[0], 1.0)
     return s[keep, None] * vh[keep]
 
 
@@ -225,24 +226,20 @@ def unitary_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(n, basis, tol)
 
 
-def unitary_part_brute(t, tol: float = DEFAULT_TOL, n_max: int | None = None) -> Subspace:
+def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
     """Unitary part by intersecting power-defect kernels; independent oracle.
 
     Accumulates ker(I - T^{*m} T^m) and ker(I - T^m T^{*m}) for
-    m = 1 .. n_max.  The default budget 2 * ambient_dim leaves slack over the
-    minimum required by the dimension-drop argument.
+    m = 1 .. 2 * ambient_dim, which leaves slack over the ambient_dim powers
+    that the dimension-drop argument requires.
     """
     t = as_complex(t)
     n = t.shape[0]
     _check_contraction(t, tol)
-    if n_max is None:
-        n_max = 2 * n
-    if n_max < n:
-        raise ValueError("n_max must be at least the ambient dimension")
     eye = np.eye(n)
     basis = np.eye(n, dtype=complex)
     power = eye.astype(complex)
-    for _ in range(n_max):
+    for _ in range(2 * n):
         power = power @ t
         for defect in (eye - power.conj().T @ power, eye - power @ power.conj().T):
             if basis.shape[1] == 0:
@@ -611,44 +608,25 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         **trail,
     }
 
-    if subspace.dim == 0:
-        return UnitaryPartReport(
-            subspace=subspace, theta=None, u_matrix=None,
-            residual_intertwine_fwd=0.0, residual_intertwine_adj=0.0,
-            residual_inner=0.0, classification="trivial",
-            params=params, certification=cert,
-        )
-
-    try:
-        extraction = beurling_extract(subspace, d, tol)
-    except ValueError as exc:
-        params = dict(params, extraction_error=str(exc))
-        return UnitaryPartReport(
-            subspace=subspace, theta=None, u_matrix=None,
-            residual_intertwine_fwd=np.inf, residual_intertwine_adj=np.inf,
-            residual_inner=np.inf, classification="extraction_inconclusive",
-            params=params, certification=cert,
-        )
-
-    theta = extraction.theta
-    u, residuals = extract_constant_unitary(sym, theta)
-    diagnostics = {
-        "shift_invariance": extraction.shift_residual,
-        "span": extraction.span_residual,
-    }
-    ok = (all(v <= tol for v in residuals.values())
-          and extraction.span_residual <= tol)
+    theta = u = None
+    residuals, diagnostics = {}, {}
+    classification = "trivial" if subspace.dim == 0 else "extraction_inconclusive"
+    if subspace.dim:
+        try:
+            extraction = beurling_extract(subspace, d, tol)
+        except ValueError as exc:
+            params["extraction_error"] = str(exc)
+        else:
+            theta = extraction.theta
+            u, residuals = extract_constant_unitary(sym, theta)
+            diagnostics = {"shift_invariance": extraction.shift_residual,
+                           "span": extraction.span_residual}
+            if all(v <= tol for v in (*residuals.values(), extraction.span_residual)):
+                classification = "constant_type"
     return UnitaryPartReport(
-        subspace=subspace,
-        theta=theta,
-        u_matrix=u,
-        residual_intertwine_fwd=residuals["intertwine_fwd"],
-        residual_intertwine_adj=residuals["intertwine_adj"],
-        residual_inner=residuals["inner"],
-        classification="constant_type" if ok else "extraction_inconclusive",
-        params=params,
-        certification=cert,
-        extraction_residuals=diagnostics,
+        subspace=subspace, theta=theta, u_matrix=u,
+        classification=classification, params=params, certification=cert,
+        residuals=residuals, extraction_residuals=diagnostics,
     )
 
 

@@ -100,15 +100,16 @@ def _check_bool(name, condition) -> ScenarioCheck:
     return ScenarioCheck(name, 0.0 if condition else 1.0, bool(condition))
 
 
-def random_trig_scalar(rng, band: int, nonconstant: bool = True) -> MatrixSymbol:
-    """Random scalar trigonometric polynomial, normalized to grid sup norm 1."""
+def random_trig_scalar(rng, band: int) -> MatrixSymbol:
+    """Random nonconstant scalar trigonometric polynomial, normalized to grid
+    sup norm 1."""
     while True:
         coeffs = {}
         for k in range(-band, band + 1):
             c = rng.standard_normal() + 1j * rng.standard_normal()
             coeffs[k] = np.array([[c]])
         sym = MatrixSymbol(1, 1, coeffs)
-        if not nonconstant or any(k != 0 for k in sym.coeffs):
+        if any(k != 0 for k in sym.coeffs):
             break
     return sym.scale(1.0 / sup_norm_estimate(sym))
 
@@ -122,11 +123,10 @@ def random_trig_matrix(rng, dim: int, band: int, sup: float) -> MatrixSymbol:
     return sym.scale(sup / sup_norm_estimate(sym))
 
 
-def planted_block_symbol(rng, d0: int, d1: int, band: int = 2,
-                         sup: float = 0.5) -> tuple[MatrixSymbol, np.ndarray]:
-    """diag(W0, strictly contractive block); returns (symbol, W0)."""
+def planted_block_symbol(rng, d0: int, d1: int) -> tuple[MatrixSymbol, np.ndarray]:
+    """diag(W0, band-2 block of grid sup norm 0.5); returns (symbol, W0)."""
     w0 = haar_unitary(d0, rng)
-    tail = random_trig_matrix(rng, d1, band, sup)
+    tail = random_trig_matrix(rng, d1, 2, 0.5)
     return block_diag_symbol([MatrixSymbol.constant(w0), tail]), w0
 
 
@@ -136,11 +136,6 @@ def swap_inner_symbol(phase: complex = 1.0) -> MatrixSymbol:
     e12 = np.array([[0.0, phase], [0.0, 0.0]])
     e21 = np.array([[0.0, 0.0], [np.conj(phase), 0.0]])
     return MatrixSymbol(2, 2, {1: e12, -1: e21})
-
-
-def coefficient_embedding(window: int, basis: np.ndarray) -> np.ndarray:
-    """Window basis of {polynomials with all coefficients in range(basis)}."""
-    return np.kron(np.eye(window), basis)
 
 
 def product_form_core(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -224,7 +219,7 @@ def scenario_bcl_example(u=None, p=None, window: int = 8,
     if identity_case:
         expected_dim = (d - rank) * window
         kerp = nullspace(p, tol)
-        planted = coefficient_embedding(window, kerp)
+        planted = np.kron(np.eye(window), kerp)
         checks.append(_check_bool("subspace_dim", report.subspace.dim == expected_dim))
         checks.append(_check("subspace_matches_kernel_window",
                              subspace_gap(report.subspace.basis, planted), 100 * tol))
@@ -344,7 +339,7 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
     ]
     if planted:
         planted_core = np.vstack([np.eye(d0), np.zeros((d1, d0))]).astype(complex)
-        expected = coefficient_embedding(window, planted_core)
+        expected = np.kron(np.eye(window), planted_core)
         checks.append(_check_bool("all_three_hold", cond_i and cond_ii and cond_iii))
         checks.append(_check("subspace_is_planted_window",
                              subspace_gap(m.basis, expected), 100 * tol))
@@ -403,9 +398,10 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     """Planted-block implications between the unitary parts of the constant
     term, the disc values, and the multiplication operator, with the constant
     inclusion witness checked at disc points."""
+    params = {"seed": seed, "d0": d0, "d1": d1, "window": window,
+              "n_lambda": n_lambda, "tol": tol}
     rng = np.random.default_rng(seed)
     w, u0 = planted_colligation(rng, d0, d1)
-    dim = d0 + d1
     rep = validate(w, tol)
     phi = polynomial_from_colligation(w)
     sym = phi.as_symbol()
@@ -419,10 +415,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
         part0 = unitary_part_matrix(w.A, tol)
         records["constant_term_part_dim"] = part0.dim
         records["note"] = "no planted block; implication assertions vacuous"
-        return ScenarioResult(
-            "prop_ds", {"seed": seed, "d0": d0, "d1": d1, "window": window,
-                        "n_lambda": n_lambda, "tol": tol},
-            tuple(checks), records=records)
+        return ScenarioResult("prop_ds", params, tuple(checks), records=records)
 
     inclusion = np.vstack([np.eye(d0), np.zeros((d1, d0))]).astype(complex)
     # (i) the constant term has the planted unitary part
@@ -442,7 +435,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     # chains, while the certified refinement only asserts nontriviality
     report = toeplitz_unitary_part(sym, window, tol)
     structure = toeplitz_unitary_part_brute(sym, window, tol)
-    planted_window = coefficient_embedding(window, inclusion)
+    planted_window = np.kron(np.eye(window), inclusion)
     res_iii = spectral_norm(
         planted_window - structure.projector() @ planted_window)
     checks.append(_check_bool("window_part_nontrivial", report.subspace.dim > 0))
@@ -463,11 +456,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
         )
     checks.append(_check("witness_intertwines_at_disc_points", res_w, 1e-10))
     records["window_part_dim"] = report.subspace.dim
-    return ScenarioResult(
-        "prop_ds",
-        {"seed": seed, "d0": d0, "d1": d1, "window": window,
-         "n_lambda": n_lambda, "tol": tol},
-        tuple(checks), records=records)
+    return ScenarioResult("prop_ds", params, tuple(checks), records=records)
 
 
 def scenario_wold_dichotomy(phi: PolyMatrix | None = None, seed: int = 0,
@@ -619,9 +608,7 @@ def scenario_bcl_theorem(u=None, p=None, seed: int | None = None, dim: int = 3,
     )
 
 
-def scenario_laurent(sym: MatrixSymbol | None = None, expected_measure: float | None = None,
-                     grid_size: int = DEFAULT_GRID_SIZE,
-                     tol: float = DEFAULT_TOL) -> ScenarioResult:
+def scenario_laurent(tol: float = DEFAULT_TOL) -> ScenarioResult:
     """Measure of the pointwise unitarity set on the grid.
 
     For trigonometric polynomial symbols the unitarity set has measure 0 or 1:
@@ -630,26 +617,22 @@ def scenario_laurent(sym: MatrixSymbol | None = None, expected_measure: float | 
     scenario asserts the constructed 0/1 instances and documents that proper
     positive-measure sets are out of reach for this symbol class.
     """
-    grid = CircleGrid(grid_size)
-    if sym is None:
-        instances = [
-            ("model_symbol", bcl_symbol(np.eye(2), np.diag([1.0, 0.0])), 1.0),
-            ("strict_contraction", MatrixSymbol.constant(0.5 * np.eye(2)), 0.0),
-            ("mixed_never_unitary",
-             block_diag_symbol([MatrixSymbol(1, 1, {1: [[1.0]]}),
-                                MatrixSymbol.constant([[0.5]])]), 0.0),
-        ]
-    else:
-        instances = [("input", sym, expected_measure)]
+    grid = CircleGrid(DEFAULT_GRID_SIZE)
+    instances = [
+        ("model_symbol", bcl_symbol(np.eye(2), np.diag([1.0, 0.0])), 1.0),
+        ("strict_contraction", MatrixSymbol.constant(0.5 * np.eye(2)), 0.0),
+        ("mixed_never_unitary",
+         block_diag_symbol([MatrixSymbol(1, 1, {1: [[1.0]]}),
+                            MatrixSymbol.constant([[0.5]])]), 0.0),
+    ]
     checks = []
     records = {}
     for name, s, expected in instances:
         mask = pointwise_unitarity_mask(s, grid, tol)
         records[name] = mask.measure
-        if expected is not None:
-            checks.append(_check(f"{name}_measure", abs(mask.measure - expected), 0.0))
+        checks.append(_check(f"{name}_measure", abs(mask.measure - expected), 0.0))
     return ScenarioResult(
-        "laurent", {"grid_size": grid_size, "tol": tol}, tuple(checks),
+        "laurent", {"grid_size": grid.size, "tol": tol}, tuple(checks),
         records={"measures": records,
                  "note": "trig polynomial symbols admit only measure 0 or 1"},
     )

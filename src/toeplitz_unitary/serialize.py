@@ -125,11 +125,7 @@ def report_to_json(report: UnitaryPartReport, config: dict | None = None) -> dic
         "subspace": subspace_to_json(report.subspace),
         "theta": None if report.theta is None else polymatrix_to_json(report.theta),
         "u_matrix": None if report.u_matrix is None else encode_matrix(report.u_matrix),
-        "residuals": {
-            "intertwine_fwd": report.residual_intertwine_fwd,
-            "intertwine_adj": report.residual_intertwine_adj,
-            "inner": report.residual_inner,
-        },
+        "residuals": report.residuals,
         "params": report.params,
         "certification": report.certification,
         "extraction_residuals": report.extraction_residuals,
@@ -140,7 +136,7 @@ def report_to_json(report: UnitaryPartReport, config: dict | None = None) -> dic
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(obj, sort_keys=True, indent=1)
 
 
 def write_json_atomic(path: str, obj) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from test_linalg import colligation_symbol
+from toeplitz_unitary import cli
 from toeplitz_unitary.cli import main
 from toeplitz_unitary.colligation import Colligation, bcl_colligation
 from toeplitz_unitary.linalg import haar_unitary
@@ -12,7 +13,24 @@ from toeplitz_unitary.serialize import (
     symbol_to_json,
     write_json_atomic,
 )
+from toeplitz_unitary.scenarios import swap_inner_symbol
 from toeplitz_unitary.symbols import MatrixSymbol, bcl_symbol
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_outputs(monkeypatch):
+    """Every file the CLI writes parses with a strict JSON parser: RFC 8259
+    has no NaN or Infinity."""
+    def write_and_parse(path, obj):
+        write_json_atomic(path, obj)
+        with open(path) as fh:
+            json.loads(fh.read(), parse_constant=_reject_constant)
+
+    monkeypatch.setattr(cli, "write_json_atomic", write_and_parse)
 
 
 @pytest.fixture
@@ -49,7 +67,46 @@ class TestDecompose:
         out = tmp_path / "report.json"
         rc = main(["decompose", "--input", str(path), "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["classification"] == "trivial"
+        report = json.loads(out.read_text())
+        assert report["classification"] == "trivial"
+        assert report["theta"] is None
+        assert report["residuals"] == {}
+
+    def test_extraction_error_has_no_residuals(self, tmp_path):
+        # the swap symbol's window part is not shift invariant at window 5
+        path = tmp_path / "swap.json"
+        write_json_atomic(str(path), symbol_to_json(swap_inner_symbol()))
+        out = tmp_path / "report.json"
+        rc = main(["decompose", "--input", str(path), "--out", str(out), "--window", "5"])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["classification"] == "extraction_inconclusive"
+        assert "extraction_error" in report["params"]
+        assert report["theta"] is None
+        assert report["residuals"] == {}
+
+    def test_default_grid_follows_band(self, tmp_path):
+        # 0.5 + 0.25 z^300 needs 601 points; a fixed 512-point default
+        # rejected it while the library decomposed it
+        path = tmp_path / "band300.json"
+        write_json_atomic(str(path), symbol_to_json(
+            MatrixSymbol(1, 1, {0: [[0.5]], 300: [[0.25]]})))
+        out = tmp_path / "report.json"
+        rc = main(["decompose", "--input", str(path), "--out", str(out), "--window", "2"])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["classification"] == "trivial"
+        assert report["params"]["grid_size"] == 601
+        assert "grid" not in report["config"]
+
+    def test_given_grid_is_recorded(self, symbol_file, tmp_path):
+        out = tmp_path / "report.json"
+        rc = main(["decompose", "--input", str(symbol_file), "--out", str(out),
+                   "--grid", "64"])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["params"]["grid_size"] == 64
+        assert report["config"]["grid"] == 64
 
     def test_rank1_colligation_is_constant_type(self, tmp_path):
         # the input whose window pipeline stops one shift residual over tol;
@@ -120,6 +177,15 @@ class TestTransfer:
         write_json_atomic(str(path), colligation_to_json(bad))
         rc = main(["transfer", "--input", str(path), "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--radius", "1"),
+                                             ("--radius", "-0.5")])
+    def test_bad_disc_grid_is_domain_error(self, colligation_file, tmp_path, flag, value):
+        out = tmp_path / "transfer.json"
+        rc = main(["transfer", "--input", str(colligation_file), "--out", str(out),
+                   flag, value])
+        assert rc == 2
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, colligation_file, tmp_path):
         out1 = tmp_path / "t1.json"

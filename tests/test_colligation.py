@@ -101,6 +101,15 @@ class TestDefectIdentities:
         assert max(rep.max_defect1, rep.max_defect2) > 1e-4
 
 
+class TestDiscGrid:
+    @pytest.mark.parametrize("n, radius", [(0, 0.9), (-1, 0.9), (4, 1.0),
+                                           (4, -0.1), (4, float("nan"))])
+    def test_rejects(self, n, radius):
+        # an empty grid made defect_identities report 0.0 on no points
+        with pytest.raises(ValueError):
+            disc_grid(n, radius)
+
+
 class TestBclColligation:
     def test_zero_projection(self):
         u = haar_unitary(2, np.random.default_rng(9))

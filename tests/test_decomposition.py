@@ -131,10 +131,6 @@ class TestUnitaryPartBrute:
         s = np.diag(np.ones(3), -1)
         assert unitary_part_brute(s).dim == 0
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            unitary_part_brute(np.eye(3), n_max=2)
-
 
 class TestInvariancePolish:
     """The polish shared by the matrix and the window refinements, on the

@@ -162,6 +162,11 @@ class TestPropDS:
         assert result.overall
         assert "note" in result.records
 
+    def test_empty_disc_grid_rejected(self):
+        # with no disc points the disc checks used to pass on nothing
+        with pytest.raises(ValueError):
+            scenario_prop_ds(n_lambda=0)
+
 
 class TestWold:
     def test_seed_sweep(self):

@@ -133,7 +133,8 @@ def test_report_serialization_carries_everything():
     assert parsed["classification"] == "constant_type"
     assert parsed["subspace"]["dim"] == 6
     assert parsed["theta"]["degree"] == 0
-    assert "intertwine_fwd" in parsed["residuals"]
+    assert set(parsed["residuals"]) == {"intertwine_fwd", "intertwine_adj",
+                                        "inner", "unitary"}
     assert parsed["config"]["seed"] == 0
 
 
