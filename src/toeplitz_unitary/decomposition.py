@@ -250,23 +250,26 @@ def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(n, basis, tol)
 
 
-def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
-    """Stacked parts of the images of span(basis) that leave the span.
+def _stray_blocks(basis: np.ndarray, img: np.ndarray, start: int):
+    """Parts of one image of span(basis) that leave the span.
 
-    Each image holds the exact action of one operator on the basis columns,
-    with the window coefficients in rows start .. start + n - 1.  Rows outside
-    that range lie outside the window and count in full; the window part
-    counts by its component orthogonal to the span.  The span is invariant
-    under every operator, within tol, exactly when
-    ``nullspace(rows, tol)`` keeps all basis columns.
+    The image holds the exact action of one operator on the basis columns,
+    with the window coefficients in rows start .. start + n - 1.  Returns
+    (below, above, off): the rows below the window, the rows above it, and
+    the component of the window part orthogonal to the span.
     """
     n = basis.shape[0]
-    rows = []
-    for img in images:
-        inside = img[start:start + n]
-        rows += [img[:start], img[start + n:],
-                 inside - basis @ (basis.conj().T @ inside)]
-    return np.vstack(rows)
+    inside = img[start:start + n]
+    return img[:start], img[start + n:], inside - basis @ (basis.conj().T @ inside)
+
+
+def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
+    """Stacked ``_stray_blocks`` of every image: rows outside the window
+    count in full, the window part by its component off the span.  The span
+    is invariant under every operator, within tol, exactly when
+    ``nullspace(rows, tol)`` keeps all basis columns.
+    """
+    return np.vstack([b for img in images for b in _stray_blocks(basis, img, start)])
 
 
 def _window_images(syms, basis: np.ndarray) -> list:
@@ -303,18 +306,6 @@ def _invariance_polish(basis: np.ndarray, act, start: int, tol: float):
     return basis, iterations
 
 
-def _is_constant_unitary(sym: MatrixSymbol) -> bool:
-    """Whether sym is a constant unitary V, entrywise within NOISE_CUT.
-
-    Every coefficient at a nonzero index and every entry of V*V - I must be
-    that small.
-    """
-    if any(np.abs(mat).max() > NOISE_CUT for k, mat in sym.coeffs.items() if k):
-        return False
-    v = sym.coeff(0)
-    return np.abs(v.conj().T @ v - np.eye(sym.dim_in)).max() <= NOISE_CUT
-
-
 def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
                               stop_when_closed: bool = False):
     """Window polynomials satisfying the power structure equations.
@@ -325,31 +316,25 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
     violating them fail with full-size margins; no slowly-decaying chains
     appear the way they do for window-projected invariance conditions.
 
-    With ``stop_when_closed`` the loop ends at the first power m after which
-    the solution span S is closed under the exact actions of F and F*: F S
-    and F* S have no coefficient at a negative degree or at degree >= window
-    and their window part lies in S.  S then solves every higher equation.
-    By induction on k, F^k h and (F*)^k h stay in S for h in S, so they are
-    analytic window polynomials; and since S solves the m = 1 equations,
-    F^k (F*)^k h = F^(k-1) (F F*) (F*)^(k-1) h = F^(k-1) (F*)^(k-1) h = ... = h,
-    and likewise (F*)^k F^k h = h.  The solution sets only shrink as the
-    power grows, so S is also the answer of the full budget.  The test runs
-    after the first power and then only after a power that lowers the
-    dimension: an unchanged dimension means an unchanged span, whose test
-    result is already known.
-
-    Also with ``stop_when_closed``, the loop ends before solving power m once
-    F^m is a constant unitary V (``_is_constant_unitary``).  F^m commutes with
-    F, so F^(m+k) = V F^k = F^k V for every k >= 0.  Hence F^(m+k) h = V F^k h
-    is analytic exactly when F^k h is, and (F*)^(m+k) h = V* (F*)^k h exactly
-    when (F*)^k h is; F^(m+k) (F*)^(m+k) = F^k V V* (F*)^k = F^k (F*)^k and
-    (F*)^(m+k) F^(m+k) = (F*)^k V* V F^k = (F*)^k F^k.  The power m equations
-    hold for every h.  So every later equation repeats one already solved,
-    and the span of the first m - 1 powers is the answer of the full budget.
+    With ``stop_when_closed`` the loop ends at the first power after which
+    the solution span S is closed under the exact actions of F and F* inside
+    the window: F S and F* S have no coefficient at a negative degree and
+    their window part lies in S.  Coefficients at degree >= window are left
+    to the invariance polish that ``_window_refinement`` runs next.  The stop
+    cannot change the polished answer.  Let P(A) be the largest part of A
+    that F and F* map into itself within the window (``_invariance_polish``)
+    and S_m the solutions of the first m powers.  F and F* keep P(S_1), and
+    F F* = F* F = I on S_1, so for h in P(S_1) every F^k h and (F*)^k h is
+    a window polynomial and F^k (F*)^k h = F^(k-1) (F*)^(k-1) h = ... = h,
+    likewise (F*)^k F^k h = h: P(S_1) lies in every S_m.  The S_m only
+    shrink, so P(S_m) = P(S_1) for every m, the full budget included.  The
+    stop only decides how much the Laurent-level equations remove before
+    the polish.  The test runs after the first power and then only after a
+    power that lowers the dimension: an unchanged dimension means an
+    unchanged span, whose test result is already known.
 
     Returns (basis, powers solved, stop reason), the reason being ``closed``,
-    ``periodic``, ``empty`` (no solution left) or ``budget`` (d window powers
-    solved).
+    ``empty`` (no solution left) or ``budget`` (d window powers solved).
     """
     d = sym.dim_out
     n = d * window
@@ -362,9 +347,6 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
         if r == 0:
             break
         fwd = multiply(fwd, sym)  # m-th symbol power, grown incrementally
-        if stop_when_closed and _is_constant_unitary(fwd):
-            stop = "periodic"
-            break
         adj = adjoint_symbol(fwd)
         bm = fwd.band
         blocks = basis.reshape(window, d, r)
@@ -385,8 +367,11 @@ def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
         r = basis.shape[1]
         if stop_when_closed and 0 < r != tested_dim:
             tested_dim = r
-            images = _window_images(syms, basis)
-            if nullspace(_stray_rows(basis, images, sym.band * d), tol).shape[1] == r:
+            stray = []
+            for img in _window_images(syms, basis):
+                below, _, off = _stray_blocks(basis, img, sym.band * d)
+                stray += [below, off]
+            if nullspace(np.vstack(stray), tol).shape[1] == r:
                 stop = "closed"
                 break
     if basis.shape[1] == 0:
@@ -409,13 +394,11 @@ def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
     gram = basis.conj().T @ basis
     cert = {}
     for name, img in zip(("fwd", "adj"), images):
-        inside = img[start:start + n]
+        below, above, off = _stray_blocks(basis, img, start)
         # Parseval: norm preservation is B*B = (F B)*(F B) on the full image
-        cert[f"analytic_{name}"] = spectral_norm(img[:start])
+        cert[f"analytic_{name}"] = spectral_norm(below)
         cert[f"norm_{name}"] = spectral_norm(gram - img.conj().T @ img)
-        cert[f"invariance_{name}"] = max(
-            spectral_norm(img[start + n:]),
-            spectral_norm(inside - basis @ (basis.conj().T @ inside)))
+        cert[f"invariance_{name}"] = max(spectral_norm(above), spectral_norm(off))
     coords = basis.conj().T @ images[0][start:start + n]
     cert["restriction_unitary"] = spectral_norm(
         coords.conj().T @ coords - np.eye(basis.shape[1]))
@@ -431,8 +414,12 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     polish is a no-op whenever the structure solutions are window invariant
     (every planted family), and where it does remove directions the kill
     margins are boundary-coefficient sized, so the iteration stays stable.
-    The polish and the certificate act on the basis columns by the same exact
-    convolution as the closure test of the structure equations.
+    The structure equations stop once their span is closed inside the
+    window; the polish then also removes what leaves the window at the top,
+    and its result does not depend on the power the equations stopped at.
+    The closure test, the polish and the certificate act on the basis
+    columns by the same exact convolution and read the same
+    ``_stray_blocks``.
     Returns (basis, certification dict, trail) where the trail holds the
     polish iterations and the structure powers and stop reason.
     """

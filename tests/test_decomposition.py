@@ -52,6 +52,7 @@ from toeplitz_unitary.decomposition import (
 from toeplitz_unitary.scenarios import (
     planted_block_symbol,
     planted_colligation,
+    random_trig_matrix,
     random_trig_scalar,
     swap_inner_symbol,
 )
@@ -271,7 +272,8 @@ class TestToeplitzUnitaryPart:
 
 
 class TestStructureEarlyStop:
-    """The structure equations stop once their span is closed under F and F*."""
+    """The structure equations stop once their span is closed under F and F*
+    inside the window; the polished span does not depend on where they stop."""
 
     @staticmethod
     def _coll4():
@@ -326,7 +328,7 @@ class TestStructureEarlyStop:
         planted = toeplitz_unitary_part(planted_block_symbol(rng, 2, 2)[0], 8)
         assert (planted.params["structure_stop"], planted.params["structure_powers"]) == ("closed", 1)
         swap = toeplitz_unitary_part(swap_inner_symbol(), 8)
-        assert (swap.params["structure_stop"], swap.params["structure_powers"]) == ("periodic", 1)
+        assert (swap.params["structure_stop"], swap.params["structure_powers"]) == ("closed", 1)
         early, _, _ = _structure_solution_basis(swap_inner_symbol(), 8, 1e-8, stop_when_closed=True)
         assert early.shape[1] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
         scalar = toeplitz_unitary_part(random_trig_scalar(rng, 4), 8)
@@ -349,14 +351,35 @@ class TestStructureEarlyStop:
                                    -1: np.outer(unit[1], unit[0]),
                                    0: np.outer(unit[2], unit[1])})
 
-    @pytest.mark.parametrize("name, window, period", [
-        ("swap", 4, 2), ("swap", 8, 2), ("swap", 16, 2),
-        ("u0_plus_swap", 4, 2), ("u0_plus_swap", 8, 2),
-        ("three_cycle", 4, 3), ("three_cycle", 8, 3),
+    @staticmethod
+    def _swap_tail():
+        # swap plus a strict band-2 tail (grid sup norm 0.5), d = 4
+        tail = random_trig_matrix(np.random.default_rng(0), 2, 2, 0.5)
+        return block_diag_symbol([swap_inner_symbol(), tail])
+
+    @staticmethod
+    def _swap_nilpotent():
+        # F^2 = diag(I, N^2) is constant but not unitary
+        return block_diag_symbol([swap_inner_symbol(), MatrixSymbol.constant(np.eye(3, k=-1))])
+
+    @staticmethod
+    def _polished_brute(sym, window):
+        # the invariance polish applied to the full-budget structure span
+        syms = (sym, adjoint_symbol(sym))
+        basis, _ = _invariance_polish(
+            toeplitz_unitary_part_brute(sym, window).basis,
+            lambda b: decomposition._window_images(syms, b), sym.band * sym.dim_out, 1e-8)
+        return basis
+
+    @pytest.mark.parametrize("name, window", [
+        ("swap", 4), ("swap", 8), ("swap", 16),
+        ("u0_plus_swap", 4), ("u0_plus_swap", 8),
+        ("three_cycle", 4), ("three_cycle", 8),
     ])
-    def test_periodic_stop_matches_full_budget(self, name, window, period):
-        # F^period is a constant unitary (I, diag(U0^2, I), I), so the loop solves
-        # period - 1 powers and stops with the full budget's span
+    def test_unitary_valued_closed_at_1(self, name, window):
+        # F is unitary-valued, so the power-1 equations only ask for F h and
+        # F* h analytic; F and F* keep that span inside the window, and the
+        # coefficients they push above it are the polish's to remove
         sym = self._rotated({
             "swap": swap_inner_symbol,
             "u0_plus_swap": lambda: block_diag_symbol([
@@ -365,7 +388,7 @@ class TestStructureEarlyStop:
             "three_cycle": self._three_cycle,
         }[name](), 7)
         early, powers, stop = _structure_solution_basis(sym, window, 1e-8, stop_when_closed=True)
-        assert (stop, powers) == ("periodic", period - 1)
+        assert (stop, powers) == ("closed", 1)
         full = toeplitz_unitary_part_brute(sym, window)
         assert early.shape == full.basis.shape
         assert subspace_gap(early, full.basis) <= 1e-12
@@ -374,13 +397,41 @@ class TestStructureEarlyStop:
         # F^2 = diag(I, N^2) is constant but not unitary: the power-2 equations
         # remove the polynomials along the middle coordinate of N, which
         # the power-1 equations keep
-        sym = self._rotated(block_diag_symbol([
-            swap_inner_symbol(), MatrixSymbol.constant(np.eye(3, k=-1))]), 7)
-        early, _, stop = _structure_solution_basis(sym, 4, 1e-8, stop_when_closed=True)
-        assert stop != "periodic"
+        sym = self._rotated(self._swap_nilpotent(), 7)
+        early, powers, stop = _structure_solution_basis(sym, 4, 1e-8, stop_when_closed=True)
+        assert (stop, powers) == ("closed", 2)
         full = toeplitz_unitary_part_brute(sym, 4)
         assert early.shape == full.basis.shape
         assert subspace_gap(early, full.basis) <= 1e-12
+
+    def test_swap_plus_tail_closes_at_power_1(self):
+        # the power-1 span is closed inside the window; counting the rows F
+        # pushes above the window too, no power closes and the loop would
+        # solve all 4 * 8 powers
+        sym = self._rotated(self._swap_tail(), 7)
+        basis, _, trail = _window_refinement(sym, 8, 1e-8)
+        assert (trail["structure_stop"], trail["structure_powers"]) == ("closed", 1)
+        polished = self._polished_brute(sym, 8)
+        assert basis.shape == polished.shape == (32, 14)
+        assert subspace_gap(basis, polished) <= 1e-12
+        basis, _, trail = _window_refinement(sym, 32, 1e-8)
+        assert (trail["structure_stop"], trail["structure_powers"]) == ("closed", 1)
+        assert basis.shape[1] == 62
+
+    @pytest.mark.parametrize("name, window", [
+        ("swap_tail", 8), ("swap_nilpotent", 4), ("three_cycle", 8), ("coll4", 6),
+    ])
+    def test_polished_span_does_not_depend_on_the_stop(self, name, window):
+        sym = {
+            "swap_tail": lambda: self._rotated(self._swap_tail(), 7),
+            "swap_nilpotent": lambda: self._rotated(self._swap_nilpotent(), 7),
+            "three_cycle": lambda: self._rotated(self._three_cycle(), 7),
+            "coll4": self._coll4,
+        }[name]()
+        basis, _, _ = _window_refinement(sym, window, 1e-8)
+        polished = self._polished_brute(sym, window)
+        assert basis.shape == polished.shape
+        assert subspace_gap(basis, polished) <= 1e-12
 
     def test_brute_oracle_keeps_full_budget(self, monkeypatch):
         calls = []
