@@ -11,10 +11,12 @@ two independent ways,
 
 and the pair is kept as a cross-checking oracle throughout the test suite.
 
-Toeplitz level: the same refinement runs on the degree window {polynomials of
-degree < N}, with the operator action computed exactly by coefficient
-convolution (no finite-section truncation error).  At the fixed point every
-basis vector h satisfies, with certified residuals:
+Toeplitz level: on the degree window {polynomials of degree < N} the
+unitary part is the exact kernel of q(T_F) = prod (T_F - lambda) over the
+unimodular eigenvalues lambda of F(1), computed with no finite-section
+truncation error, and an invariance polish keeps the part that F and F* map
+back into the window.  Every basis vector h then satisfies, with certified
+residuals:
 
 * the symbol action on h and the adjoint-symbol action on h are analytic,
 * both preserve the Hardy norm of h,
@@ -52,6 +54,7 @@ from .symbols import (
     PolyMatrix,
     adjoint_symbol,
     coefficient_norm_sum,
+    eval_symbol,
     is_inner,
     multiply,
     sup_norm_estimate,
@@ -306,77 +309,33 @@ def _invariance_polish(basis: np.ndarray, act, start: int, tol: float):
     return basis, iterations
 
 
-def _structure_solution_basis(sym: MatrixSymbol, window: int, tol: float,
-                              stop_when_closed: bool = False):
-    """Window polynomials satisfying the power structure equations.
+def _unitary_kernel(sym: MatrixSymbol, window: int, tol: float):
+    """Window part of the unitary part of T_F as one exact kernel, ker q(T_F).
 
-    For n = 1 .. d window accumulates the h with F^n h and (F*)^n h analytic and
-    F^n (F*)^n h = h = (F*)^n F^n h, all by exact coefficient convolution.
-    These constraints live at the two-sided (Laurent) level, so directions
-    violating them fail with full-size margins; no slowly-decaying chains
-    appear the way they do for window-projected invariance conditions.
-
-    With ``stop_when_closed`` the loop ends at the first power after which
-    the solution span S is closed under the exact actions of F and F* inside
-    the window: F S and F* S have no coefficient at a negative degree and
-    their window part lies in S.  Coefficients at degree >= window are left
-    to the invariance polish that ``_window_refinement`` runs next.  The stop
-    cannot change the polished answer.  Let P(A) be the largest part of A
-    that F and F* map into itself within the window (``_invariance_polish``)
-    and S_m the solutions of the first m powers.  F and F* keep P(S_1), and
-    F F* = F* F = I on S_1, so for h in P(S_1) every F^k h and (F*)^k h is
-    a window polynomial and F^k (F*)^k h = F^(k-1) (F*)^(k-1) h = ... = h,
-    likewise (F*)^k F^k h = h: P(S_1) lies in every S_m.  The S_m only
-    shrink, so P(S_m) = P(S_1) for every m, the full budget included.  The
-    stop only decides how much the Laurent-level equations remove before
-    the polish.  The test runs after the first power and then only after a
-    power that lowers the dimension: an unchanged dimension means an
-    unchanged span, whose test result is already known.
-
-    Returns (basis, powers solved, stop reason), the reason being ``closed``,
-    ``empty`` (no solution left) or ``budget`` (d window powers solved).
+    The unitary part is the sum of ker(T_F - lambda) over the constant
+    unimodular eigenvalues lambda of F (the paper's theorem); these kernels
+    reduce T_F and carry no Jordan chain, so ker prod (T_F - lambda) is
+    their sum.  The candidates are the eigenvalues of F(1), read at t = 0
+    (a point of every ``CircleGrid``, so the gate has checked it) and
+    compressed to its unitary part; one that is not a constant eigenvalue
+    has a zero kernel.  Candidates within tol are merged, since a repeated
+    factor squares a small defect under the cut.  T_F maps degrees < n
+    exactly into degrees < n + band, so the factors are window matrices.
+    Returns (basis, number of merged candidates).
     """
-    d = sym.dim_out
-    n = d * window
-    basis = np.eye(n, dtype=complex)
-    fwd = MatrixSymbol.constant(np.eye(d))
-    syms = (sym, adjoint_symbol(sym))
-    powers, stop, tested_dim = 0, "budget", None
-    for m in range(1, n + 1):
-        r = basis.shape[1]
-        if r == 0:
-            break
-        fwd = multiply(fwd, sym)  # m-th symbol power, grown incrementally
-        adj = adjoint_symbol(fwd)
-        bm = fwd.band
-        blocks = basis.reshape(window, d, r)
-        conv_f = convolve_block_columns(fwd, blocks)
-        conv_a = convolve_block_columns(adj, blocks)
-        rows = []
-        if bm:
-            rows.append(conv_f[:bm].reshape(bm * d, r))
-            rows.append(conv_a[:bm].reshape(bm * d, r))
-        # products F^m (F^m)* and (F^m)* F^m by composed exact convolution;
-        # the identity sits at output degrees 0 .. window-1, block offset 2 bm
-        for outer, inner in ((fwd, conv_a), (adj, conv_f)):
-            img = convolve_block_columns(outer, inner)
-            img[2 * bm:2 * bm + window] -= blocks
-            rows.append(img.reshape(-1, r))
-        basis = normalize_column_phases(basis @ nullspace(np.vstack(rows), tol))
-        powers = m
-        r = basis.shape[1]
-        if stop_when_closed and 0 < r != tested_dim:
-            tested_dim = r
-            stray = []
-            for img in _window_images(syms, basis):
-                below, _, off = _stray_blocks(basis, img, sym.band * d)
-                stray += [below, off]
-            if nullspace(np.vstack(stray), tol).shape[1] == r:
-                stop = "closed"
-                break
-    if basis.shape[1] == 0:
-        stop = "empty"
-    return basis, powers, stop
+    value = eval_symbol(sym, 0.0)
+    e_u = unitary_part_matrix(value, tol).basis
+    factors = []
+    for lam in np.linalg.eigvals(e_u.conj().T @ value @ e_u):
+        if all(abs(lam - mu) > tol for mu in factors):
+            factors.append(lam)
+    q = np.eye(sym.dim_in * window, dtype=complex)
+    degrees = window
+    for lam in factors:
+        img = toeplitz_window_matrix(sym, degrees, degrees + sym.band) @ q
+        img[:q.shape[0]] -= lam * q
+        q, degrees = img, degrees + sym.band
+    return nullspace(q, tol), len(factors)
 
 
 def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
@@ -406,29 +365,23 @@ def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
 
 
 def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
-    """Joint refinement on the degree window with exact symbol action.
+    """Window part of a non-analytic symbol: the kernel, polished.
 
-    Starts from the structure-equation solutions, which already contain the
-    target subspace, then polishes to the largest part that is invariant for
-    the Toeplitz action and its adjoint without leaving the window.  The
-    polish is a no-op whenever the structure solutions are window invariant
-    (every planted family), and where it does remove directions the kill
-    margins are boundary-coefficient sized, so the iteration stays stable.
-    The structure equations stop once their span is closed inside the
-    window; the polish then also removes what leaves the window at the top,
-    and its result does not depend on the power the equations stopped at.
-    The closure test, the polish and the certificate act on the basis
-    columns by the same exact convolution and read the same
-    ``_stray_blocks``.
-    Returns (basis, certification dict, trail) where the trail holds the
-    polish iterations and the structure powers and stop reason.
+    The polish keeps the largest part P(K) of the kernel K that F and F*
+    map into itself inside the window (swap: 2 window - 1 down to
+    2 window - 2).  With S_m the solutions of the first m power structure
+    equations, P(S_1) reduces T_F to a unitary, so it lies in K; K lies in
+    every S_m and S_m in S_1, and P only shrinks with its argument, so
+    P(K) = P(S_m) = P(S_1) at every power budget.  Returns (basis,
+    certification dict, trail: route, kernel_factors, kernel_dim,
+    refinement_iterations).
     """
     syms = (sym, adjoint_symbol(sym))
-    basis, powers, stop = _structure_solution_basis(sym, window, tol, stop_when_closed=True)
+    kernel, factors = _unitary_kernel(sym, window, tol)
     basis, iterations = _invariance_polish(
-        basis, lambda b: _window_images(syms, b), sym.band * sym.dim_out, tol)
-    trail = {"refinement_iterations": iterations,
-             "structure_powers": powers, "structure_stop": stop}
+        kernel, lambda b: _window_images(syms, b), sym.band * sym.dim_out, tol)
+    trail = {"route": "kernel", "kernel_factors": factors,
+             "kernel_dim": kernel.shape[1], "refinement_iterations": iterations}
     return basis, _window_certificate(sym, basis), trail
 
 
@@ -442,12 +395,13 @@ def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
     paper's theorem it is Theta H^2 with Psi Theta = Theta U, and the lowest
     nonzero coefficient Theta_j satisfies Psi_0 Theta_j = Theta_j U, which
     would give Psi_0 a unitary part.  So the window part is kron(I, E_u).
-    Returns (basis, certification dict, trail) like ``_window_refinement``.
+    Returns (basis, certification dict, trail) like ``_window_refinement``,
+    with no candidates and no polish: ``kernel_dim`` is the basis dimension.
     """
     e_u = unitary_part_matrix(sym.coeff(0), tol).basis
     basis = np.kron(np.eye(window), e_u)
-    trail = {"refinement_iterations": 0,
-             "structure_powers": 0, "structure_stop": "analytic"}
+    trail = {"route": "analytic", "kernel_factors": 0,
+             "kernel_dim": basis.shape[1], "refinement_iterations": 0}
     return basis, _window_certificate(sym, basis), trail
 
 
@@ -568,8 +522,11 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     classification is carried in the report.
 
     An analytic symbol takes its subspace from the unitary part of F(0)
-    (``structure_stop`` ``analytic``); any other symbol from the structure
-    equations and the window polish.  Both certify it the same way.
+    (``route`` ``analytic``); any other symbol from the kernel ker q(T_F)
+    and the window polish (``route`` ``kernel``).  Both certify it the same
+    way, and ``params`` records the route, the merged candidate count
+    ``kernel_factors``, the dimension ``kernel_dim`` before the polish and
+    the polish's ``refinement_iterations``.
     """
     if not sym.is_square:
         raise ValueError("decomposition needs a square symbol")
@@ -619,19 +576,45 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
 
 def toeplitz_unitary_part_brute(sym: MatrixSymbol, window: int,
                                 tol: float = DEFAULT_TOL) -> Subspace:
-    """Window solutions of the power structure equations.
+    """Window solutions of the power structure equations; independent oracle.
 
-    For n = 1 .. d window accumulates the window polynomials h with F^n h and
-    (F*)^n h analytic and F^n (F*)^n h = h = (F*)^n F^n h, all as exact
-    coefficient identities of symbol powers.  This checks the defining
-    equations of the unitary part directly, with no invariance iteration; the
-    result contains the window restriction of the true unitary part, and in
-    particular contains the ``toeplitz_unitary_part`` subspace.
+    For m = 1 .. d window accumulates the window polynomials h with F^m h
+    and (F*)^m h analytic and F^m (F*)^m h = h = (F*)^m F^m h, all as exact
+    coefficient identities of symbol powers, grown incrementally.  This
+    checks the defining equations of the unitary part directly, with no
+    invariance iteration and no candidate eigenvalues; the result contains
+    the window restriction of the true unitary part, and in particular
+    contains the ``toeplitz_unitary_part`` subspace.  Every power is solved,
+    for analytic symbols too.
     """
     if not sym.is_square:
         raise ValueError("decomposition needs a square symbol")
-    basis, _, _ = _structure_solution_basis(sym, window, tol)
-    return Subspace(sym.dim_out * window, basis, tol)
+    d = sym.dim_out
+    n = d * window
+    basis = np.eye(n, dtype=complex)
+    fwd = MatrixSymbol.constant(np.eye(d))
+    for _ in range(n):
+        r = basis.shape[1]
+        if r == 0:
+            break
+        fwd = multiply(fwd, sym)
+        adj = adjoint_symbol(fwd)
+        bm = fwd.band
+        blocks = basis.reshape(window, d, r)
+        conv_f = convolve_block_columns(fwd, blocks)
+        conv_a = convolve_block_columns(adj, blocks)
+        rows = []
+        if bm:
+            rows.append(conv_f[:bm].reshape(bm * d, r))
+            rows.append(conv_a[:bm].reshape(bm * d, r))
+        # products F^m (F^m)* and (F^m)* F^m by composed exact convolution;
+        # the identity sits at output degrees 0 .. window-1, block offset 2 bm
+        for outer, inner in ((fwd, conv_a), (adj, conv_f)):
+            img = convolve_block_columns(outer, inner)
+            img[2 * bm:2 * bm + window] -= blocks
+            rows.append(img.reshape(-1, r))
+        basis = normalize_column_phases(basis @ nullspace(np.vstack(rows), tol))
+    return Subspace(n, basis, tol)
 
 
 def reducing_check(v_basis, a, tol: float = DEFAULT_TOL) -> bool:

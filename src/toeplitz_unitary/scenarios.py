@@ -49,6 +49,7 @@ from .colligation import (
 )
 from .decomposition import (
     Subspace,
+    _unitary_kernel,
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
@@ -305,6 +306,23 @@ def _butz_conditions(sym: MatrixSymbol, m: Subspace, dim: int, window: int,
                                        "pointwise_residual": res_iii}
 
 
+def butz_symbol(seed: int = 0, d0: int = 2, d1: int = 1,
+                planted: bool = True) -> tuple[MatrixSymbol, np.ndarray | None]:
+    """(symbol, W0) of ``scenario_butz_equivalence``; not planted, a Haar
+    rotation of diag(U0, swap) and W0 None."""
+    rng = np.random.default_rng(seed)
+    if planted:
+        return planted_block_symbol(rng, d0, d1)
+    base = swap_inner_symbol(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    blocks = [base]
+    if d0:
+        blocks.insert(0, MatrixSymbol.constant(haar_unitary(d0, rng)))
+    sym = block_diag_symbol(blocks)
+    q = haar_unitary(sym.dim_out, rng)
+    return MatrixSymbol(sym.dim_out, sym.dim_in,
+                        {k: q @ c @ q.conj().T for k, c in sym.coeffs.items()}), None
+
+
 def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
                               d1: int = 1, planted: bool = True,
                               tol: float = DEFAULT_TOL) -> ScenarioResult:
@@ -314,23 +332,13 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
     conditions; instances built from the nonconstant inner generator
     diag(z, 1) violate all three while still having unitary vectors.  The
     biconditional between pointwise condition and product form is asserted on
-    every instance.
+    every instance.  The window part is the exact kernel ker q(T_F), before
+    any invariance polish, so on diag(z, 1) it keeps all 2 window - 1
+    directions and stays shift invariant.
     """
-    rng = np.random.default_rng(seed)
-    if planted:
-        sym, w0 = planted_block_symbol(rng, d0, d1)
-        dim = d0 + d1
-    else:
-        base = swap_inner_symbol(np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        blocks = [base]
-        if d0:
-            blocks.insert(0, MatrixSymbol.constant(haar_unitary(d0, rng)))
-        sym = block_diag_symbol(blocks)
-        dim = d0 + 2
-        q = haar_unitary(dim, rng)
-        sym = MatrixSymbol(dim, dim, {k: q @ c @ q.conj().T for k, c in sym.coeffs.items()})
-
-    m = toeplitz_unitary_part_brute(sym, window, tol)
+    sym, w0 = butz_symbol(seed, d0, d1, planted)
+    dim = sym.dim_out
+    m = Subspace(dim * window, _unitary_kernel(sym, window, tol)[0], tol)
     cond_i, cond_ii, cond_iii, info = _butz_conditions(sym, m, dim, window, tol)
 
     checks = [

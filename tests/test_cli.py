@@ -119,7 +119,7 @@ class TestDecompose:
         report = json.loads(out.read_text())
         assert report["classification"] == "constant_type"
         assert report["subspace"]["dim"] == 6
-        assert report["params"]["structure_stop"] == "analytic"
+        assert report["params"]["route"] == "analytic"
 
     def test_malformed_json_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -27,6 +27,7 @@ from toeplitz_unitary.symbols import (
     bcl_symbol,
     block_diag_symbol,
     compose_scalar_polynomial,
+    eval_on_grid,
     is_inner,
     multiply,
 )
@@ -35,7 +36,7 @@ from toeplitz_unitary.decomposition import (
     ExtractionResult,
     Subspace,
     _invariance_polish,
-    _structure_solution_basis,
+    _unitary_kernel,
     _window_refinement,
     beurling_extract,
     cdot0_test,
@@ -50,6 +51,7 @@ from toeplitz_unitary.decomposition import (
     verify_maincondn,
 )
 from toeplitz_unitary.scenarios import (
+    butz_symbol,
     planted_block_symbol,
     planted_colligation,
     random_trig_matrix,
@@ -272,8 +274,10 @@ class TestToeplitzUnitaryPart:
 
 
 class TestStructureEarlyStop:
-    """The structure equations stop once their span is closed under F and F*
-    inside the window; the polished span does not depend on where they stop."""
+    """The window kernel ker q(T_F) against the full-budget structure
+    equations (``toeplitz_unitary_part_brute``), and the polished kernel
+    against the polished structure span: in exact arithmetic the polish
+    gives the same answer from either."""
 
     @staticmethod
     def _coll4():
@@ -301,41 +305,42 @@ class TestStructureEarlyStop:
             "swap": swap_inner_symbol,
             "scalar_band4": lambda: random_trig_scalar(rng, 4),
             "coll4": self._coll4,
-            # the first-power span holds the polynomials along e2; F e2 = e3
-            # leaves it while F and F* keep the window, so only the in-span
-            # part of the closure test keeps the loop going
+            # F(1) = N has no unitary part: no candidate, an empty kernel
             "nilpotent_constant": lambda: MatrixSymbol.constant(np.eye(3, k=-1)),
         }[name]()
-        early, _, _ = _structure_solution_basis(sym, window, 1e-8, stop_when_closed=True)
+        kernel, _ = _unitary_kernel(sym, window, 1e-8)
         full = toeplitz_unitary_part_brute(sym, window)
-        assert early.shape == full.basis.shape
-        assert subspace_gap(early, full.basis) <= 1e-7
+        assert kernel.shape == full.basis.shape
+        assert subspace_gap(kernel, full.basis) <= 1e-7
 
-    def test_coll4_needs_more_than_two_powers(self):
-        # its structure span first closes after 12 powers (dimension 17 after
-        # the first power), so a blind cap on the powers shows here
-        # (coll4 is analytic, so toeplitz_unitary_part would not run the loop)
+    def test_coll4_kernel_matches_brute(self):
+        # the structure span of coll4 first closes after 12 powers; the
+        # kernel needs one factor per unimodular eigenvalue of F(1)
+        # (coll4 is analytic, so toeplitz_unitary_part would not take it)
         sym = self._coll4()
         basis, _, trail = _window_refinement(sym, 6, 1e-8)
-        assert basis.shape[1] == 6
-        assert trail["structure_stop"] == "closed"
-        assert trail["structure_powers"] > 2
+        assert basis.shape[1] == trail["kernel_dim"] == 6
         brute = toeplitz_unitary_part_brute(sym, 6)
         assert subspace_gap(basis, brute.basis) <= 1e-7
 
-    def test_stop_reasons(self):
+    def test_report_trail(self):
         rng = np.random.default_rng(13)
         planted = toeplitz_unitary_part(planted_block_symbol(rng, 2, 2)[0], 8)
-        assert (planted.params["structure_stop"], planted.params["structure_powers"]) == ("closed", 1)
+        trail = ("route", "kernel_factors", "kernel_dim", "refinement_iterations")
+        assert [planted.params[k] for k in trail] == ["kernel", 2, 16, 1]
+        assert planted.subspace.dim == 16
+        # the polish drops the direction whose image leaves the window
         swap = toeplitz_unitary_part(swap_inner_symbol(), 8)
-        assert (swap.params["structure_stop"], swap.params["structure_powers"]) == ("closed", 1)
-        early, _, _ = _structure_solution_basis(swap_inner_symbol(), 8, 1e-8, stop_when_closed=True)
-        assert early.shape[1] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
+        assert (swap.params["route"], swap.params["kernel_factors"]) == ("kernel", 2)
+        assert (swap.params["kernel_dim"], swap.subspace.dim) == (15, 14)
+        assert swap.params["kernel_dim"] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
         scalar = toeplitz_unitary_part(random_trig_scalar(rng, 4), 8)
-        assert (scalar.params["structure_stop"], scalar.params["structure_powers"]) == ("empty", 1)
+        assert (scalar.params["route"], scalar.params["kernel_dim"]) == ("kernel", 0)
+        assert scalar.classification == "trivial"
         analytic = toeplitz_unitary_part(self._coll4(), 6)
-        assert (analytic.params["structure_stop"], analytic.params["structure_powers"]) == ("analytic", 0)
-        assert analytic.params["refinement_iterations"] == 0
+        assert [analytic.params[k] for k in trail] == ["analytic", 0, 6, 0]
+        for rep in (planted, swap, scalar, analytic):
+            assert not {"structure_powers", "structure_stop"} & rep.params.keys()
 
     @staticmethod
     def _rotated(sym, seed):
@@ -377,9 +382,10 @@ class TestStructureEarlyStop:
         ("three_cycle", 4), ("three_cycle", 8),
     ])
     def test_unitary_valued_closed_at_1(self, name, window):
-        # F is unitary-valued, so the power-1 equations only ask for F h and
-        # F* h analytic; F and F* keep that span inside the window, and the
-        # coefficients they push above it are the polish's to remove
+        # F is unitary-valued, so the power-1 structure equations only ask
+        # for F h and F* h analytic, and no later power removes anything;
+        # the kernel keeps the same span, the coefficients F pushes above
+        # the window included
         sym = self._rotated({
             "swap": swap_inner_symbol,
             "u0_plus_swap": lambda: block_diag_symbol([
@@ -387,36 +393,34 @@ class TestStructureEarlyStop:
                 swap_inner_symbol()]),
             "three_cycle": self._three_cycle,
         }[name](), 7)
-        early, powers, stop = _structure_solution_basis(sym, window, 1e-8, stop_when_closed=True)
-        assert (stop, powers) == ("closed", 1)
+        kernel, _ = _unitary_kernel(sym, window, 1e-8)
         full = toeplitz_unitary_part_brute(sym, window)
-        assert early.shape == full.basis.shape
-        assert subspace_gap(early, full.basis) <= 1e-12
+        assert kernel.shape == full.basis.shape
+        assert subspace_gap(kernel, full.basis) <= 1e-12
 
     def test_non_unitary_constant_power_is_not_periodic(self):
         # F^2 = diag(I, N^2) is constant but not unitary: the power-2 equations
-        # remove the polynomials along the middle coordinate of N, which
-        # the power-1 equations keep
+        # remove the polynomials along the middle coordinate of N, and F(1)
+        # has no unimodular eigenvalue there
         sym = self._rotated(self._swap_nilpotent(), 7)
-        early, powers, stop = _structure_solution_basis(sym, 4, 1e-8, stop_when_closed=True)
-        assert (stop, powers) == ("closed", 2)
+        kernel, _ = _unitary_kernel(sym, 4, 1e-8)
         full = toeplitz_unitary_part_brute(sym, 4)
-        assert early.shape == full.basis.shape
-        assert subspace_gap(early, full.basis) <= 1e-12
+        assert kernel.shape == full.basis.shape
+        assert subspace_gap(kernel, full.basis) <= 1e-12
 
-    def test_swap_plus_tail_closes_at_power_1(self):
-        # the power-1 span is closed inside the window; counting the rows F
-        # pushes above the window too, no power closes and the loop would
-        # solve all 4 * 8 powers
+    def test_swap_plus_tail_kernel(self):
+        # the tail's eigenvalues at t = 0 are strict, so only swap's two
+        # factors enter; the kernel is swap's 2 w - 1 window part and the
+        # polish drops one direction
         sym = self._rotated(self._swap_tail(), 7)
         basis, _, trail = _window_refinement(sym, 8, 1e-8)
-        assert (trail["structure_stop"], trail["structure_powers"]) == ("closed", 1)
+        assert (trail["kernel_factors"], trail["kernel_dim"]) == (2, 15)
+        assert trail["kernel_dim"] == toeplitz_unitary_part_brute(sym, 8).dim
         polished = self._polished_brute(sym, 8)
         assert basis.shape == polished.shape == (32, 14)
         assert subspace_gap(basis, polished) <= 1e-12
         basis, _, trail = _window_refinement(sym, 32, 1e-8)
-        assert (trail["structure_stop"], trail["structure_powers"]) == ("closed", 1)
-        assert basis.shape[1] == 62
+        assert (trail["kernel_dim"], basis.shape[1]) == (63, 62)
 
     @pytest.mark.parametrize("name, window", [
         ("swap_tail", 8), ("swap_nilpotent", 4), ("three_cycle", 8), ("coll4", 6),
@@ -446,6 +450,100 @@ class TestStructureEarlyStop:
         assert len(calls) == 4 * 8
 
 
+class TestUnitaryKernel:
+    """ker q(T_F) where its candidate step can go wrong, and on inputs whose
+    structure equations never close inside the window."""
+
+    @staticmethod
+    def _rotated(sym, seed=7):
+        q = haar_unitary(sym.dim_out, np.random.default_rng(seed))
+        rotated = MatrixSymbol(sym.dim_out, sym.dim_in,
+                               {k: q @ mat @ q.conj().T for k, mat in sym.coeffs.items()})
+        return rotated, q
+
+    @staticmethod
+    def _window_span(q, window, vectors):
+        # orthonormal span of the (q v) z^j for the (v, degrees) pairs
+        cols = []
+        for vec, degrees in vectors:
+            for j in degrees:
+                col = np.zeros(q.shape[0] * window, dtype=complex)
+                col[j * q.shape[0]:(j + 1) * q.shape[0]] = q @ vec
+                cols.append(col)
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("window", [6, 10])
+    def test_swap_plus_rank1_colligation_tail(self, window):
+        # swap's 2 w - 2 window part beside the colligation's planted block;
+        # on 18 of these 60 inputs the full-budget structure span is too large
+        unit = np.eye(5)
+        wrong = []
+        for seed in range(30):
+            sym, q = self._rotated(block_diag_symbol(
+                [swap_inner_symbol(), colligation_symbol(seed, 1)]))
+            rep = toeplitz_unitary_part(sym, window)
+            expected = self._window_span(q, window, [
+                (unit[0], range(1, window)), (unit[1], range(window - 1)),
+                (unit[2], range(window))])
+            if (rep.subspace.dim != 3 * window - 2
+                    or subspace_gap(rep.subspace.basis, expected) > 1e-7):
+                wrong.append((seed, rep.subspace.dim))
+        assert wrong == []
+
+    def test_candidates_within_tol_merge(self):
+        # F(1) has the unimodular eigenvalue 1 twice; the squared factor
+        # (T - 1)^2 would shrink the 1 - 1e-5 direction's 1e-5 to 1e-10,
+        # under the cut
+        tail = random_trig_matrix(np.random.default_rng(0), 2, 2, 0.5)
+        sym, q = self._rotated(block_diag_symbol(
+            [MatrixSymbol.constant(np.diag([1.0, 1.0, 1.0 - 1e-5])), tail]))
+        rep = toeplitz_unitary_part(sym, 8)
+        assert (rep.params["kernel_factors"], rep.subspace.dim) == (1, 16)
+        unit = np.eye(5)
+        expected = self._window_span(q, 8, [(unit[0], range(8)), (unit[1], range(8))])
+        assert subspace_gap(rep.subspace.basis, expected) <= 1e-7
+
+    def test_candidates_beyond_tol_stay_apart(self):
+        # two constant eigenvalues 1e-7 apart: one shared factor would leave
+        # the second direction a 1e-7 defect, over the cut
+        tail = random_trig_matrix(np.random.default_rng(0), 2, 2, 0.5)
+        phases = np.exp(1j * np.array([0.7, 0.7 + 1e-7]))
+        sym, q = self._rotated(block_diag_symbol([MatrixSymbol.constant(np.diag(phases)), tail]))
+        rep = toeplitz_unitary_part(sym, 8)
+        assert (rep.params["kernel_factors"], rep.subspace.dim) == (2, 16)
+        unit = np.eye(4)
+        expected = self._window_span(q, 8, [(unit[0], range(8)), (unit[1], range(8))])
+        assert subspace_gap(rep.subspace.basis, expected) <= 1e-7
+
+    def test_candidates_read_at_t0(self, monkeypatch):
+        # random_trig_scalar is a contraction on the 512-point grid only;
+        # F(1) is the grid value at t = 0, so the gate has checked it and
+        # unitary_part_matrix cannot raise on it
+        seen = []
+
+        def recording(t, tol):
+            seen.append(t)
+            return unitary_part_matrix(t, tol)
+
+        monkeypatch.setattr(decomposition, "unitary_part_matrix", recording)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            sym = random_trig_scalar(rng, 4)
+            rep = toeplitz_unitary_part(sym, 8)
+            assert rep.classification == "trivial"
+            assert np.array_equal(seen[-1], eval_on_grid(sym, CircleGrid(512))[0])
+        assert len(seen) == 20
+
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted", "swap"])
+    def test_butz_kernel_matches_brute(self, planted):
+        for seed in range(10):
+            sym, _ = butz_symbol(seed, planted=planted)
+            kernel, _ = _unitary_kernel(sym, 6, 1e-8)
+            brute = toeplitz_unitary_part_brute(sym, 6)
+            assert kernel.shape == brute.basis.shape
+            assert subspace_gap(kernel, brute.basis) <= 1e-10
+
+
 class TestAnalyticRoute:
     """Analytic symbols take their window part from the unitary part of F(0).
 
@@ -463,7 +561,7 @@ class TestAnalyticRoute:
         for seed in range(30):
             sym = colligation_symbol(seed, rank)
             rep = toeplitz_unitary_part(sym, window)
-            assert rep.params["structure_stop"] == "analytic"
+            assert rep.params["route"] == "analytic"
             if (rep.classification != "constant_type" or not rep.certified_sound
                     or rep.subspace.dim != window
                     or subspace_gap(rep.subspace.basis, planted) > 1e-7):
@@ -491,7 +589,7 @@ class TestAnalyticRoute:
             assert rep.classification == "trivial"
             assert rep.subspace.basis.shape == (sym.dim_out * 5, 0)
             assert rep.certification == {}
-            assert (rep.params["structure_stop"], rep.params["structure_powers"]) == ("analytic", 0)
+            assert (rep.params["route"], rep.params["kernel_dim"]) == ("analytic", 0)
 
 
 def dense_certification(sym, basis, window):
