@@ -4,7 +4,6 @@ an executable theorem-scenario harness."""
 
 from .symbols import (
     CircleGrid,
-    GridMask,
     InnerReport,
     MatrixSymbol,
     PolyMatrix,
@@ -27,7 +26,6 @@ from .colligation import (
     defect_identities,
     disc_grid,
     polynomial_from_colligation,
-    random_colligation,
     tau_eval,
     validate,
 )
@@ -51,14 +49,13 @@ from .scenarios import SCENARIOS, ScenarioResult, run_all, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircleGrid", "GridMask", "InnerReport", "MatrixSymbol", "PolyMatrix",
+    "CircleGrid", "InnerReport", "MatrixSymbol", "PolyMatrix",
     "adjoint_symbol", "bcl_symbol", "block_diag_symbol",
     "compose_scalar_polynomial", "eval_on_grid", "eval_symbol", "is_inner",
     "multiply", "pointwise_unitarity_mask", "sup_norm_estimate",
     "HardyVector", "toeplitz_apply_exact",
     "Colligation", "TransferReport", "bcl_colligation", "defect_identities",
-    "disc_grid", "polynomial_from_colligation", "random_colligation",
-    "tau_eval", "validate",
+    "disc_grid", "polynomial_from_colligation", "tau_eval", "validate",
     "ExtractionResult", "Subspace", "UnitaryPartReport", "beurling_extract",
     "cdot0_test", "extract_constant_unitary", "poly_calculus",
     "reducing_check", "toeplitz_unitary_part",

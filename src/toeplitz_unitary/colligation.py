@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex, haar_unitary, spectral_norm
+from .linalg import DEFAULT_TOL, as_complex, spectral_norm
 from .symbols import PolyMatrix
 
 
@@ -200,19 +200,6 @@ def polynomial_from_colligation(w: Colligation, tol: float = DEFAULT_TOL) -> Pol
         coeffs.append(w.B @ power @ w.C)
         power = power @ w.D
     raise ValueError("state block D is not nilpotent; use tau_eval directly")
-
-
-def random_colligation(dim_e: int, dim_k: int, rng: np.random.Generator) -> Colligation:
-    """Haar-random valid colligation, by partitioning a random unitary."""
-    m = haar_unitary(dim_e + dim_k, rng)
-    return Colligation(
-        dim_e,
-        dim_k,
-        A=m[:dim_e, :dim_e],
-        B=m[:dim_e, dim_e:],
-        C=m[dim_e:, :dim_e],
-        D=m[dim_e:, dim_e:],
-    )
 
 
 def embed_unitary_block(u0, w: Colligation) -> Colligation:

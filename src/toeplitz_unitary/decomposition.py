@@ -140,25 +140,6 @@ class UnitaryPartReport:
         return all(v <= 100 * tol for v in self.certification.values())
 
 
-def unitary_residuals(t, basis) -> dict:
-    """Invariance and unitarity residuals of T on the span of ``basis``."""
-    t = as_complex(t)
-    basis = as_complex(basis)
-    n = t.shape[0]
-    if basis.shape[1] == 0:
-        return {"invariance_fwd": 0.0, "invariance_adj": 0.0,
-                "isometry": 0.0, "coisometry": 0.0}
-    proj = basis @ basis.conj().T
-    eye_r = np.eye(basis.shape[1])
-    off = np.eye(n) - proj
-    return {
-        "invariance_fwd": spectral_norm(off @ (t @ basis)),
-        "invariance_adj": spectral_norm(off @ (t.conj().T @ basis)),
-        "isometry": spectral_norm(basis.conj().T @ t.conj().T @ t @ basis - eye_r),
-        "coisometry": spectral_norm(basis.conj().T @ t @ t.conj().T @ basis - eye_r),
-    }
-
-
 def _check_contraction(t, tol):
     nrm = spectral_norm(t)
     if nrm > 1.0 + tol:

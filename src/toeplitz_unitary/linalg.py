@@ -130,23 +130,6 @@ def psd_kernel(q, tol: float = DEFAULT_TOL) -> np.ndarray:
     return normalize_column_phases(v[:, keep])
 
 
-def principal_angles(b1, b2) -> np.ndarray:
-    """Principal angles (radians, ascending) between two orthonormal ranges.
-
-    Sine-based formulation: the cosine formula cannot resolve angles below
-    sqrt(machine eps), which matters when certifying agreement at 1e-7.
-    """
-    b1 = as_complex(b1)
-    b2 = as_complex(b2)
-    if b1.shape[1] == 0 or b2.shape[1] == 0:
-        return np.zeros(0)
-    if b2.shape[1] > b1.shape[1]:
-        b1, b2 = b2, b1
-    residual = b2 - b1 @ (b1.conj().T @ b2)
-    s = np.linalg.svd(residual, compute_uv=False)
-    return np.arcsin(np.clip(np.sort(s), -1.0, 1.0))
-
-
 def subspace_gap(b1, b2) -> float:
     """Operator-norm distance between the two range projectors."""
     b1 = as_complex(b1)
@@ -172,8 +155,3 @@ def random_projection(n: int, rank: int, rng: np.random.Generator) -> np.ndarray
     q = haar_unitary(n, rng)[:, :rank]
     return q @ q.conj().T
 
-
-def random_contraction(n: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
-    """Complex Ginibre matrix rescaled to the requested spectral norm."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return g * (norm / spectral_norm(g))

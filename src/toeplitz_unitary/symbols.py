@@ -177,7 +177,7 @@ class PolyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CircleGrid:
-    """Uniform grid t_j = 2 pi j / size on [0, 2 pi), weight 1/size per point."""
+    """Uniform grid t_j = 2 pi j / size on [0, 2 pi)."""
 
     size: int
 
@@ -188,28 +188,6 @@ class CircleGrid:
     @property
     def points(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.size) / self.size
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.size
-
-
-@dataclass(frozen=True, eq=False)
-class GridMask:
-    """Boolean flags over a circle grid with the induced measure estimate."""
-
-    grid: CircleGrid
-    flags: np.ndarray
-
-    def __post_init__(self):
-        flags = np.asarray(self.flags, dtype=bool)
-        if flags.shape != (self.grid.size,):
-            raise ValueError("flag vector does not match grid size")
-        object.__setattr__(self, "flags", flags)
-
-    @property
-    def measure(self) -> float:
-        return float(self.flags.mean())
 
 
 @dataclass(frozen=True)
@@ -351,15 +329,14 @@ def is_inner(theta: PolyMatrix, tol: float = DEFAULT_TOL) -> InnerReport:
 
 
 def pointwise_unitarity_mask(sym: MatrixSymbol, grid: CircleGrid,
-                             tol: float = DEFAULT_TOL) -> GridMask:
+                             tol: float = DEFAULT_TOL) -> np.ndarray:
     """Flag the grid points where the symbol value is unitary within ``tol``."""
     if not sym.is_square:
         raise ValueError("unitarity mask needs a square symbol")
     eye = np.eye(sym.dim_out)
     v = eval_on_grid(sym, grid)
     vh = v.conj().transpose(0, 2, 1)
-    flags = (spectral_norms(vh @ v - eye) <= tol) & (spectral_norms(v @ vh - eye) <= tol)
-    return GridMask(grid, flags)
+    return (spectral_norms(vh @ v - eye) <= tol) & (spectral_norms(v @ vh - eye) <= tol)
 
 
 def sup_norm_estimate(sym: MatrixSymbol, grid: CircleGrid | None = None) -> float:

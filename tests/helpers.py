@@ -1,0 +1,151 @@
+"""Helpers shared by the test modules.
+
+Random instances, reference loops that the bitwise parity tests compare the
+library kernels against, and the residual and angle checks that only tests
+use.  No test module imports another; what two of them share lives here.
+"""
+
+import numpy as np
+
+from toeplitz_unitary.colligation import Colligation
+from toeplitz_unitary.linalg import as_complex, haar_unitary, spectral_norm
+from toeplitz_unitary.symbols import MatrixSymbol, adjoint_symbol
+
+
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal signs of zero in both the real and imaginary parts."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def random_contraction(n: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
+    """Complex Ginibre matrix rescaled to the requested spectral norm."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g * (norm / spectral_norm(g))
+
+
+def planted_contraction(rng, n, d_unitary, strict_norm=0.8):
+    """diag(unitary, strict contraction) hidden behind a random unitary frame."""
+    t = np.zeros((n, n), dtype=complex)
+    u0 = haar_unitary(d_unitary, rng) if d_unitary else np.zeros((0, 0))
+    t[:d_unitary, :d_unitary] = u0
+    if n > d_unitary:
+        t[d_unitary:, d_unitary:] = random_contraction(n - d_unitary, rng, strict_norm)
+    q = haar_unitary(n, rng)
+    return q @ t @ q.conj().T, q[:, :d_unitary]
+
+
+def random_colligation(dim_e: int, dim_k: int, rng: np.random.Generator) -> Colligation:
+    """Haar-random valid colligation, by partitioning a random unitary."""
+    m = haar_unitary(dim_e + dim_k, rng)
+    return Colligation(
+        dim_e,
+        dim_k,
+        A=m[:dim_e, :dim_e],
+        B=m[:dim_e, dim_e:],
+        C=m[dim_e:, :dim_e],
+        D=m[dim_e:, dim_e:],
+    )
+
+
+def colligation_symbol(seed, rank, d0=1, d1=2):
+    """Transfer polynomial A + z B C of a unitary colligation (D = 0) with a
+    planted d0-dimensional unitary block (the first d0 coordinates) and a
+    projection of the given rank; the draws of the benchmark's
+    ``inputs.colligation_case``."""
+    rng = np.random.default_rng(seed)
+    d = d0 + d1
+    u0 = haar_unitary(d0, rng)
+    u1 = haar_unitary(d1, rng)
+    q = haar_unitary(d1, rng)[:, :rank]
+    a = np.zeros((d, d), dtype=complex)
+    a[:d0, :d0] = u0
+    a[d0:, d0:] = u1 @ (np.eye(d1) - q @ q.conj().T)
+    b = np.vstack([np.zeros((d0, rank)), u1 @ q])
+    c = np.hstack([np.zeros((rank, d0)), q.conj().T])
+    return MatrixSymbol(d, d, {0: a, 1: b @ c})
+
+
+def parity_symbol(rng, d_out, d_in, count, adjoint=False, spread=3):
+    """``count`` coefficients at shuffled, sparse indices, some holding -0.0
+    rows; ``adjoint`` gives the Fortran-ordered coefficients of ``adjoint_symbol``."""
+    if adjoint:
+        d_out, d_in = d_in, d_out
+    keys = rng.choice(np.arange(-spread * count, spread * count + 1), size=count, replace=False)
+    coeffs = {}
+    for k in keys:
+        mat = gaussian(rng, d_out, d_in)
+        if rng.uniform() < 0.3:
+            mat[rng.integers(d_out)] = -0.0
+            mat[rng.integers(d_out), rng.integers(d_in)] = 1.0  # never all zero
+        coeffs[k] = mat
+    sym = MatrixSymbol(d_out, d_in, coeffs)
+    return adjoint_symbol(sym) if adjoint else sym
+
+
+def reference_convolve_block_columns(sym, blocks):
+    """``convolve_block_columns`` as one ``np.matmul`` per coefficient."""
+    n_in, d_in, _ = blocks.shape
+    if d_in != sym.dim_in:
+        raise ValueError("coefficient blocks do not match the symbol dimension")
+    band = sym.band
+    out = np.zeros((n_in + 2 * band, sym.dim_out, blocks.shape[2]), dtype=complex)
+    for diff, mat in sym.coeffs.items():
+        at = diff + band
+        out[at:at + n_in] += np.matmul(mat, blocks)
+    return out
+
+
+def reference_multiply(a, b):
+    """``multiply`` as one matrix product per pair of coefficients."""
+    if a.dim_in != b.dim_out:
+        raise ValueError("symbol shapes do not match")
+    out = {}
+    for j, ma in a.coeffs.items():
+        for k, mb in b.coeffs.items():
+            idx = j + k
+            cur = out.get(idx)
+            out[idx] = ma @ mb if cur is None else cur + ma @ mb
+    return MatrixSymbol(a.dim_out, b.dim_in, out)
+
+
+def principal_angles(b1, b2) -> np.ndarray:
+    """Principal angles (radians, ascending) between two orthonormal ranges.
+
+    Sine-based formulation: the cosine formula cannot resolve angles below
+    sqrt(machine eps), which matters when certifying agreement at 1e-7.
+    """
+    b1 = as_complex(b1)
+    b2 = as_complex(b2)
+    if b1.shape[1] == 0 or b2.shape[1] == 0:
+        return np.zeros(0)
+    if b2.shape[1] > b1.shape[1]:
+        b1, b2 = b2, b1
+    residual = b2 - b1 @ (b1.conj().T @ b2)
+    s = np.linalg.svd(residual, compute_uv=False)
+    return np.arcsin(np.clip(np.sort(s), -1.0, 1.0))
+
+
+def unitary_residuals(t, basis) -> dict:
+    """Invariance and unitarity residuals of T on the span of ``basis``."""
+    t = as_complex(t)
+    basis = as_complex(basis)
+    n = t.shape[0]
+    if basis.shape[1] == 0:
+        return {"invariance_fwd": 0.0, "invariance_adj": 0.0,
+                "isometry": 0.0, "coisometry": 0.0}
+    proj = basis @ basis.conj().T
+    eye_r = np.eye(basis.shape[1])
+    off = np.eye(n) - proj
+    return {
+        "invariance_fwd": spectral_norm(off @ (t @ basis)),
+        "invariance_adj": spectral_norm(off @ (t.conj().T @ basis)),
+        "isometry": spectral_norm(basis.conj().T @ t.conj().T @ t @ basis - eye_r),
+        "coisometry": spectral_norm(basis.conj().T @ t @ t.conj().T @ basis - eye_r),
+    }

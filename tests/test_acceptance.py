@@ -8,10 +8,15 @@ here; nothing is deferred to later calibration.
 import numpy as np
 import pytest
 
+from helpers import (
+    planted_contraction,
+    principal_angles,
+    random_colligation,
+    random_contraction,
+    unitary_residuals,
+)
 from toeplitz_unitary.linalg import (
     haar_unitary,
-    principal_angles,
-    random_contraction,
     random_projection,
     spectral_norm,
     subspace_gap,
@@ -26,14 +31,13 @@ from toeplitz_unitary.symbols import (
     multiply,
 )
 from toeplitz_unitary.hardy import HardyVector, toeplitz_apply_exact
-from toeplitz_unitary.colligation import defect_identities, disc_grid, random_colligation
+from toeplitz_unitary.colligation import defect_identities, disc_grid
 from toeplitz_unitary.decomposition import (
     reducing_check,
     toeplitz_unitary_part,
     toeplitz_unitary_part_brute,
     unitary_part_brute,
     unitary_part_matrix,
-    unitary_residuals,
     verify_maincondn,
 )
 from toeplitz_unitary.scenarios import (
@@ -67,16 +71,6 @@ def _finish(num, description, ok, detail=""):
     assert ok, f"criterion {num} failed{detail}"
 
 
-def _planted_contraction(rng, n, d_unitary):
-    t = np.zeros((n, n), dtype=complex)
-    if d_unitary:
-        t[:d_unitary, :d_unitary] = haar_unitary(d_unitary, rng)
-    if n > d_unitary:
-        t[d_unitary:, d_unitary:] = random_contraction(n - d_unitary, rng, 0.85)
-    q = haar_unitary(n, rng)
-    return q @ t @ q.conj().T
-
-
 def test_criterion_1_decomposition_oracle_equivalence():
     worst_angle = 0.0
     worst_residual = 0.0
@@ -87,7 +81,7 @@ def test_criterion_1_decomposition_oracle_equivalence():
         if seed % 2:
             t = random_contraction(n, rng, norm=float(rng.uniform(0.7, 1.0)))
         else:
-            t = _planted_contraction(rng, n, int(rng.integers(0, n + 1)))
+            t, _ = planted_contraction(rng, n, int(rng.integers(0, n + 1)), 0.85)
         a = unitary_part_matrix(t, 1e-8)
         b = unitary_part_brute(t, 1e-8)
         ok = ok and a.dim == b.dim

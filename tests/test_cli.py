@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from test_linalg import colligation_symbol
+from helpers import colligation_symbol
 from toeplitz_unitary import cli
 from toeplitz_unitary.cli import main
 from toeplitz_unitary.colligation import Colligation, bcl_colligation

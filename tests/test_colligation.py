@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import random_colligation
 from toeplitz_unitary.linalg import haar_unitary, random_projection, spectral_norm
 from toeplitz_unitary.symbols import CircleGrid, eval_symbol
 from toeplitz_unitary.colligation import (
@@ -10,7 +11,6 @@ from toeplitz_unitary.colligation import (
     disc_grid,
     embed_unitary_block,
     polynomial_from_colligation,
-    random_colligation,
     tau_eval,
     validate,
 )

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from test_linalg import colligation_symbol
+from helpers import (
+    colligation_symbol,
+    planted_contraction,
+    principal_angles,
+    random_contraction,
+    unitary_residuals,
+)
 from toeplitz_unitary import decomposition
 from toeplitz_unitary.colligation import (
     bcl_colligation,
@@ -13,8 +19,6 @@ from toeplitz_unitary.linalg import (
     normalize_column_phases,
     nullspace,
     orthonormal_columns,
-    principal_angles,
-    random_contraction,
     random_projection,
     spectral_norm,
     subspace_gap,
@@ -47,7 +51,6 @@ from toeplitz_unitary.decomposition import (
     toeplitz_unitary_part_brute,
     unitary_part_brute,
     unitary_part_matrix,
-    unitary_residuals,
     verify_maincondn,
 )
 from toeplitz_unitary.scenarios import (
@@ -60,17 +63,6 @@ from toeplitz_unitary.scenarios import (
 )
 
 P = np.diag([1.0, 0.0])
-
-
-def planted_contraction(rng, n, d_unitary, strict_norm=0.8):
-    """diag(unitary, strict contraction) hidden behind a random unitary frame."""
-    t = np.zeros((n, n), dtype=complex)
-    u0 = haar_unitary(d_unitary, rng) if d_unitary else np.zeros((0, 0))
-    t[:d_unitary, :d_unitary] = u0
-    if n > d_unitary:
-        t[d_unitary:, d_unitary:] = random_contraction(n - d_unitary, rng, strict_norm)
-    q = haar_unitary(n, rng)
-    return q @ t @ q.conj().T, q[:, :d_unitary]
 
 
 class TestUnitaryPartMatrix:

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import (
+    assert_same_bits,
+    gaussian,
+    parity_symbol,
+    reference_convolve_block_columns,
+)
 from toeplitz_unitary import symbols
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm
 from toeplitz_unitary.symbols import (
@@ -40,48 +46,6 @@ def row_form_apply(sym, h):
     for k, mat in sym.coeffs.items():
         out[k + band:k + band + n_in] += h.coeffs @ mat.T
     return out[band:]
-
-
-def reference_convolve_block_columns(sym, blocks):
-    """``convolve_block_columns`` as one ``np.matmul`` per coefficient."""
-    n_in, d_in, _ = blocks.shape
-    if d_in != sym.dim_in:
-        raise ValueError("coefficient blocks do not match the symbol dimension")
-    band = sym.band
-    out = np.zeros((n_in + 2 * band, sym.dim_out, blocks.shape[2]), dtype=complex)
-    for diff, mat in sym.coeffs.items():
-        at = diff + band
-        out[at:at + n_in] += np.matmul(mat, blocks)
-    return out
-
-
-def assert_same_bits(got, want):
-    """Equal values and equal signs of zero in both the real and imaginary parts."""
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
-
-
-def gaussian(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def parity_symbol(rng, d_out, d_in, count, adjoint=False, spread=3):
-    """``count`` coefficients at shuffled, sparse indices, some holding -0.0
-    rows; ``adjoint`` gives the Fortran-ordered coefficients of ``adjoint_symbol``."""
-    if adjoint:
-        d_out, d_in = d_in, d_out
-    keys = rng.choice(np.arange(-spread * count, spread * count + 1), size=count, replace=False)
-    coeffs = {}
-    for k in keys:
-        mat = gaussian(rng, d_out, d_in)
-        if rng.uniform() < 0.3:
-            mat[rng.integers(d_out)] = -0.0
-            mat[rng.integers(d_out), rng.integers(d_in)] = 1.0  # never all zero
-        coeffs[k] = mat
-    sym = MatrixSymbol(d_out, d_in, coeffs)
-    return adjoint_symbol(sym) if adjoint else sym
 
 
 class TestConvolveParity:

@@ -6,15 +6,18 @@
 at a ``tol * max(sigma_1, 1)`` cut, so these must give the same bits as the
 plain SVD and the per-column loop below, not just close values.  The same
 holds for the row-stacked coefficient products of ``convolve_block_columns``
-and ``multiply``, whose per-coefficient loops live in test_hardy.py and
-test_symbols.py.
+and ``multiply``, whose per-coefficient loops live in helpers.py.
 """
 
 import numpy as np
 import pytest
 
-from test_hardy import reference_convolve_block_columns
-from test_symbols import reference_multiply
+from helpers import (
+    colligation_symbol,
+    gaussian,
+    reference_convolve_block_columns,
+    reference_multiply,
+)
 from toeplitz_unitary import decomposition, hardy, linalg, symbols
 from toeplitz_unitary.decomposition import (
     NOISE_CUT,
@@ -76,15 +79,11 @@ def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-def _gaussian(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _planted(rng, rows, cols, rank):
     """A rows x cols matrix of the given rank, so its kernel has cols - rank."""
     if rank == 0:
         return np.zeros((rows, cols), dtype=complex)
-    return _gaussian(rng, rows, rank) @ _gaussian(rng, rank, cols)
+    return gaussian(rng, rows, rank) @ gaussian(rng, rank, cols)
 
 
 @pytest.fixture
@@ -129,7 +128,7 @@ class TestRFactorRoute:
     def test_right_svd_matches_economy_svd(self):
         rng = np.random.default_rng(7)
         for cols in (R_FACTOR_MIN_COLS, 33):
-            a = _gaussian(rng, 4 * cols, cols)
+            a = gaussian(rng, 4 * cols, cols)
             _, s, vh = np.linalg.svd(a, full_matrices=False)
             s_r, vh_r = right_svd(a)
             assert same_bits(s_r, s) and same_bits(vh_r, vh)
@@ -149,7 +148,7 @@ class TestRFactorRoute:
         assert qr_calls == []
 
     def test_full_svd_takes_the_plain_route(self, qr_calls):
-        a = _gaussian(np.random.default_rng(5), 4 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS)
+        a = gaussian(np.random.default_rng(5), 4 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS)
         _, s, vh = np.linalg.svd(a)
         s_r, vh_r = right_svd(a, full_matrices=True)
         assert same_bits(s_r, s) and same_bits(vh_r, vh)
@@ -176,7 +175,7 @@ class TestNormalizeColumnPhases:
     def test_matches_per_column_loop(self, rows, cols):
         rng = np.random.default_rng(100 * rows + cols)
         for k in range(8):
-            b = _gaussian(rng, rows, cols)
+            b = gaussian(rng, rows, cols)
             if k % 2:
                 b *= 10.0 ** rng.integers(-20, 5, size=(rows, cols))
             if k == 2:
@@ -188,7 +187,7 @@ class TestNormalizeColumnPhases:
     def test_zero_columns_stay_untouched(self):
         rng = np.random.default_rng(1)
         for cols in (1, 2, 5):
-            b = _gaussian(rng, 6, cols)
+            b = gaussian(rng, 6, cols)
             b[:, 0] = 0.0
             b[3, 0] = -0.0
             out = normalize_column_phases(b)
@@ -199,7 +198,7 @@ class TestNormalizeColumnPhases:
 
     def test_entries_below_the_pivot_threshold_are_skipped(self):
         rng = np.random.default_rng(2)
-        b = _gaussian(rng, 5, 4)
+        b = gaussian(rng, 5, 4)
         b[0] *= 1e-13  # below 1e-12 of every column maximum
         # tiny, but above 1e-12 of its column maximum
         b[1, 1] = 2e-12 * np.abs(b[2:, 1]).max() * np.exp(1j)
@@ -213,9 +212,9 @@ class TestNormalizeColumnPhases:
         rng = np.random.default_rng(3)
         for cols in (1, 2, 3, 9):
             for _ in range(50):
-                b = _gaussian(rng, 1, cols)
+                b = gaussian(rng, 1, cols)
                 assert same_bits(normalize_column_phases(b), reference_normalize_column_phases(b))
-        b = _gaussian(rng, 1, 3)
+        b = gaussian(rng, 1, 3)
         b[0, 1] = 0.0
         assert same_bits(normalize_column_phases(b), reference_normalize_column_phases(b))
 
@@ -225,28 +224,10 @@ class TestNormalizeColumnPhases:
                          reference_normalize_column_phases(np.zeros(shape)))
 
     def test_input_is_not_modified(self):
-        b = _gaussian(np.random.default_rng(4), 6, 3)
+        b = gaussian(np.random.default_rng(4), 6, 3)
         kept = b.copy()
         normalize_column_phases(b)
         assert same_bits(b, kept)
-
-
-def colligation_symbol(seed, rank, d0=1, d1=2):
-    """Transfer polynomial A + z B C of a unitary colligation (D = 0) with a
-    planted d0-dimensional unitary block (the first d0 coordinates) and a
-    projection of the given rank; the draws of the benchmark's
-    ``inputs.colligation_case``."""
-    rng = np.random.default_rng(seed)
-    d = d0 + d1
-    u0 = haar_unitary(d0, rng)
-    u1 = haar_unitary(d1, rng)
-    q = haar_unitary(d1, rng)[:, :rank]
-    a = np.zeros((d, d), dtype=complex)
-    a[:d0, :d0] = u0
-    a[d0:, d0:] = u1 @ (np.eye(d1) - q @ q.conj().T)
-    b = np.vstack([np.zeros((d0, rank)), u1 @ q])
-    c = np.hstack([np.zeros((rank, d0)), q.conj().T])
-    return MatrixSymbol(d, d, {0: a, 1: b @ c})
 
 
 def _rotated_swap_symbol(seed):
