@@ -14,6 +14,7 @@ required).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -47,7 +48,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``parse_args`` builds a new namespace on every call, so one parser serves
+    any number of ``main`` calls in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="toeplitz-unitary",
         description="Unitary-part computations for block Toeplitz operators "
@@ -127,7 +134,7 @@ def _read(path: str, decode, kind: str):
 def _write(path: str, obj) -> None:
     try:
         write_json_atomic(path, obj)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 

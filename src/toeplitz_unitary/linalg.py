@@ -30,7 +30,9 @@ def spectral_norm(a) -> float:
     a = as_complex(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    # the first singular value, as ``np.linalg.norm(a, 2)`` takes it, without
+    # its axis moves and ``amax``
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def spectral_norms(stack) -> np.ndarray:

@@ -261,8 +261,8 @@ def _butz_conditions(sym: MatrixSymbol, m: Subspace, dim: int, window: int,
     """Mechanical truth values of the three product-form characterizations."""
     if m.dim == 0:
         return False, False, False, {"core_dim": 0, "span_dim": 0,
-                                     "restriction_residual": np.inf,
-                                     "pointwise_residual": np.inf}
+                                     "restriction_residual": None,
+                                     "pointwise_residual": None}
     # (i): m equals the full window over some coefficient subspace
     core = product_form_core(m, dim, tol)
     cond_i = core.shape[1] * window == m.dim

@@ -3,6 +3,12 @@
 Complex matrices are encoded as separate row-major ``re`` / ``im`` lists of
 finite 64-bit floats.  Serialization is canonical (sorted keys, fixed separators) and
 files are written atomically, so identical runs produce byte-identical files.
+
+The canonical text is exactly ``json.dumps(obj, sort_keys=True, indent=1)``,
+built by string joins rather than the standard library's pure-Python indenting
+encoder: a list of floats is written with one join over ``float.__repr__``.
+The writer is strict JSON (RFC 8259): a non-finite float is a ``ValueError``,
+and a non-string key or a value of any other type is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -135,18 +142,66 @@ def report_to_json(report: UnitaryPartReport, config: dict | None = None) -> dic
     return obj
 
 
+def _encode(obj, pad: str) -> str:
+    """Canonical JSON text of ``obj``, whose line is indented by ``pad``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        if "n" in text:  # inf, -inf, nan: finite reprs hold no letter n
+            raise ValueError(f"non-finite float {text} is not valid JSON")
+        return text
+    inner = pad + " "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        body = sep.join(encode_basestring_ascii(key) + ": " + _encode(obj[key], inner)
+                        for key in sorted(obj))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # not all floats: encode item by item
+            body = sep.join(_encode(item, inner) for item in obj)
+        else:
+            if "n" in body:
+                raise ValueError("non-finite float in a list is not valid JSON")
+        return "[\n" + inner + body + "\n" + pad + "]"
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1)
+    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, but strict."""
+    return _encode(obj, "")
 
 
 def write_json_atomic(path: str, obj) -> None:
-    """Serialize canonically and rename into place."""
+    """Serialize canonically and rename into place.
+
+    The text is built before the temporary file is made, so an object the
+    writer refuses leaves no file behind.
+    """
+    text = canonical_dumps(obj)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(canonical_dumps(obj))
+            fh.write(text)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -10,6 +10,7 @@ from toeplitz_unitary.colligation import Colligation, bcl_colligation
 from toeplitz_unitary.linalg import haar_unitary
 from toeplitz_unitary.serialize import (
     colligation_to_json,
+    report_to_json,
     symbol_to_json,
     write_json_atomic,
 )
@@ -158,6 +159,16 @@ class TestDecompose:
         assert main(["decompose", "--input", str(symbol_file), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_non_finite_report_is_write_error(self, symbol_file, tmp_path, monkeypatch,
+                                              capsys):
+        # the writer refuses NaN and Infinity before it makes any file
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(cli, "report_to_json", lambda report, config: {
+            **report_to_json(report, config), "bad": float("inf")})
+        assert main(["decompose", "--input", str(symbol_file), "--out", str(out)]) == 1
+        assert f"cannot write {out}: non-finite float inf" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [symbol_file]
+
 
 class TestTransfer:
     def test_valid_colligation(self, colligation_file, tmp_path):
@@ -281,6 +292,30 @@ class TestToleranceArgument:
         assert main(["decompose", "--input", str(symbol_file), "--out", str(out),
                      "--tol", "1e-9"]) == 0
         assert json.loads(out.read_text())["config"]["tol"] == 1e-9
+
+
+class TestCachedParser:
+    """``main`` shares one parser across calls; no call sees another's options."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_carry_over(self, symbol_file, tmp_path):
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["decompose", "--input", str(symbol_file), "--out", str(first),
+                     "--grid", "600"]) == 0
+        assert main(["decompose", "--input", str(symbol_file), "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["config"]["grid"] == 600
+        assert "grid" not in json.loads(second.read_text())["config"]
+
+    def test_parser_survives_an_error_exit(self, symbol_file, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--input", str(symbol_file), "--out", str(out),
+                  "--tol", "nan"])
+        assert exc.value.code == 2
+        assert main(["decompose", "--input", str(symbol_file), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["tol"] == cli.DEFAULT_TOL
 
 
 class TestMalformedInput:

@@ -230,6 +230,32 @@ class TestNormalizeColumnPhases:
         assert same_bits(b, kept)
 
 
+class TestSpectralNorm:
+    """``spectral_norm`` reads the first singular value off one SVD call; it
+    must give the bits of ``np.linalg.norm(a, 2)``, which calls the same
+    gufunc through ``moveaxis`` and ``amax``."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (24, 24), (24, 12), (12, 24),
+                                       (40, 3), (3, 40)])
+    def test_matches_norm_2(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            a = gaussian(rng, *shape)
+            assert linalg.spectral_norm(a) == np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (24, 12), (12, 24)])
+    def test_real_inputs_match_norm_2(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            a = rng.standard_normal(shape)
+            assert linalg.spectral_norm(a) == np.linalg.norm(a.astype(complex), 2)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_inputs_give_zero(self, shape):
+        value = linalg.spectral_norm(np.zeros(shape))
+        assert value == 0.0 and type(value) is float
+
+
 def _rotated_swap_symbol(seed):
     rng = np.random.default_rng(seed)
     phase = np.exp(2j * np.pi * rng.uniform())

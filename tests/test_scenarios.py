@@ -105,6 +105,20 @@ class TestButz:
             conds = result.records["conditions"]
             assert not any(conds.values())
 
+    def test_empty_part_records_no_residuals(self):
+        # an empty part has no restriction to measure: the residuals are
+        # null, which a strict JSON writer accepts, not Infinity
+        from toeplitz_unitary.decomposition import Subspace
+        from toeplitz_unitary.linalg import empty_basis
+        from toeplitz_unitary.scenarios import _butz_conditions
+
+        sym = MatrixSymbol(1, 1, {0: [[0.5]]})
+        *conds, info = _butz_conditions(sym, Subspace(4, empty_basis(4)), 1, 4, 1e-8)
+        assert conds == [False, False, False]
+        assert info["restriction_residual"] is None
+        assert info["pointwise_residual"] is None
+        canonical_dumps(info)
+
     def test_extra_inner_scalar_block_contributes_nothing(self):
         # diag(W0, unimodular z): product form with exactly the W0 window
         from toeplitz_unitary.decomposition import toeplitz_unitary_part_brute

@@ -8,6 +8,7 @@ from toeplitz_unitary.linalg import haar_unitary, random_projection
 from toeplitz_unitary.symbols import MatrixSymbol, PolyMatrix, bcl_symbol
 from toeplitz_unitary.colligation import bcl_colligation
 from toeplitz_unitary.decomposition import toeplitz_unitary_part
+from toeplitz_unitary.scenarios import run_all, swap_inner_symbol
 from toeplitz_unitary.serialize import (
     canonical_dumps,
     colligation_from_json,
@@ -145,3 +146,77 @@ def test_atomic_write(tmp_path):
     assert text == canonical_dumps({"a": [1.5, 2.25], "b": 1}) + "\n"
     leftovers = [f for f in os.listdir(path.parent) if f.endswith(".tmp")]
     assert not leftovers
+
+
+def _reference_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+WRITER_EDGE_CASES = {
+    "empty_dict": {},
+    "empty_list": [],
+    "nested_empty": {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+    "tuple": (1.5, (2.5, "x"), ()),
+    "mixed_list": [1.0, 2, True, None],
+    "floats_then_other": [1.0, 2.0, "three", [4.0], {"five": 5.0}],
+    "signed_zero_and_extremes": [-0.0, 0.0, 5e-324, -5e-324, 1e300, 1e-300,
+                                 1.7976931348623157e308, 0.1, 1 / 3],
+    "numpy_leaves": {"x": np.float64(0.1), "xs": [np.float64(2.5), 3.25],
+                     "m": np.arange(6.0).reshape(2, 3).tolist()},
+    "scalars": [0, -7, 2 ** 70, False, True, None, "", "plain"],
+    "strings": {"quote \" and \\ backslash": "tab\tnew\nline\x00\x1f\x7f",
+                "non-ascii \u00e9\u03b8\u2192\U0001d54b": "\u00d8 \ud83d\ude00"},
+    "top_level_float": 2.5,
+    "top_level_string": "\u0398",
+}
+
+
+@pytest.mark.parametrize("obj", WRITER_EDGE_CASES.values(), ids=WRITER_EDGE_CASES.keys())
+def test_canonical_dumps_matches_json_dumps(obj):
+    assert canonical_dumps(obj) == _reference_dumps(obj)
+
+
+def test_canonical_dumps_matches_json_dumps_on_reports():
+    analytic = toeplitz_unitary_part(bcl_symbol(np.eye(2), np.diag([1.0, 0.0])), 6)
+    kernel = toeplitz_unitary_part(swap_inner_symbol(), 8)
+    trivial = toeplitz_unitary_part(MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]}), 6)
+    assert (analytic.params["route"], kernel.params["route"]) == ("analytic", "kernel")
+    assert trivial.classification == "trivial"
+    for report in (analytic, kernel, trivial):
+        obj = report_to_json(report, config={"command": "decompose", "window": 6})
+        assert canonical_dumps(obj) == _reference_dumps(obj)
+
+
+def test_canonical_dumps_matches_json_dumps_on_scenarios():
+    objs = [r.to_json() for r in run_all(seed=0)]
+    assert canonical_dumps(objs) == _reference_dumps(objs)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   np.float64("nan")])
+@pytest.mark.parametrize("where", ["leaf", "float_list", "mixed_list"])
+def test_canonical_dumps_rejects_non_finite(value, where):
+    leaf = {"leaf": value, "float_list": [1.0, value],
+            "mixed_list": [1, value]}[where]
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical_dumps({"outer": {"inner": leaf}})
+
+
+@pytest.mark.parametrize("obj", [{1: 0.5}, {"a": {None: 1}}, [{2.0: "x"}]])
+def test_canonical_dumps_rejects_non_string_keys(obj):
+    with pytest.raises(TypeError, match="keys must be strings"):
+        canonical_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [{"a": np.int64(1)}, [np.array([1.0])], {"s": {1.0}},
+                                 complex(1, 2)])
+def test_canonical_dumps_rejects_unknown_types(obj):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_dumps(obj)
+
+
+def test_refused_object_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json_atomic(str(path), {"residual": float("inf")})
+    assert os.listdir(tmp_path) == []
