@@ -6,11 +6,11 @@ from .symbols import (
     CircleGrid,
     InnerReport,
     MatrixSymbol,
-    PolyMatrix,
     adjoint_symbol,
     bcl_symbol,
     block_diag_symbol,
     compose_scalar_polynomial,
+    eval_disc,
     eval_on_grid,
     eval_symbol,
     is_inner,
@@ -49,10 +49,10 @@ from .scenarios import SCENARIOS, ScenarioResult, run_all, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircleGrid", "InnerReport", "MatrixSymbol", "PolyMatrix",
+    "CircleGrid", "InnerReport", "MatrixSymbol",
     "adjoint_symbol", "bcl_symbol", "block_diag_symbol",
-    "compose_scalar_polynomial", "eval_on_grid", "eval_symbol", "is_inner",
-    "multiply", "pointwise_unitarity_mask", "sup_norm_estimate",
+    "compose_scalar_polynomial", "eval_disc", "eval_on_grid", "eval_symbol",
+    "is_inner", "multiply", "pointwise_unitarity_mask", "sup_norm_estimate",
     "HardyVector", "toeplitz_apply_exact",
     "Colligation", "TransferReport", "bcl_colligation", "defect_identities",
     "disc_grid", "polynomial_from_colligation", "tau_eval", "validate",

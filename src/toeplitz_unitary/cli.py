@@ -153,7 +153,7 @@ def cmd_decompose(args) -> int:
     print(f"subspace dimension: {report.subspace.dim} "
           f"(window {args.window}, ambient {report.subspace.ambient_dim})")
     if report.theta is not None:
-        print(f"inner polynomial: degree {report.theta.degree}, "
+        print(f"inner polynomial: degree {report.theta.band}, "
               f"{report.theta.dim_out}x{report.theta.dim_in}")
         print("residuals: " + " ".join(
             f"{name} {value:.3e}" for name, value in report.residuals.items()))

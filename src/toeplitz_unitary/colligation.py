@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_complex, spectral_norm
-from .symbols import PolyMatrix
+from .symbols import MatrixSymbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,21 +183,20 @@ def bcl_colligation(u, p, tol: float = DEFAULT_TOL) -> Colligation:
     )
 
 
-def polynomial_from_colligation(w: Colligation, tol: float = DEFAULT_TOL) -> PolyMatrix:
+def polynomial_from_colligation(w: Colligation, tol: float = DEFAULT_TOL) -> MatrixSymbol:
     """Expand tau_W into an exact polynomial when D is nilpotent.
 
     tau_W(z) = A + sum_{k>=1} z^k B D^{k-1} C; the series terminates at the
-    nilpotency index of D.  Colligations with non-nilpotent D are rejected,
-    callers must evaluate tau_W pointwise instead.
+    nilpotency index of D.  The result is an analytic symbol, so its degree
+    is ``band``.  Colligations with non-nilpotent D are rejected, callers
+    must evaluate tau_W pointwise instead.
     """
-    if w.dim_k == 0:
-        return PolyMatrix(w.dim_e, w.dim_e, (w.A,))
-    coeffs = [w.A]
+    coeffs = {0: w.A}
     power = np.eye(w.dim_k, dtype=complex)
-    for _ in range(w.dim_k + 1):
+    for k in range(1, w.dim_k + 2):
         if spectral_norm(power) <= tol:
-            return PolyMatrix(w.dim_e, w.dim_e, tuple(coeffs))
-        coeffs.append(w.B @ power @ w.C)
+            return MatrixSymbol(w.dim_e, w.dim_e, coeffs)
+        coeffs[k] = w.B @ power @ w.C
         power = power @ w.D
     raise ValueError("state block D is not nilpotent; use tau_eval directly")
 

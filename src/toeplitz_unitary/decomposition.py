@@ -51,9 +51,9 @@ from .symbols import (
     DEFAULT_GRID_SIZE,
     CircleGrid,
     MatrixSymbol,
-    PolyMatrix,
     adjoint_symbol,
     coefficient_norm_sum,
+    default_grid,
     eval_symbol,
     is_inner,
     multiply,
@@ -94,9 +94,14 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class ExtractionResult:
-    """Inner polynomial extracted from a shift-invariant window subspace."""
+    """Inner polynomial extracted from a shift-invariant window subspace.
 
-    theta: PolyMatrix
+    ``theta`` is an analytic ``MatrixSymbol`` (dim x r) whose columns, read
+    as coefficient vectors, are an orthonormal basis of the wandering space;
+    its degree is ``theta.band``.
+    """
+
+    theta: MatrixSymbol
     shift_residual: float
     span_residual: float
 
@@ -117,10 +122,14 @@ class UnitaryPartReport:
     theta* theta - I from above (``coefficient_norm_sum``), each zero exactly
     when its identity holds almost everywhere, and ``unitary`` is the norm of
     U*U - I.  It is empty when no pair was extracted.
+
+    ``theta`` is the extracted inner polynomial, an analytic ``MatrixSymbol``
+    of degree ``theta.band``, and ``u_matrix`` the constant unitary U; both
+    are None when no pair was extracted.
     """
 
     subspace: Subspace
-    theta: PolyMatrix | None
+    theta: MatrixSymbol | None
     u_matrix: np.ndarray | None
     classification: str
     params: dict = field(default_factory=dict)
@@ -353,9 +362,8 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
     2 window - 2).  With S_m the solutions of the first m power structure
     equations, P(S_1) reduces T_F to a unitary, so it lies in K; K lies in
     every S_m and S_m in S_1, and P only shrinks with its argument, so
-    P(K) = P(S_m) = P(S_1) at every power budget.  Returns (basis,
-    certification dict, trail: route, kernel_factors, kernel_dim,
-    refinement_iterations).
+    P(K) = P(S_m) = P(S_1) at every power budget.  Returns (basis, trail:
+    route, kernel_factors, kernel_dim, refinement_iterations).
     """
     syms = (sym, adjoint_symbol(sym))
     kernel, factors = _unitary_kernel(sym, window, tol)
@@ -363,7 +371,7 @@ def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
         kernel, lambda b: _window_images(syms, b), sym.band * sym.dim_out, tol)
     trail = {"route": "kernel", "kernel_factors": factors,
              "kernel_dim": kernel.shape[1], "refinement_iterations": iterations}
-    return basis, _window_certificate(sym, basis), trail
+    return basis, trail
 
 
 def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
@@ -376,14 +384,14 @@ def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
     paper's theorem it is Theta H^2 with Psi Theta = Theta U, and the lowest
     nonzero coefficient Theta_j satisfies Psi_0 Theta_j = Theta_j U, which
     would give Psi_0 a unitary part.  So the window part is kron(I, E_u).
-    Returns (basis, certification dict, trail) like ``_window_refinement``,
-    with no candidates and no polish: ``kernel_dim`` is the basis dimension.
+    Returns (basis, trail) like ``_window_refinement``, with no candidates
+    and no polish: ``kernel_dim`` is the basis dimension.
     """
     e_u = unitary_part_matrix(sym.coeff(0), tol).basis
     basis = np.kron(np.eye(window), e_u)
     trail = {"route": "analytic", "kernel_factors": 0,
              "kernel_dim": basis.shape[1], "refinement_iterations": 0}
-    return basis, _window_certificate(sym, basis), trail
+    return basis, trail
 
 
 def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> ExtractionResult:
@@ -421,15 +429,15 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     degree = window - 1
     while degree > 0 and np.all(np.abs(blocks[degree]) <= 1e-12 * scale):
         degree -= 1
-    theta = PolyMatrix(dim, r, tuple(blocks[k] for k in range(degree + 1)))
+    theta = MatrixSymbol(dim, r, {k: blocks[k] for k in range(degree + 1)})
 
     columns = []
     for j in range(r):
-        dj = theta.degree
-        while dj > 0 and np.linalg.norm(theta.coeffs[dj][:, j]) <= 1e-12 * scale:
+        dj = theta.band
+        while dj > 0 and np.linalg.norm(theta.coeff(dj)[:, j]) <= 1e-12 * scale:
             dj -= 1
         # theta column j and its shifts that fit in the window
-        col = MatrixSymbol(dim, 1, {k: theta.coeffs[k][:, j:j + 1] for k in range(dj + 1)})
+        col = MatrixSymbol(dim, 1, {k: theta.coeff(k)[:, j:j + 1] for k in range(dj + 1)})
         columns.append(toeplitz_window_matrix(col, window - dj, window))
     span = orthonormal_columns(np.hstack(columns), tol)
     span_residual = spectral_norm(m.basis - span @ (span.conj().T @ m.basis))
@@ -441,16 +449,15 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     )
 
 
-def _pair_residuals(sym: MatrixSymbol, theta: PolyMatrix, u,
+def _pair_residuals(sym: MatrixSymbol, theta: MatrixSymbol, u,
                     f_theta: MatrixSymbol) -> dict:
     """Residuals of the pair (theta, U) for the symbol F, as documented by
     ``verify_maincondn``.  ``f_theta`` is the product F theta, which
     ``extract_constant_unitary`` has already formed to find U.
     """
-    theta_sym = theta.as_symbol()
-    fwd = f_theta.add(multiply(theta_sym, MatrixSymbol.constant(-u)))
-    adj = multiply(adjoint_symbol(sym), theta_sym).add(
-        multiply(theta_sym, MatrixSymbol.constant(-u.conj().T)))
+    fwd = f_theta.add(multiply(theta, MatrixSymbol.constant(-u)))
+    adj = multiply(adjoint_symbol(sym), theta).add(
+        multiply(theta, MatrixSymbol.constant(-u.conj().T)))
     return {
         "intertwine_fwd": coefficient_norm_sum(fwd),
         "intertwine_adj": coefficient_norm_sum(adj),
@@ -459,20 +466,19 @@ def _pair_residuals(sym: MatrixSymbol, theta: PolyMatrix, u,
     }
 
 
-def extract_constant_unitary(sym: MatrixSymbol, theta: PolyMatrix):
+def extract_constant_unitary(sym: MatrixSymbol, theta: MatrixSymbol):
     """Constant unitary intertwined with the symbol through an inner polynomial.
 
     U is the zeroth Fourier coefficient of theta* F theta (exact coefficient
     convolution).  Returns U and the raw residuals of the pair (theta, U),
     the four that ``verify_maincondn`` computes.
     """
-    theta_sym = theta.as_symbol()
-    f_theta = multiply(sym, theta_sym)
-    u = multiply(adjoint_symbol(theta_sym), f_theta).coeff(0)
+    f_theta = multiply(sym, theta)
+    u = multiply(adjoint_symbol(theta), f_theta).coeff(0)
     return u, _pair_residuals(sym, theta, u, f_theta)
 
 
-def verify_maincondn(sym: MatrixSymbol, theta: PolyMatrix, u,
+def verify_maincondn(sym: MatrixSymbol, theta: MatrixSymbol, u,
                      tol: float = DEFAULT_TOL):
     """Residual check of the intertwining pair F theta = theta U (and adjoint).
 
@@ -487,7 +493,7 @@ def verify_maincondn(sym: MatrixSymbol, theta: PolyMatrix, u,
     u = as_complex(u)
     if theta.dim_out != sym.dim_in or u.shape != (theta.dim_in, theta.dim_in):
         raise ValueError("dimension mismatch between symbol, inner polynomial and unitary")
-    residuals = _pair_residuals(sym, theta, u, multiply(sym, theta.as_symbol()))
+    residuals = _pair_residuals(sym, theta, u, multiply(sym, theta))
     return all(v <= tol for v in residuals.values()), residuals
 
 
@@ -514,14 +520,15 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     if window < 1:
         raise ValueError("window must be positive")
     if grid is None:
-        grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * sym.band + 1))
+        grid = default_grid(sym)
     sup = sup_norm_estimate(sym, grid)
     if sup > 1.0 + tol:
         raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
 
     d = sym.dim_out
     route = _analytic_window_part if sym.is_analytic else _window_refinement
-    basis, cert, trail = route(sym, window, tol)
+    basis, trail = route(sym, window, tol)
+    cert = _window_certificate(sym, basis)
     subspace = Subspace(d * window, basis, tol)
     params = {
         "window": window,

@@ -29,10 +29,10 @@ from .symbols import (
     DEFAULT_GRID_SIZE,
     CircleGrid,
     MatrixSymbol,
-    PolyMatrix,
     bcl_symbol,
     block_diag_symbol,
     compose_scalar_polynomial,
+    eval_disc,
     is_inner,
     pointwise_unitarity_mask,
     sup_norm_estimate,
@@ -193,8 +193,8 @@ def scenario_bcl_example(u=None, p=None, window: int = 8,
     d = u.shape[0]
     w = bcl_colligation(u, p, tol)
     rep_coll = validate(w, tol)
-    sym = polynomial_from_colligation(w).as_symbol()
-    inner_rep = is_inner(PolyMatrix.from_symbol(sym), tol=tol)
+    sym = polynomial_from_colligation(w)
+    inner_rep = is_inner(sym, tol=tol)
 
     rng = np.random.default_rng(7)
     norm_dev = 0.0
@@ -224,10 +224,10 @@ def scenario_bcl_example(u=None, p=None, window: int = 8,
         checks.append(_check("subspace_matches_kernel_window",
                              subspace_gap(report.subspace.basis, planted), 100 * tol))
         if rank and report.theta is not None:
-            checks.append(_check_bool("theta_constant", report.theta.degree == 0))
-            align = kerp.conj().T @ report.theta.coeffs[0]
+            checks.append(_check_bool("theta_constant", report.theta.band == 0))
+            align = kerp.conj().T @ report.theta.coeff(0)
             checks.append(_check("theta_spans_kernel",
-                                 spectral_norm(report.theta.coeffs[0] - kerp @ align), tol))
+                                 spectral_norm(report.theta.coeff(0) - kerp @ align), tol))
             checks.append(_check("u_is_identity",
                                  spectral_norm(report.u_matrix - np.eye(d - rank)), tol))
         # containment-in-constants claim: whenever ker P is nonzero the
@@ -366,7 +366,7 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
         _, residuals = extract_constant_unitary(sym, ext.theta)
         checks.append(_check_bool("nonconstant_generator_intertwines",
                                   all(v <= 100 * tol for v in residuals.values())))
-        checks.append(_check_bool("generator_not_constant", ext.theta.degree >= 1))
+        checks.append(_check_bool("generator_not_constant", ext.theta.band >= 1))
     return ScenarioResult(
         "butz_equivalence",
         {"seed": seed, "window": window, "d0": d0, "d1": d1,
@@ -410,8 +410,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     rng = np.random.default_rng(seed)
     w, u0 = planted_colligation(rng, d0, d1)
     rep = validate(w, tol)
-    phi = polynomial_from_colligation(w)
-    sym = phi.as_symbol()
+    sym = polynomial_from_colligation(w)
     lam_grid = disc_grid(n_lambda, 0.9)
 
     checks = [
@@ -440,7 +439,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
         part_lam = unitary_part_matrix(tau_eval(w, lam), tol)
         worst = max(worst, spectral_norm(
             inclusion - part_lam.projector() @ inclusion))
-        val = phi.eval_at(lam)
+        val = eval_disc(sym, lam)
         res_w = max(
             res_w,
             spectral_norm(val @ th - th @ u0),
@@ -465,7 +464,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     return ScenarioResult("prop_ds", params, tuple(checks), records=records)
 
 
-def scenario_wold_dichotomy(phi: PolyMatrix | None = None, seed: int = 0,
+def scenario_wold_dichotomy(phi: MatrixSymbol | None = None, seed: int = 0,
                             dim: int = 2, window: int = 6,
                             tol: float = DEFAULT_TOL) -> ScenarioResult:
     """For an analytic contractive symbol with isometric constant term,
@@ -475,22 +474,24 @@ def scenario_wold_dichotomy(phi: PolyMatrix | None = None, seed: int = 0,
     On square matrices an isometric constant term is already unitary, and a
     contractive analytic symbol with unitary constant term is constant (its
     realization has no output coupling), so the first branch always fires;
-    the constancy defect is recorded to document the rigidity.
+    the constancy defect is recorded to document the rigidity.  A ``phi``
+    with a negative Fourier index raises ``ValueError``.
     """
     if phi is None:
         rng = np.random.default_rng(seed)
-        phi = PolyMatrix(dim, dim, (haar_unitary(dim, rng),))
-    a0 = phi.coeffs[0]
+        phi = MatrixSymbol.constant(haar_unitary(dim, rng))
+    if not phi.is_analytic:
+        raise ValueError("symbol has negative Fourier coefficients")
+    a0 = phi.coeff(0)
     iso_defect = spectral_norm(a0.conj().T @ a0 - np.eye(phi.dim_in))
     if iso_defect > tol:
         raise ValueError("constant term is not isometric")
-    sym = phi.as_symbol()
-    report = toeplitz_unitary_part(sym, window, tol)
+    report = toeplitz_unitary_part(phi, window, tol)
     branch_unitary = report.subspace.dim > 0
     branch_cdot0 = cdot0_test(a0, tol)
     eigs = np.abs(np.linalg.eigvals(a0))
     nonconstant = spectral_norm(
-        np.vstack([c for c in phi.coeffs[1:]])) if phi.degree else 0.0
+        np.vstack([phi.coeff(k) for k in range(1, phi.band + 1)])) if phi.band else 0.0
     checks = (
         _check_bool("exactly_one_branch", branch_unitary != branch_cdot0),
         _check_bool("spectrum_decides_branch",
@@ -535,8 +536,7 @@ def scenario_analytic_main(seed: int = 0, d0: int = 1, d1: int = 2,
     rng = np.random.default_rng(seed)
     w, _ = planted_colligation(rng, d0 if planted else 0, d1)
     dim = w.dim_e
-    phi = polynomial_from_colligation(w)
-    sym = phi.as_symbol()
+    sym = polynomial_from_colligation(w)
     report = toeplitz_unitary_part(sym, window, tol)
     condition_res = _norm_condition_residual(report.subspace.basis, w.A, dim)
     condition_holds = report.subspace.dim > 0 and condition_res <= 100 * tol
@@ -581,7 +581,7 @@ def scenario_bcl_theorem(u=None, p=None, seed: int | None = None, dim: int = 3,
     p = as_complex(p)
     dim = u.shape[0]
     w = bcl_colligation(u, p, tol)
-    sym = polynomial_from_colligation(w).as_symbol()
+    sym = polynomial_from_colligation(w)
     report = toeplitz_unitary_part(sym, window, tol)
     basis = report.subspace.basis
 

@@ -1,4 +1,4 @@
-"""JSON encoding of symbols, polynomial matrices, colligations and reports.
+"""JSON encoding of symbols, inner polynomials, colligations and reports.
 
 Complex matrices are encoded as separate row-major ``re`` / ``im`` lists of
 finite 64-bit floats.  Serialization is canonical (sorted keys, fixed separators) and
@@ -22,7 +22,7 @@ import numpy as np
 
 from .colligation import Colligation
 from .decomposition import Subspace, UnitaryPartReport
-from .symbols import MatrixSymbol, PolyMatrix
+from .symbols import MatrixSymbol
 
 SCHEMA_VERSION = "hardy-unitary-report/1"
 
@@ -74,24 +74,28 @@ def symbol_from_json(obj) -> MatrixSymbol:
                         _indexed_coeffs(obj))
 
 
-def polymatrix_to_json(p: PolyMatrix) -> dict:
+def polymatrix_to_json(p: MatrixSymbol) -> dict:
+    """An analytic symbol with its ``degree`` and every coefficient 0 ..
+    degree written out, zero ones included; a negative index is an error."""
+    if not p.is_analytic:
+        raise ValueError("symbol has negative Fourier coefficients")
     return {
         "dim_out": p.dim_out,
         "dim_in": p.dim_in,
-        "degree": p.degree,
-        "coeffs": [{"k": k, **encode_matrix(c)} for k, c in enumerate(p.coeffs)],
+        "degree": p.band,
+        "coeffs": [{"k": k, **encode_matrix(p.coeff(k))} for k in range(p.band + 1)],
     }
 
 
-def polymatrix_from_json(obj) -> PolyMatrix:
+def polymatrix_from_json(obj) -> MatrixSymbol:
+    """The analytic symbol of a ``polymatrix_to_json`` object; an index
+    outside 0 .. degree is an error."""
     degree = _json_int(obj, "degree")
     dim_out, dim_in = _json_int(obj, "dim_out"), _json_int(obj, "dim_in")
-    mats = [np.zeros((dim_out, dim_in), dtype=complex) for _ in range(degree + 1)]
-    for k, m in _indexed_coeffs(obj).items():
-        if k < 0 or k > degree:
-            raise ValueError("polynomial coefficient index out of range")
-        mats[k] = m
-    return PolyMatrix(dim_out, dim_in, tuple(mats))
+    coeffs = _indexed_coeffs(obj)
+    if any(k < 0 or k > degree for k in coeffs):
+        raise ValueError("polynomial coefficient index out of range")
+    return MatrixSymbol(dim_out, dim_in, coeffs)
 
 
 def colligation_to_json(w: Colligation) -> dict:

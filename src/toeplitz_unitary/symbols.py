@@ -1,15 +1,16 @@
-"""Matrix-valued symbols on the unit circle and analytic matrix polynomials.
+"""Matrix-valued symbols on the unit circle.
 
 A symbol is a matrix-valued trigonometric (Laurent) polynomial
 
     F(e^{it}) = sum_k  A_k e^{ikt},      A_k complex dim_out x dim_in,
 
-stored sparsely by integer Fourier index.  Analytic matrix polynomials
-(nonnegative indices only) get their own type since they are evaluated on the
-closed disc, not just on the circle.  Circle measure statements are tested on
-uniform grids with a declared tolerance, never claimed almost-everywhere;
-identities between trigonometric polynomials are checked on their Fourier
-coefficients, which decide them exactly.
+stored sparsely by integer Fourier index.  An analytic matrix polynomial, such
+as an inner polynomial theta or the transfer polynomial of a colligation, is a
+symbol with no negative index (``is_analytic``): its degree is ``band``, and
+``eval_disc`` evaluates it on the closed disc.  Circle measure statements are
+tested on uniform grids with a declared tolerance, never claimed
+almost-everywhere; identities between trigonometric polynomials are checked on
+their Fourier coefficients, which decide them exactly.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class MatrixSymbol:
 
     @property
     def band(self) -> int:
-        """Smallest m with all coefficients supported in [-m, m]."""
+        """Smallest m with all coefficients supported in [-m, m]; the degree
+        of an analytic symbol."""
         if not self.coeffs:
             return 0
         return max(abs(k) for k in self.coeffs)
@@ -123,59 +125,6 @@ class MatrixSymbol:
 
 
 @dataclass(frozen=True, eq=False)
-class PolyMatrix:
-    """Analytic matrix polynomial P(z) = sum_k C_k z^k, possibly rectangular.
-
-    ``coeffs`` lists C_0 .. C_degree; the leading coefficient is nonzero
-    unless the polynomial is constant.
-    """
-
-    dim_out: int
-    dim_in: int
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        mats = [as_complex(c) for c in self.coeffs]
-        if not mats:
-            mats = [np.zeros((self.dim_out, self.dim_in), dtype=complex)]
-        for c in mats:
-            if c.shape != (self.dim_out, self.dim_in):
-                raise ValueError("inconsistent polynomial coefficient shapes")
-        while len(mats) > 1 and not np.any(mats[-1] != 0):
-            mats.pop()
-        object.__setattr__(self, "coeffs", tuple(_freeze(c) for c in mats))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval_at(self, z: complex) -> np.ndarray:
-        """Evaluate at a point of the closed disc (Horner)."""
-        acc = np.zeros((self.dim_out, self.dim_in), dtype=complex)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def as_symbol(self) -> MatrixSymbol:
-        return MatrixSymbol(
-            self.dim_out, self.dim_in, {k: c for k, c in enumerate(self.coeffs)}
-        )
-
-    @staticmethod
-    def from_symbol(sym: MatrixSymbol) -> "PolyMatrix":
-        if not sym.is_analytic:
-            raise ValueError("symbol has negative Fourier coefficients")
-        deg = max(sym.coeffs, default=0)
-        return PolyMatrix(
-            sym.dim_out, sym.dim_in, tuple(sym.coeff(k) for k in range(deg + 1))
-        )
-
-    @staticmethod
-    def identity(dim: int) -> "PolyMatrix":
-        return PolyMatrix(dim, dim, (np.eye(dim),))
-
-
-@dataclass(frozen=True, eq=False)
 class CircleGrid:
     """Uniform grid t_j = 2 pi j / size on [0, 2 pi)."""
 
@@ -188,6 +137,12 @@ class CircleGrid:
     @property
     def points(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.size) / self.size
+
+
+def default_grid(sym: MatrixSymbol) -> CircleGrid:
+    """DEFAULT_GRID_SIZE points, or the 2 band + 1 that ``sup_norm_estimate``
+    needs when that is more."""
+    return CircleGrid(max(DEFAULT_GRID_SIZE, 2 * sym.band + 1))
 
 
 @dataclass(frozen=True)
@@ -213,6 +168,20 @@ def eval_symbol(sym: MatrixSymbol, t: float) -> np.ndarray:
     for k, mat in sym.coeffs.items():
         out += mat * np.exp(1j * k * t)
     return out
+
+
+def eval_disc(sym: MatrixSymbol, z: complex) -> np.ndarray:
+    """Evaluate an analytic symbol at a point ``z`` of the closed disc.
+
+    Horner's rule over the coefficients band .. 0.  A symbol with a negative
+    Fourier index raises ``ValueError``: it has no value inside the disc.
+    """
+    if not sym.is_analytic:
+        raise ValueError("symbol has negative Fourier coefficients")
+    acc = np.zeros((sym.dim_out, sym.dim_in), dtype=complex)
+    for k in range(sym.band, -1, -1):
+        acc = acc * z + sym.coeff(k)
+    return acc
 
 
 def eval_on_grid(sym: MatrixSymbol, grid: CircleGrid) -> np.ndarray:
@@ -312,18 +281,20 @@ def coefficient_norm_sum(sym: MatrixSymbol) -> float:
     return float(spectral_norms(np.stack(list(sym.coeffs.values()))).sum())
 
 
-def is_inner(theta: PolyMatrix, tol: float = DEFAULT_TOL) -> InnerReport:
+def is_inner(theta: MatrixSymbol, tol: float = DEFAULT_TOL) -> InnerReport:
     """Check that an analytic matrix polynomial has isometric boundary values.
 
     The residual takes every Fourier coefficient of the trig polynomial
     theta* theta - I, not only the zeroth Gram sum: the other coefficients
     are what rule out non-inner polynomials with an accidentally isometric
-    coefficient Gram.
+    coefficient Gram.  A symbol with a negative Fourier index raises
+    ``ValueError``.
     """
     if theta.dim_out < theta.dim_in:
         raise ValueError("inner polynomials need dim_out >= dim_in")
-    sym = theta.as_symbol()
-    defect = multiply(adjoint_symbol(sym), sym).add(
+    if not theta.is_analytic:
+        raise ValueError("symbol has negative Fourier coefficients")
+    defect = multiply(adjoint_symbol(theta), theta).add(
         MatrixSymbol.constant(-np.eye(theta.dim_in)))
     return InnerReport(coefficient_norm_sum(defect), tol)
 
@@ -348,7 +319,7 @@ def sup_norm_estimate(sym: MatrixSymbol, grid: CircleGrid | None = None) -> floa
     (z^3 - z^-3 on 3 or 6 points), so the maximum would say nothing.
     """
     if grid is None:
-        grid = CircleGrid(max(DEFAULT_GRID_SIZE, 2 * sym.band + 1))
+        grid = default_grid(sym)
     if grid.size < 2 * sym.band + 1:
         raise ValueError(
             f"grid size {grid.size} below 2*band+1 = {2 * sym.band + 1}")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import random_colligation
-from toeplitz_unitary.linalg import haar_unitary, random_projection, spectral_norm
-from toeplitz_unitary.symbols import CircleGrid, eval_symbol
+from toeplitz_unitary.linalg import DEFAULT_TOL, haar_unitary, random_projection, spectral_norm
+from toeplitz_unitary.symbols import CircleGrid, eval_disc, eval_symbol
 from toeplitz_unitary.colligation import (
     Colligation,
     bcl_colligation,
@@ -123,14 +123,14 @@ class TestBclColligation:
         assert w.dim_k == 2
         np.testing.assert_allclose(w.A, np.zeros((2, 2)), atol=1e-14)
         poly = polynomial_from_colligation(w)
-        assert poly.degree == 1
-        np.testing.assert_allclose(poly.coeffs[1], u, atol=1e-14)
+        assert poly.band == 1
+        np.testing.assert_allclose(poly.coeff(1), u, atol=1e-14)
 
     def test_paper_example_symbol(self):
         w = bcl_colligation(np.eye(2), P)
         poly = polynomial_from_colligation(w)
-        np.testing.assert_allclose(poly.coeffs[0], np.eye(2) - P, atol=1e-14)
-        np.testing.assert_allclose(poly.coeffs[1], P, atol=1e-14)
+        np.testing.assert_allclose(poly.coeff(0), np.eye(2) - P, atol=1e-14)
+        np.testing.assert_allclose(poly.coeff(1), P, atol=1e-14)
 
     def test_block_identities(self):
         rng = np.random.default_rng(11)
@@ -156,23 +156,49 @@ class TestPolynomialFromColligation:
         u = haar_unitary(2, np.random.default_rng(13))
         w = Colligation(2, 0, u, np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
         poly = polynomial_from_colligation(w)
-        assert poly.degree == 0
-        np.testing.assert_allclose(poly.coeffs[0], u)
+        assert poly.band == 0 and poly.is_analytic
+        np.testing.assert_allclose(poly.coeff(0), u)
 
-    def test_two_step_nilpotent_matches_tau(self):
+    @staticmethod
+    def _two_step_nilpotent():
         # Unitary completion with prescribed nilpotent state block
         s = 0.6
         d = np.array([[0.0, s], [0.0, 0.0]])
         a = -d.conj().T
         b = np.diag([1.0, np.sqrt(1 - s * s)])
         c = np.diag([np.sqrt(1 - s * s), 1.0])
-        w = Colligation(2, 2, a, b, c, d)
+        return Colligation(2, 2, a, b, c, d)
+
+    @staticmethod
+    def _bcl_rank2():
+        rng = np.random.default_rng(15)
+        return bcl_colligation(haar_unitary(3, rng), random_projection(3, 2, rng))
+
+    def test_two_step_nilpotent_matches_tau(self):
+        w = self._two_step_nilpotent()
         assert validate(w).is_valid
         poly = polynomial_from_colligation(w)
-        assert poly.degree == 2
+        assert poly.band == 2
         for lam in disc_grid(16, 0.8):
             np.testing.assert_allclose(
-                poly.eval_at(lam), tau_eval(w, lam), atol=1e-10)
+                eval_disc(poly, lam), tau_eval(w, lam), atol=1e-10)
+
+    def test_disc_evaluation_is_dense_horner(self):
+        # the Horner loop over the dense coefficient list A, BC, BDC, ...,
+        # built as the expansion builds it, gives the same bits
+        for w in (self._two_step_nilpotent(), self._bcl_rank2()):
+            dense = [w.A]
+            power = np.eye(w.dim_k, dtype=complex)
+            while spectral_norm(power) > DEFAULT_TOL:
+                dense.append(w.B @ power @ w.C)
+                power = power @ w.D
+            poly = polynomial_from_colligation(w)
+            assert poly.band == len(dense) - 1
+            for lam in (*disc_grid(16, 0.9), 1.0, -1j, 0.0):
+                acc = np.zeros((w.dim_e, w.dim_e), dtype=complex)
+                for c in reversed(dense):
+                    acc = acc * lam + c
+                assert np.array_equal(eval_disc(poly, lam), acc)
 
     def test_non_nilpotent_rejected(self):
         rng = np.random.default_rng(14)
@@ -184,11 +210,10 @@ class TestPolynomialFromColligation:
             polynomial_from_colligation(w)
 
     def test_tau_agreement_on_grid(self):
-        rng = np.random.default_rng(15)
-        w = bcl_colligation(haar_unitary(3, rng), random_projection(3, 2, rng))
+        w = self._bcl_rank2()
         poly = polynomial_from_colligation(w)
         worst = max(
-            spectral_norm(poly.eval_at(lam) - tau_eval(w, lam))
+            spectral_norm(eval_disc(poly, lam) - tau_eval(w, lam))
             for lam in disc_grid(16, 0.9))
         assert worst <= 1e-10
 
@@ -213,7 +238,6 @@ class TestGridEvaluationConsistency:
         rng = np.random.default_rng(17)
         w = bcl_colligation(haar_unitary(2, rng), random_projection(2, 1, rng))
         poly = polynomial_from_colligation(w)
-        sym = poly.as_symbol()
         for t in CircleGrid(16).points:
             np.testing.assert_allclose(
-                eval_symbol(sym, t), poly.eval_at(np.exp(1j * t)), atol=1e-13)
+                eval_symbol(poly, t), eval_disc(poly, np.exp(1j * t)), atol=1e-13)

@@ -26,7 +26,6 @@ from toeplitz_unitary.linalg import (
 from toeplitz_unitary.symbols import (
     CircleGrid,
     MatrixSymbol,
-    PolyMatrix,
     adjoint_symbol,
     bcl_symbol,
     block_diag_symbol,
@@ -168,9 +167,9 @@ class TestToeplitzUnitaryPart:
         rep = toeplitz_unitary_part(MatrixSymbol.constant(u), 4)
         assert rep.classification == "constant_type"
         assert rep.subspace.dim == 8
-        assert rep.theta.degree == 0
+        assert rep.theta.band == 0
         # constant generator: U is the symbol value conjugated by the basis
-        align = rep.theta.coeffs[0]
+        align = rep.theta.coeff(0)
         np.testing.assert_allclose(align @ rep.u_matrix @ align.conj().T, u, atol=1e-10)
 
     def test_planted_block_dimension(self):
@@ -250,7 +249,7 @@ class TestToeplitzUnitaryPart:
         for k in range(n):
             for j in range(theta.dim_in):
                 v = np.zeros(dim * n, dtype=complex)
-                v[k * dim:(k + 1) * dim] = theta.coeffs[0][:, j]
+                v[k * dim:(k + 1) * dim] = theta.coeff(0)[:, j]
                 cols.append(v)
         canon = np.column_stack(cols)
         restriction = canon.conj().T @ t_win @ canon
@@ -274,14 +273,14 @@ class TestStructureEarlyStop:
     @staticmethod
     def _coll4():
         w, _ = planted_colligation(np.random.default_rng(4), 1, 2)
-        return polynomial_from_colligation(w).as_symbol()
+        return polynomial_from_colligation(w)
 
     @staticmethod
     def _rank2_colligation():
         rng = np.random.default_rng(12)
         inner = bcl_colligation(haar_unitary(2, rng), random_projection(2, 2, rng))
         w = embed_unitary_block(haar_unitary(1, rng), inner)
-        return polynomial_from_colligation(w).as_symbol()
+        return polynomial_from_colligation(w)
 
     @pytest.mark.parametrize("name, window", [
         ("planted_d2", 8), ("planted_d2", 16), ("planted_d4", 8), ("planted_d4", 16),
@@ -310,7 +309,7 @@ class TestStructureEarlyStop:
         # kernel needs one factor per unimodular eigenvalue of F(1)
         # (coll4 is analytic, so toeplitz_unitary_part would not take it)
         sym = self._coll4()
-        basis, _, trail = _window_refinement(sym, 6, 1e-8)
+        basis, trail = _window_refinement(sym, 6, 1e-8)
         assert basis.shape[1] == trail["kernel_dim"] == 6
         brute = toeplitz_unitary_part_brute(sym, 6)
         assert subspace_gap(basis, brute.basis) <= 1e-7
@@ -405,13 +404,13 @@ class TestStructureEarlyStop:
         # factors enter; the kernel is swap's 2 w - 1 window part and the
         # polish drops one direction
         sym = self._rotated(self._swap_tail(), 7)
-        basis, _, trail = _window_refinement(sym, 8, 1e-8)
+        basis, trail = _window_refinement(sym, 8, 1e-8)
         assert (trail["kernel_factors"], trail["kernel_dim"]) == (2, 15)
         assert trail["kernel_dim"] == toeplitz_unitary_part_brute(sym, 8).dim
         polished = self._polished_brute(sym, 8)
         assert basis.shape == polished.shape == (32, 14)
         assert subspace_gap(basis, polished) <= 1e-12
-        basis, _, trail = _window_refinement(sym, 32, 1e-8)
+        basis, trail = _window_refinement(sym, 32, 1e-8)
         assert (trail["kernel_dim"], basis.shape[1]) == (63, 62)
 
     @pytest.mark.parametrize("name, window", [
@@ -424,7 +423,7 @@ class TestStructureEarlyStop:
             "three_cycle": lambda: self._rotated(self._three_cycle(), 7),
             "coll4": self._coll4,
         }[name]()
-        basis, _, _ = _window_refinement(sym, window, 1e-8)
+        basis, _ = _window_refinement(sym, window, 1e-8)
         polished = self._polished_brute(sym, window)
         assert basis.shape == polished.shape
         assert subspace_gap(basis, polished) <= 1e-12
@@ -558,7 +557,7 @@ class TestAnalyticRoute:
                     or rep.subspace.dim != window
                     or subspace_gap(rep.subspace.basis, planted) > 1e-7):
                 wrong.append(seed)
-            loop, _, _ = _window_refinement(sym, window, 1e-8)
+            loop, _ = _window_refinement(sym, window, 1e-8)
             if spectral_norm(loop - rep.subspace.projector() @ loop) > 1e-7:
                 outside.append(seed)
             if rank == 2:
@@ -640,13 +639,13 @@ def intersection_extract(m, dim, tol=1e-8):
     degree = window - 1
     while degree > 0 and np.all(np.abs(blocks[degree]) <= 1e-12 * scale):
         degree -= 1
-    theta = PolyMatrix(dim, r, tuple(blocks[k] for k in range(degree + 1)))
+    theta = MatrixSymbol(dim, r, {k: blocks[k] for k in range(degree + 1)})
     columns = []
     for j in range(r):
-        dj = theta.degree
-        while dj > 0 and np.linalg.norm(theta.coeffs[dj][:, j]) <= 1e-12 * scale:
+        dj = theta.band
+        while dj > 0 and np.linalg.norm(theta.coeff(dj)[:, j]) <= 1e-12 * scale:
             dj -= 1
-        col = MatrixSymbol(dim, 1, {k: theta.coeffs[k][:, j:j + 1] for k in range(dj + 1)})
+        col = MatrixSymbol(dim, 1, {k: theta.coeff(k)[:, j:j + 1] for k in range(dj + 1)})
         columns.append(toeplitz_window_matrix(col, window - dj, window))
     span = orthonormal_columns(np.hstack(columns), tol)
     return ExtractionResult(
@@ -703,10 +702,11 @@ class TestExactWindowAction:
         assert m.dim
         got = beurling_extract(m, sym.dim_out)
         want = intersection_extract(m, sym.dim_out)
-        assert got.theta.degree == want.theta.degree
+        assert got.theta.band == want.theta.band
         assert got.theta.dim_in == want.theta.dim_in
-        assert subspace_gap(orthonormal_columns(np.vstack(got.theta.coeffs)),
-                            orthonormal_columns(np.vstack(want.theta.coeffs))) <= 1e-12
+        stacked = [np.vstack([e.theta.coeff(k) for k in range(e.theta.band + 1)])
+                   for e in (got, want)]
+        assert subspace_gap(*map(orthonormal_columns, stacked)) <= 1e-12
         assert self.classification(sym, got) == self.classification(sym, want)
 
 
@@ -721,8 +721,8 @@ class TestBeurlingExtract:
             cols.append(v)
         m = Subspace(n * d, np.column_stack(cols))
         ext = beurling_extract(m, d)
-        assert ext.theta.degree == 0
-        np.testing.assert_allclose(np.abs(ext.theta.coeffs[0]), [[0.0], [1.0]], atol=1e-12)
+        assert ext.theta.band == 0
+        np.testing.assert_allclose(np.abs(ext.theta.coeff(0)), [[0.0], [1.0]], atol=1e-12)
         assert ext.span_residual <= 1e-12
 
     def test_shifted_full_space(self):
@@ -731,13 +731,13 @@ class TestBeurlingExtract:
         basis = np.eye(n, dtype=complex)[:, 1:]
         m = Subspace(n, basis)
         ext = beurling_extract(m, 1)
-        assert ext.theta.degree == 1
-        np.testing.assert_allclose(np.abs(ext.theta.coeffs[1]), [[1.0]], atol=1e-12)
+        assert ext.theta.band == 1
+        np.testing.assert_allclose(np.abs(ext.theta.coeff(1)), [[1.0]], atol=1e-12)
 
     def test_round_trip_recovery(self):
         # span of an inner 2x1 polynomial times low-degree monomials
         a, b = 0.6, 0.8
-        theta0 = PolyMatrix(2, 1, (np.array([[a], [0.0]]), np.array([[0.0], [b]])))
+        theta0 = MatrixSymbol(2, 1, {0: [[a], [0.0]], 1: [[0.0], [b]]})
         n = 6
         cols = []
         for k in range(n - 1):
@@ -749,14 +749,13 @@ class TestBeurlingExtract:
 
         m = Subspace(2 * n, orthonormal_columns(np.column_stack(cols)))
         ext = beurling_extract(m, 2)
-        assert ext.theta.degree == 1
+        assert ext.theta.band == 1
         assert is_inner(ext.theta).residual <= 1e-10
         # ranges agree pointwise up to the right unitary factor
         from toeplitz_unitary.symbols import CircleGrid, eval_symbol
 
-        s0, s1 = theta0.as_symbol(), ext.theta.as_symbol()
         for t in CircleGrid(32).points:
-            v0, v1 = eval_symbol(s0, t), eval_symbol(s1, t)
+            v0, v1 = eval_symbol(theta0, t), eval_symbol(ext.theta, t)
             assert spectral_norm(v0 @ v0.conj().T - v1 @ v1.conj().T) <= 1e-10
 
     def test_rejects_non_invariant(self):
@@ -776,7 +775,7 @@ class TestBeurlingExtract:
 class TestExtractConstantUnitary:
     def test_constant_symbol_identity_generator(self):
         u0 = haar_unitary(2, np.random.default_rng(10))
-        theta = PolyMatrix.identity(2)
+        theta = MatrixSymbol.constant(np.eye(2))
         u, res = extract_constant_unitary(MatrixSymbol.constant(u0), theta)
         np.testing.assert_allclose(u, u0, atol=1e-14)
         assert max(res.values()) <= 1e-13
@@ -786,14 +785,14 @@ class TestExtractConstantUnitary:
         u0 = haar_unitary(2, rng)
         sym = block_diag_symbol([MatrixSymbol.constant(u0),
                                  MatrixSymbol(1, 1, {1: [[0.3]]})])
-        theta = PolyMatrix(3, 2, (np.vstack([np.eye(2), np.zeros((1, 2))]),))
+        theta = MatrixSymbol.constant(np.vstack([np.eye(2), np.zeros((1, 2))]))
         u, res = extract_constant_unitary(sym, theta)
         np.testing.assert_allclose(u, u0, atol=1e-14)
         assert max(res.values()) <= 1e-13
 
     def test_model_symbol_kernel_inclusion(self):
         sym = bcl_symbol(np.eye(2), P)
-        theta = PolyMatrix(2, 1, (np.array([[0.0], [1.0]]),))
+        theta = MatrixSymbol.constant([[0.0], [1.0]])
         u, res = extract_constant_unitary(sym, theta)
         np.testing.assert_allclose(u, [[1.0]], atol=1e-14)
         assert max(res.values()) <= 1e-13
@@ -802,11 +801,11 @@ class TestExtractConstantUnitary:
         rng = np.random.default_rng(12)
         u0 = haar_unitary(2, rng)
         cases = [
-            (MatrixSymbol.constant(u0), PolyMatrix.identity(2)),
+            (MatrixSymbol.constant(u0), MatrixSymbol.constant(np.eye(2))),
             (block_diag_symbol([MatrixSymbol.constant(u0),
                                 MatrixSymbol(1, 1, {1: [[0.3]]})]),
-             PolyMatrix(3, 2, (np.vstack([np.eye(2), np.zeros((1, 2))]),))),
-            (bcl_symbol(np.eye(2), P), PolyMatrix(2, 1, (np.array([[0.0], [1.0]]),))),
+             MatrixSymbol.constant(np.vstack([np.eye(2), np.zeros((1, 2))]))),
+            (bcl_symbol(np.eye(2), P), MatrixSymbol.constant([[0.0], [1.0]])),
         ]
         for sym, theta in cases:
             u, _ = extract_constant_unitary(sym, theta)
@@ -816,7 +815,7 @@ class TestExtractConstantUnitary:
     def test_verify_rejects_wrong_unitary(self):
         u0 = haar_unitary(2, np.random.default_rng(13))
         ok, _ = verify_maincondn(
-            MatrixSymbol.constant(u0), PolyMatrix.identity(2), np.eye(2))
+            MatrixSymbol.constant(u0), MatrixSymbol.constant(np.eye(2)), np.eye(2))
         assert not ok
 
 
@@ -828,7 +827,7 @@ class TestMainTheoremRoundTrip:
         w0 = haar_unitary(2, rng)
         sym = block_diag_symbol([MatrixSymbol.constant(w0),
                                  MatrixSymbol(1, 1, {-1: [[0.2]], 1: [[0.25]]})])
-        theta = PolyMatrix(3, 2, (np.vstack([np.eye(2), np.zeros((1, 2))]),))
+        theta = MatrixSymbol.constant(np.vstack([np.eye(2), np.zeros((1, 2))]))
         ok, _ = verify_maincondn(sym, theta, w0)
         assert ok
         n = 5
@@ -837,7 +836,7 @@ class TestMainTheoremRoundTrip:
         for k in range(n):
             for j in range(2):
                 v = np.zeros(3 * n, dtype=complex)
-                v[3 * k:3 * k + 3] = theta.coeffs[0][:, j]
+                v[3 * k:3 * k + 3] = theta.coeff(0)[:, j]
                 planted_cols.append(v)
         planted = np.column_stack(planted_cols)
         assert spectral_norm(

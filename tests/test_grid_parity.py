@@ -25,7 +25,6 @@ from toeplitz_unitary.symbols import (
     DEFAULT_GRID_SIZE,
     CircleGrid,
     MatrixSymbol,
-    PolyMatrix,
     bcl_symbol,
     eval_on_grid,
     eval_symbol,
@@ -43,7 +42,7 @@ def _instance(d, band):
     sym = MatrixSymbol(d, d, {k: gaussian(rng, d, d) / (2 * band + 1)
                               for k in range(-band, band + 1)})
     r = 1 + band % d
-    theta = PolyMatrix(d, r, tuple(gaussian(rng, d, r) for _ in range(band + 1)))
+    theta = MatrixSymbol(d, r, {k: gaussian(rng, d, r) for k in range(band + 1)})
     return sym, theta, haar_unitary(r, rng), rng
 
 
@@ -54,7 +53,7 @@ def _defect(v):
 def _coefficient_reference(sym, theta, u):
     """Coefficient norm sums of F theta - theta U, F* theta - theta U* and
     theta* theta - I, one coefficient product at a time."""
-    th = dict(enumerate(theta.coeffs))
+    th = theta.coeffs
     eye = np.eye(theta.dim_in)
 
     def defect(left, right):
@@ -76,7 +75,7 @@ def _grid_defects(sym, theta, u):
     sup norms (the batched evaluation equals the per-point loop, see above)."""
     grid = CircleGrid(4096)
     phi = eval_on_grid(sym, grid)
-    th = eval_on_grid(theta.as_symbol(), grid)
+    th = eval_on_grid(theta, grid)
 
     def adjoint(v):
         return v.conj().transpose(0, 2, 1)
@@ -101,7 +100,7 @@ def _assert_bounds_and_matches(residuals, sym, theta, u):
 def test_eval_on_grid_matches_eval_symbol(d, band):
     sym, theta, _, _ = _instance(d, band)
     grid = CircleGrid(DEFAULT_GRID_SIZE)
-    for s in (sym, theta.as_symbol()):
+    for s in (sym, theta):
         values = eval_on_grid(s, grid)
         assert values.shape == (grid.size, s.dim_out, s.dim_in)
         for j, t in enumerate(grid.points):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from toeplitz_unitary.linalg import haar_unitary
-from toeplitz_unitary.symbols import MatrixSymbol, PolyMatrix
+from toeplitz_unitary.symbols import MatrixSymbol
 from toeplitz_unitary.serialize import canonical_dumps
 from toeplitz_unitary.scenarios import (
     SCENARIOS,
@@ -191,9 +191,15 @@ class TestWold:
             assert result.records["branch_cdot0"] is False
 
     def test_non_isometric_rejected(self):
-        shift_like = PolyMatrix(2, 2, (np.zeros((2, 2)), np.eye(2)))
+        shift_like = MatrixSymbol(2, 2, {1: np.eye(2)})
         with pytest.raises(ValueError):
             scenario_wold_dichotomy(phi=shift_like)
+
+    def test_negative_index_rejected(self):
+        # unitary constant term, so only the negative index is at fault
+        phi = MatrixSymbol(2, 2, {0: np.eye(2), -1: 0.1 * np.eye(2)})
+        with pytest.raises(ValueError, match="negative Fourier"):
+            scenario_wold_dichotomy(phi=phi)
 
 
 class TestAnalyticMainAndBcl:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toeplitz_unitary.linalg import haar_unitary, random_projection
-from toeplitz_unitary.symbols import MatrixSymbol, PolyMatrix, bcl_symbol
+from toeplitz_unitary.symbols import MatrixSymbol, bcl_symbol
 from toeplitz_unitary.colligation import bcl_colligation
 from toeplitz_unitary.decomposition import toeplitz_unitary_part
 from toeplitz_unitary.scenarios import run_all, swap_inner_symbol
@@ -39,17 +39,25 @@ def test_symbol_round_trip():
 
 
 def test_polymatrix_round_trip():
-    p = PolyMatrix(2, 1, (np.array([[0.3], [0.1]]), np.array([[0.0], [0.9]])))
-    back = polymatrix_from_json(polymatrix_to_json(p))
-    assert back.degree == p.degree
-    for a, b in zip(back.coeffs, p.coeffs):
-        np.testing.assert_array_equal(a, b)
+    # z^2 e_1 has zero coefficients below its degree, which are written out
+    for coeffs in ({0: [[0.3], [0.1]], 1: [[0.0], [0.9]]}, {2: [[1.0], [0.0]]}):
+        p = MatrixSymbol(2, 1, coeffs)
+        obj = polymatrix_to_json(p)
+        assert obj["degree"] == p.band == max(coeffs)
+        assert [c["k"] for c in obj["coeffs"]] == list(range(p.band + 1))
+        back = polymatrix_from_json(obj)
+        assert back.is_analytic and back.band == p.band
+        assert list(back.coeffs) == list(p.coeffs)
+        for k in range(p.band + 1):
+            np.testing.assert_array_equal(back.coeff(k), p.coeff(k))
 
 
 def test_polymatrix_rejects_negative_indices():
     with pytest.raises(ValueError):
         polymatrix_from_json({"dim_out": 1, "dim_in": 1, "degree": 1,
                               "coeffs": [{"k": -1, "re": [[1.0]], "im": [[0.0]]}]})
+    with pytest.raises(ValueError, match="negative Fourier"):
+        polymatrix_to_json(MatrixSymbol(1, 1, {-1: [[1.0]], 0: [[0.5]]}))
 
 
 def test_colligation_round_trip():

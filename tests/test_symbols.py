@@ -7,10 +7,11 @@ from toeplitz_unitary.linalg import haar_unitary, spectral_norm, spectral_norms
 from toeplitz_unitary.symbols import (
     CircleGrid,
     MatrixSymbol,
-    PolyMatrix,
     adjoint_symbol,
     bcl_symbol,
     compose_scalar_polynomial,
+    default_grid,
+    eval_disc,
     eval_on_grid,
     eval_symbol,
     is_inner,
@@ -46,6 +47,20 @@ class TestEval:
         sym = MatrixSymbol(2, 2, {-1: E12, 1: E21})
         expected = np.array([[0.0, -1.0j], [1.0j, 0.0]])
         np.testing.assert_allclose(eval_symbol(sym, np.pi / 2), expected, atol=1e-15)
+
+    def test_disc_value_of_polynomial(self):
+        # (1 - z^2) E12 + z^3 E21 has a zero coefficient at z
+        sym = MatrixSymbol(2, 2, {0: E12, 2: -E12, 3: E21})
+        for z in (0.0, 0.5j, -0.3 + 0.4j, np.exp(0.7j)):
+            np.testing.assert_allclose(
+                eval_disc(sym, z), (1 - z * z) * E12 + z ** 3 * E21, atol=1e-15)
+        for t in (0.0, 1.3, np.pi):
+            np.testing.assert_allclose(
+                eval_disc(sym, np.exp(1j * t)), eval_symbol(sym, t), atol=1e-14)
+
+    def test_disc_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="negative Fourier"):
+            eval_disc(MatrixSymbol(2, 2, {-1: E12, 1: E21}), 0.5)
 
 
 class TestAdjoint:
@@ -191,23 +206,23 @@ class TestMultiplyParity:
 
 class TestIsInner:
     def test_constant_isometric_column(self):
-        theta = PolyMatrix(2, 1, (np.array([[1.0], [0.0]]),))
+        theta = MatrixSymbol.constant([[1.0], [0.0]])
         rep = is_inner(theta)
         assert rep.is_inner and rep.residual == 0.0
 
     def test_shift_times_identity(self):
-        theta = PolyMatrix(2, 2, (np.zeros((2, 2)), np.eye(2)))
+        theta = MatrixSymbol.shift(2)
         assert is_inner(theta).is_inner
 
     def test_half_identity(self):
-        rep = is_inner(PolyMatrix(2, 2, (0.5 * np.eye(2),)))
+        rep = is_inner(MatrixSymbol.constant(0.5 * np.eye(2)))
         assert not rep.is_inner
         np.testing.assert_allclose(rep.residual, 0.75, atol=1e-14)
 
     def test_gram_sum_alone_is_not_enough(self):
         # (1 + z)/sqrt(2) has isometric coefficient Gram but is not inner
         c = 1.0 / np.sqrt(2.0)
-        theta = PolyMatrix(1, 1, ([[c]], [[c]]))
+        theta = MatrixSymbol(1, 1, {0: [[c]], 1: [[c]]})
         rep = is_inner(theta)
         assert not rep.is_inner
         # the coefficients at +-1 are 1/2 each, and the sup norm of the
@@ -222,20 +237,25 @@ class TestIsInner:
         for _ in range(10):
             raw = random_symbol(rng, 2, 2, band=2, scale=5.0)
             analytic = MatrixSymbol(2, 2, {k: m for k, m in raw.coeffs.items() if k >= 0})
-            instances.append(PolyMatrix.from_symbol(analytic))
+            instances.append(analytic)
         u = haar_unitary(2, rng)
-        instances.append(PolyMatrix.from_symbol(bcl_symbol(u, P)))
-        instances.append(PolyMatrix(2, 2, (u,)))
+        instances.append(bcl_symbol(u, P))
+        instances.append(MatrixSymbol.constant(u))
         for j, theta in enumerate(instances):
             rep = is_inner(theta)
-            v = eval_on_grid(theta.as_symbol(), CircleGrid(4096))
+            v = eval_on_grid(theta, CircleGrid(4096))
             defect = v.conj().transpose(0, 2, 1) @ v - np.eye(2)
             assert rep.residual >= spectral_norms(defect).max()
             assert (rep.residual <= 1e-8) == (j >= 10)
 
     def test_rectangular_wide_rejected(self):
         with pytest.raises(ValueError):
-            is_inner(PolyMatrix(1, 2, (np.ones((1, 2)),)))
+            is_inner(MatrixSymbol.constant(np.ones((1, 2))))
+
+    def test_negative_index_rejected(self):
+        # an inner function of z-bar: isometric on the circle, not analytic
+        with pytest.raises(ValueError, match="negative Fourier"):
+            is_inner(adjoint_symbol(MatrixSymbol.shift(2)))
 
 
 class TestUnitarityMask:
@@ -265,6 +285,12 @@ class TestSupNorm:
 
     def test_model_symbol(self):
         assert abs(sup_norm_estimate(bcl_symbol(np.eye(2), P)) - 1.0) < 1e-12
+
+    def test_default_grid(self):
+        for band, size in ((0, 512), (255, 512), (256, 513), (300, 601)):
+            sym = MatrixSymbol(1, 1, {-band: [[0.5]]})
+            assert default_grid(sym).size == size
+            assert abs(sup_norm_estimate(sym, default_grid(sym)) - 0.5) < 1e-15
 
 
 class TestComposeScalarPolynomial:
@@ -308,8 +334,12 @@ class TestValidation:
         assert list(sym.coeffs) == [0, 1]
 
     def test_polymatrix_trims_leading_zeros(self):
-        p = PolyMatrix(1, 1, ([[1.0]], [[0.0]], [[0.0]]))
-        assert p.degree == 0
+        # exact-zero top coefficients are dropped, so the degree (band) of an
+        # analytic polynomial is that of its last nonzero coefficient
+        p = MatrixSymbol(1, 1, {0: [[1.0]], 1: [[0.0]], 2: [[0.0]]})
+        assert list(p.coeffs) == [0] and p.band == 0 and p.is_analytic
+        q = MatrixSymbol(1, 1, {0: [[1.0]], 1: [[0.0]], 2: [[0.5]], 3: [[-0.0]]})
+        assert list(q.coeffs) == [0, 2] and q.band == 2
 
     def test_grid_points_and_weights(self):
         for g in (1, 7, 64):
