@@ -4,8 +4,8 @@ Matrix level: the unitary part of a contraction T is the largest subspace that
 is invariant for T and T* and on which both act isometrically.  It is computed
 two independent ways,
 
-* ``unitary_part_matrix``   - start from the singular spectrum at 1 and refine
-  by invariance until a fixed point;
+* ``unitary_part_matrix``   - the sum of the eigenspaces at the unimodular
+  eigenvalues, each the joint kernel of T - lambda and T* - conj(lambda);
 * ``unitary_part_brute``    - intersect the kernels of I - T^{*n} T^n and
   I - T^n T^{*n} over n = 1 .. 2 dim,
 
@@ -40,11 +40,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_complex,
+    empty_basis,
     normalize_column_phases,
     nullspace,
     orthonormal_columns,
     psd_kernel,
-    right_svd,
     spectral_norm,
 )
 from .symbols import (
@@ -150,73 +150,48 @@ class UnitaryPartReport:
 
 
 def _check_contraction(t, tol):
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValueError(f"operator must be a square matrix, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("operator has non-finite entries")
     nrm = spectral_norm(t)
     if nrm > 1.0 + tol:
         raise ValueError(f"operator norm {nrm:.6g} exceeds 1 + tol")
 
 
-NOISE_CUT = 1e-13
+def _unitary_eigenspaces(t: np.ndarray, tol: float) -> list:
+    """Eigenspaces of a contraction at its unimodular eigenvalues.
 
-
-def _compress_rows(rows) -> np.ndarray:
-    """Compress stacked constraint rows preserving their quadratic form.
-
-    The returned rows are sigma-scaled right singular vectors, so the
-    violation ``norm(rows @ x)`` of any direction is preserved exactly and
-    weak constraints keep their natural (small) scale.  Only rows at the
-    roundoff floor are dropped; nothing is renormalized, because dividing a
-    weak row by its norm would amplify its roundoff into a spurious hard
-    constraint.
+    For |lambda| = 1, T x = lambda x forces T* x = conj(lambda) x, since
+    norm(T* x - conj(lambda) x)^2 = norm(T* x)^2 - norm(x)^2 <= 0; so the
+    eigenspace is the joint kernel of T - lambda and T* - conj(lambda), and
+    it reduces T.  The T* rows reject the eigenvectors of a non-normal block
+    with eigenvalues near the circle.  The candidates are the eigenvalues
+    with |lambda| >= 1 - tol, unmerged.  Returns the (lambda, kernel basis)
+    pairs whose kernel is nonzero.
     """
-    m = np.vstack(rows)
-    if m.size == 0:
-        return m
-    s, vh = right_svd(m)
-    keep = s > NOISE_CUT * max(s[0], 1.0)
-    return s[keep, None] * vh[keep]
-
-
-def _constraint_refinement(initial_rows, operators, n, tol):
-    """Largest subspace inside the kernel of the initial rows that is
-    invariant (within tol) under every operator.
-
-    Two phases.  First the constraint rows are grown by exact products
-    ``rows @ op`` and form-preserving compression: past violations are never
-    forgotten and no projector of a current iterate enters the data, which is
-    what keeps slowly-dying directions from dragging exact kernel vectors
-    along.  The invariance polish then removes the tails of decaying chains
-    whose accumulated violations sit below tolerance.
-    """
-    rows = _compress_rows(initial_rows)
-    basis = nullspace(rows, tol)
-    for _ in range(n + 1):
-        r = basis.shape[1]
-        if r == 0:
-            break
-        rows = _compress_rows([rows] + [rows @ op for op in operators])
-        basis = nullspace(rows, tol)
-        if basis.shape[1] == r:
-            break
-    basis, _ = _invariance_polish(basis, lambda b: [op @ b for op in operators], 0, tol)
-    return basis
+    eye = np.eye(t.shape[0])
+    spaces = []
+    for lam in np.linalg.eigvals(t):
+        if abs(lam) >= 1.0 - tol:
+            kernel = nullspace(np.vstack([t - lam * eye, t.conj().T - np.conj(lam) * eye]), tol)
+            if kernel.shape[1]:
+                spaces.append((lam, kernel))
+    return spaces
 
 
 def unitary_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
     """Largest subspace reducing a contraction to a unitary.
 
-    Starts from the joint norm-preserving space of T and T* (the kernels of
-    the two power defects at n = 1, equivalently the singular-value-1 spaces)
-    and refines by joint invariance to its fixed point; there the span is
-    invariant for T and T*, both act isometrically, hence unitarily.
+    On C^n the unitary part is a finite unitary, so it is the sum of the
+    eigenspaces of T at its unimodular eigenvalues (``_unitary_eigenspaces``),
+    each of which reduces T.
     """
     t = as_complex(t)
-    n = t.shape[0]
     _check_contraction(t, tol)
-    eye = np.eye(n)
-    basis = _constraint_refinement(
-        [eye - t.conj().T @ t, eye - t @ t.conj().T],
-        [t, t.conj().T], n, tol)
-    return Subspace(n, basis, tol)
+    n = t.shape[0]
+    kernels = [empty_basis(n)] + [kernel for _, kernel in _unitary_eigenspaces(t, tol)]
+    return Subspace(n, orthonormal_columns(np.hstack(kernels), tol), tol)
 
 
 def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
@@ -227,8 +202,8 @@ def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
     that the dimension-drop argument requires.
     """
     t = as_complex(t)
-    n = t.shape[0]
     _check_contraction(t, tol)
+    n = t.shape[0]
     eye = np.eye(n)
     basis = np.eye(n, dtype=complex)
     power = eye.astype(complex)
@@ -305,18 +280,18 @@ def _unitary_kernel(sym: MatrixSymbol, window: int, tol: float):
     The unitary part is the sum of ker(T_F - lambda) over the constant
     unimodular eigenvalues lambda of F (the paper's theorem); these kernels
     reduce T_F and carry no Jordan chain, so ker prod (T_F - lambda) is
-    their sum.  The candidates are the eigenvalues of F(1), read at t = 0
-    (a point of every ``CircleGrid``, so the gate has checked it) and
-    compressed to its unitary part; one that is not a constant eigenvalue
-    has a zero kernel.  Candidates within tol are merged, since a repeated
-    factor squares a small defect under the cut.  T_F maps degrees < n
-    exactly into degrees < n + band, so the factors are window matrices.
-    Returns (basis, number of merged candidates).
+    their sum.  The candidates are the eigenvalues of F(1) that carry a
+    joint kernel of F(1) - lambda and F(1)* - conj(lambda)
+    (``_unitary_eigenspaces``), read at t = 0, a point of every
+    ``CircleGrid``, so the gate has checked that F(1) is a contraction; one
+    that is not a constant eigenvalue has a zero kernel.  Candidates within
+    tol are merged, since a repeated factor squares a small defect under the
+    cut.  T_F maps degrees < n exactly into degrees < n + band, so the
+    factors are window matrices.  Returns (basis, number of merged
+    candidates).
     """
-    value = eval_symbol(sym, 0.0)
-    e_u = unitary_part_matrix(value, tol).basis
     factors = []
-    for lam in np.linalg.eigvals(e_u.conj().T @ value @ e_u):
+    for lam, _ in _unitary_eigenspaces(eval_symbol(sym, 0.0), tol):
         if all(abs(lam - mu) > tol for mu in factors):
             factors.append(lam)
     q = np.eye(sym.dim_in * window, dtype=complex)

@@ -5,9 +5,9 @@ All rank decisions use a relative singular-value threshold
 numerically-zero matrices well defined: everything in this package is built
 from contractions, so 1 is the natural scale.
 
-Kernels and row compressions need only the singular values and the right
-singular vectors (``right_svd``).  Tall inputs take them from the SVD of the
-QR R factor, with the same bits as the plain SVD.
+Kernels need only the singular values and the right singular vectors
+(``right_svd``).  Tall inputs take them from the SVD of the QR R factor, with
+the same bits as the plain SVD.
 """
 
 from __future__ import annotations

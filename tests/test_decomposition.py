@@ -31,6 +31,7 @@ from toeplitz_unitary.symbols import (
     block_diag_symbol,
     compose_scalar_polynomial,
     eval_on_grid,
+    eval_symbol,
     is_inner,
     multiply,
 )
@@ -96,26 +97,98 @@ class TestUnitaryPartMatrix:
         with pytest.raises(ValueError):
             unitary_part_matrix(2.0 * np.eye(2))
 
+    @pytest.mark.parametrize("func", [unitary_part_matrix, unitary_part_brute, cdot0_test])
+    @pytest.mark.parametrize("t, message", [
+        (np.zeros(3), "square matrix"),
+        (np.zeros((2, 3)), "square matrix"),
+        (np.zeros((2, 2, 2)), "square matrix"),
+        (np.array(0.5), "square matrix"),
+        (np.array([[np.nan, 0.0], [0.0, 0.0]]), "non-finite"),
+        (np.array([[np.inf, 0.0], [0.0, 0.0]]), "non-finite"),
+        (np.array([[0.0, 1j * np.inf], [0.0, 0.0]]), "non-finite"),
+    ], ids=["vector", "rectangular", "stack", "scalar", "nan", "inf", "imag-inf"])
+    def test_malformed_input_rejected(self, func, t, message):
+        with pytest.raises(ValueError, match=message):
+            func(t)
+
 
 class TestUnitaryPartBrute:
-    def test_matches_refinement_on_sweep(self):
-        for seed in range(40):
+    @staticmethod
+    def _sweep():
+        """(name, T, truth) triples; truth is an orthonormal basis of the
+        known unitary part, or None for a Ginibre matrix."""
+        cases = []
+        # planted diag(U0, strict contraction) in a random frame, n = 2-8,
+        # and Ginibre matrices scaled to norm 1
+        for seed in range(400):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 9))
             if seed % 2:
-                t = random_contraction(n, rng)
-                truth_dim = None
+                cases.append((f"ginibre-{seed}", random_contraction(n, rng), None))
             else:
-                d0 = int(rng.integers(1, n + 1))
-                t, _ = planted_contraction(rng, n, d0)
-                truth_dim = d0
+                t, truth = planted_contraction(rng, n, int(rng.integers(1, n + 1)))
+                cases.append((f"planted-{seed}", t, truth))
+        # truncated shift (isometric on all but one direction) beside a unitary
+        for seed in range(40):
+            rng = np.random.default_rng(1000 + seed)
+            k, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            t = np.zeros((k + m, k + m), dtype=complex)
+            t[:m, :m] = haar_unitary(m, rng)
+            t[m:, m:] = np.eye(k, k=-1)
+            q = haar_unitary(k + m, rng)
+            cases.append((f"shift-{seed}", q @ t @ q.conj().T, q[:, :m]))
+        # strict part of norm 1 - 1e-4, 1e4 tol from the circle
+        for seed in range(40):
+            rng = np.random.default_rng(2000 + seed)
+            n = int(rng.integers(2, 9))
+            t, truth = planted_contraction(rng, n, int(rng.integers(1, n)), 1 - 1e-4)
+            cases.append((f"strict-{seed}", t, truth))
+        # F(1) of the symbol families: the colligation transfer polynomials
+        # and the non-planted butz symbols are unitary at z = 1
+        for seed in range(60):
+            for rank in (1, 2):
+                value = eval_symbol(colligation_symbol(seed, rank), 0.0)
+                cases.append((f"colligation{rank}-{seed}", value, np.eye(3)))
+            sym, _ = planted_block_symbol(np.random.default_rng(seed), 2, 2)
+            cases.append((f"planted_d4-{seed}", eval_symbol(sym, 0.0), np.eye(4, 2)))
+            sym, _ = butz_symbol(seed, planted=False)
+            cases.append((f"butz-{seed}", eval_symbol(sym, 0.0), np.eye(4)))
+        # eigenvalues near the circle or near each other: a sqrt(tol) modulus
+        # cut would admit 1 - 1e-6 and 1 - 1e-7, a sqrt(tol) merge would lose
+        # e^(1e-6 i) and e^((0.7 + 1e-7) i)
+        rng = np.random.default_rng(3000)
+        eye = np.eye(4)
+        q = haar_unitary(4, rng)
+
+        def jordan(r, head):
+            # r e^(0.3 i) [[1, 1 - r], [0, 1]] of norm below 1, beside head
+            t = np.zeros((4, 4), dtype=complex)
+            t[:2, :2] = head
+            t[2:, 2:] = r * np.exp(0.3j) * np.array([[1.0, 1.0 - r], [0.0, 1.0]])
+            return t
+
+        near = [
+            ("diag", np.diag([1.0, 1.0 - 1e-6, np.exp(1e-6j)]), eye[:3, [0, 2]]),
+            ("close_pair", np.diag([np.exp(0.7j), np.exp((0.7 + 1e-7) * 1j), 0.5]),
+             eye[:3, :2]),
+            ("inside_pair", np.diag([-1.0, 1.0 - 1e-7]), eye[:2, :1]),
+            ("jordan", q @ jordan(1 - 1e-4, haar_unitary(2, rng)) @ q.conj().T, q[:, :2]),
+            ("jordan_inside", jordan(1 - 1e-6, np.diag([1j, 0.0])), eye[:, :1]),
+            ("repeated", q @ np.diag([1.0, 1.0, 1j, 0.9]) @ q.conj().T, q[:, :3]),
+        ]
+        return cases + [(f"near-{name}", t, truth) for name, t, truth in near]
+
+    def test_eigen_kernel_matches_brute_on_sweep(self):
+        wrong = []
+        for name, t, truth in self._sweep():
             a = unitary_part_matrix(t)
             b = unitary_part_brute(t)
-            assert a.dim == b.dim
-            if truth_dim is not None:
-                assert a.dim == truth_dim
-            if a.dim:
-                assert np.max(principal_angles(a.basis, b.basis)) <= 1e-7
+            if a.dim != b.dim or subspace_gap(a.basis, b.basis) > 1e-9:
+                wrong.append((name, "brute", a.dim, b.dim))
+            if truth is not None and (a.dim != truth.shape[1]
+                                      or subspace_gap(a.basis, truth) > 1e-10):
+                wrong.append((name, "planted", a.dim, truth.shape[1]))
+        assert wrong == []
 
     def test_unitary_full(self):
         u = haar_unitary(3, np.random.default_rng(3))
@@ -127,8 +200,8 @@ class TestUnitaryPartBrute:
 
 
 class TestInvariancePolish:
-    """The polish shared by the matrix and the window refinements, on the
-    truncated forward shift S e_k = e_(k+1) of C^6."""
+    """The polish of the window refinement, on the truncated forward shift
+    S e_k = e_(k+1) of C^6."""
 
     SHIFT = np.eye(6, k=-1)
 
@@ -508,15 +581,16 @@ class TestUnitaryKernel:
 
     def test_candidates_read_at_t0(self, monkeypatch):
         # random_trig_scalar is a contraction on the 512-point grid only;
-        # F(1) is the grid value at t = 0, so the gate has checked it and
-        # unitary_part_matrix cannot raise on it
+        # F(1) is the grid value at t = 0, so the gate has checked that the
+        # matrix whose eigenspaces give the candidates is a contraction
         seen = []
+        eigenspaces = decomposition._unitary_eigenspaces
 
         def recording(t, tol):
             seen.append(t)
-            return unitary_part_matrix(t, tol)
+            return eigenspaces(t, tol)
 
-        monkeypatch.setattr(decomposition, "unitary_part_matrix", recording)
+        monkeypatch.setattr(decomposition, "_unitary_eigenspaces", recording)
         rng = np.random.default_rng(0)
         for _ in range(20):
             sym = random_trig_scalar(rng, 4)

@@ -1,7 +1,7 @@
 """The rank-decision kernels against in-test copies of their plain versions.
 
-``nullspace`` and ``decomposition._compress_rows`` take (sigma, V^H) from
-``right_svd``, which factors tall inputs by QR first, and
+``nullspace`` takes (sigma, V^H) from ``right_svd``, which factors tall
+inputs by QR first, and
 ``normalize_column_phases`` works on whole arrays.  Every rank decision sits
 at a ``tol * max(sigma_1, 1)`` cut, so these must give the same bits as the
 plain SVD and the per-column loop below, not just close values.  The same
@@ -20,8 +20,6 @@ from helpers import (
 )
 from toeplitz_unitary import decomposition, hardy, linalg, symbols
 from toeplitz_unitary.decomposition import (
-    NOISE_CUT,
-    _compress_rows,
     _window_refinement,
     toeplitz_unitary_part,
     toeplitz_unitary_part_brute,
@@ -62,15 +60,6 @@ def reference_nullspace(a, tol=DEFAULT_TOL):
     cut = tol * max(s[0] if s.size else 0.0, 1.0)
     r = int(np.sum(s > cut))
     return reference_normalize_column_phases(vh[r:].conj().T)
-
-
-def reference_compress_rows(rows, cut=NOISE_CUT):
-    m = np.vstack(rows)
-    if m.size == 0:
-        return m
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    keep = s > cut * max(s[0], 1.0)
-    return s[keep, None] * vh[keep]
 
 
 def same_bits(x, y):
@@ -121,8 +110,8 @@ class TestRFactorRoute:
                 assert same_bits(nullspace(a), reference_nullspace(a))
                 # weak rows next to strong ones, as when the structure loop
                 # stacks constraint rows of very different size
-                stacked = [a[:rows // 2], 1e-9 * a[rows // 2:]]
-                assert same_bits(_compress_rows(stacked), reference_compress_rows(stacked))
+                stacked = np.vstack([a[:rows // 2], 1e-9 * a[rows // 2:]])
+                assert same_bits(nullspace(stacked), reference_nullspace(stacked))
         assert len(qr_calls) == 2 * 5 * 5
 
     def test_right_svd_matches_economy_svd(self):
@@ -144,7 +133,6 @@ class TestRFactorRoute:
         for rank in {0, 1, min(rows, cols) // 2, min(rows, cols)}:
             a = _planted(rng, rows, cols, rank)
             assert same_bits(nullspace(a), reference_nullspace(a))
-            assert same_bits(_compress_rows([a]), reference_compress_rows([a]))
         assert qr_calls == []
 
     def test_full_svd_takes_the_plain_route(self, qr_calls):
@@ -158,15 +146,12 @@ class TestRFactorRoute:
         for shape in ((0, 5), (5, 0), (0, 0)):
             a = np.zeros(shape, dtype=complex)
             assert same_bits(nullspace(a), reference_nullspace(a))
-            assert same_bits(_compress_rows([a]), reference_compress_rows([a]))
 
     @pytest.mark.parametrize("shape", [(4 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS), (6, 4)])
     def test_nan_input_raises_on_both_routes(self, shape):
         a = np.full(shape, np.nan, dtype=complex)
         with pytest.raises(np.linalg.LinAlgError):
             nullspace(a)
-        with pytest.raises(np.linalg.LinAlgError):
-            _compress_rows([a])
 
 
 class TestNormalizeColumnPhases:
@@ -265,8 +250,10 @@ def _rotated_swap_symbol(seed):
 
 
 # inputs whose rank decisions sit closest to the cut: the first to move
-# under any roundoff change in the structure loop; the colligations are
-# analytic, so the loop is run through _window_refinement as well
+# under any roundoff change in the kernels; the colligations are analytic,
+# so the kernel route is run through _window_refinement as well.  Patching
+# decomposition.nullspace covers every kernel of both routes, the
+# eigenspaces of F(0) or F(1) that _unitary_eigenspaces takes included
 CANARIES = [
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),
@@ -285,7 +272,6 @@ def test_decomposition_matches_reference_kernels(name, make_symbol, window, monk
         for module in (linalg, decomposition):
             patch.setattr(module, "normalize_column_phases", reference_normalize_column_phases)
         patch.setattr(decomposition, "nullspace", reference_nullspace)
-        patch.setattr(decomposition, "_compress_rows", reference_compress_rows)
         reference = toeplitz_unitary_part(sym, window)
         reference_loop = _window_refinement(sym, window, DEFAULT_TOL)
     assert same_bits(fast.subspace.basis, reference.subspace.basis)
