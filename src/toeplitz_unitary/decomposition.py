@@ -149,11 +149,15 @@ class UnitaryPartReport:
         return all(v <= 100 * tol for v in self.certification.values())
 
 
-def _check_contraction(t, tol):
+def _check_finite_square(t):
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("operator has non-finite entries")
+
+
+def _check_contraction(t, tol):
+    _check_finite_square(t)
     nrm = spectral_norm(t)
     if nrm > 1.0 + tol:
         raise ValueError(f"operator norm {nrm:.6g} exceeds 1 + tol")
@@ -584,6 +588,12 @@ def reducing_check(v_basis, a, tol: float = DEFAULT_TOL) -> bool:
     """Whether the range of an isometry reduces ``a``, via the commutator test."""
     v = as_complex(v_basis)
     a = as_complex(a)
+    # a need not be a contraction, so only its shape and entries are checked
+    _check_finite_square(a)
+    if v.ndim != 2 or v.shape[0] != a.shape[0]:
+        raise ValueError(f"basis must be a matrix with {a.shape[0]} rows, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("basis has non-finite entries")
     if v.shape[1] and spectral_norm(v.conj().T @ v - np.eye(v.shape[1])) > 100 * tol:
         raise ValueError("basis columns are not isometric")
     proj = v @ v.conj().T

@@ -958,6 +958,21 @@ class TestReducingCheck:
         with pytest.raises(ValueError):
             reducing_check(2.0 * np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("v, a, message", [
+        (np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]), "operator has non-finite"),
+        (np.eye(2), np.array([[1.0, 1j * np.inf], [0.0, 1.0]]), "operator has non-finite"),
+        (np.array([[np.inf], [0.0]]), np.eye(2), "basis has non-finite"),
+        (np.eye(2), np.eye(3), "with 3 rows"),
+        (np.eye(3)[:, :1], np.eye(2), "with 2 rows"),
+        (np.array([1.0, 0.0]), np.eye(2), "basis must be a matrix"),
+        (np.eye(2), np.zeros((2, 3)), "square matrix"),
+        (np.eye(2), np.zeros(2), "square matrix"),
+    ], ids=["nan-operator", "inf-operator", "inf-basis", "short-basis",
+            "long-basis", "1d-basis", "non-square-operator", "1d-operator"])
+    def test_malformed_input_rejected(self, v, a, message):
+        with pytest.raises(ValueError, match=message):
+            reducing_check(v, a)
+
 
 class TestCdot0:
     def test_half_identity(self):

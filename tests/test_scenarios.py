@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from toeplitz_unitary.linalg import haar_unitary
+from toeplitz_unitary import scenarios
+from toeplitz_unitary.colligation import polynomial_from_colligation
+from toeplitz_unitary.decomposition import _unitary_kernel, toeplitz_unitary_part_brute
+from toeplitz_unitary.linalg import haar_unitary, subspace_gap
 from toeplitz_unitary.symbols import MatrixSymbol
 from toeplitz_unitary.serialize import canonical_dumps
 from toeplitz_unitary.scenarios import (
     SCENARIOS,
+    planted_colligation,
     run_all,
     run_scenario,
     scenario_analytic_main,
@@ -180,6 +184,45 @@ class TestPropDS:
         # with no disc points the disc checks used to pass on nothing
         with pytest.raises(ValueError):
             scenario_prop_ds(n_lambda=0)
+
+    @pytest.mark.parametrize("d0, d1", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_kernel_matches_brute_on_prop_ds_symbols(self, d0, d1):
+        # check (iii) reads the exact kernel; the full-budget brute oracle,
+        # independent of it, checks it on the same symbols
+        window = 6
+        planted = np.kron(np.eye(window), np.eye(d0 + d1, d0))
+        wrong = []
+        for seed in range(16):
+            colligation, _ = planted_colligation(np.random.default_rng(seed), d0, d1)
+            sym = polynomial_from_colligation(colligation)
+            kernel = _unitary_kernel(sym, window, 1e-8)[0]
+            brute = toeplitz_unitary_part_brute(sym, window, 1e-8)
+            if (kernel.shape[1] != d0 * window
+                    or subspace_gap(kernel, planted) > 1e-10):
+                wrong.append((seed, "planted", kernel.shape[1]))
+            if brute.dim == d0 * window and subspace_gap(kernel, brute.basis) > 1e-7:
+                wrong.append((seed, "brute", brute.dim))
+        assert wrong == []
+
+    def test_seed_43010_contains_block(self):
+        # the brute oracle missed the planted block by 1.66e-6 here
+        result = scenario_prop_ds(seed=43010)
+        assert result.overall
+        check = next(c for c in result.checks if c.name == "window_part_contains_block")
+        assert check.residual <= 1e-12
+
+    def test_window_check_reads_kernel_not_brute_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("prop_ds ran the brute oracle")
+
+        monkeypatch.setattr(scenarios, "toeplitz_unitary_part_brute", refuse)
+        assert scenario_prop_ds(seed=0).overall
+        # an empty kernel must fail check (iii): it reads neither the
+        # report's Phi(0) subspace nor the constant term's part
+        monkeypatch.setattr(scenarios, "_unitary_kernel",
+                            lambda sym, window, tol: (np.zeros((sym.dim_in * window, 0)), 0))
+        failed = [c.name for c in scenario_prop_ds(seed=0).checks if not c.passed]
+        assert failed == ["window_part_contains_block"]
 
 
 class TestWold:
