@@ -11,12 +11,13 @@ two independent ways,
 
 and the pair is kept as a cross-checking oracle throughout the test suite.
 
-Toeplitz level: on the degree window {polynomials of degree < N} the
-unitary part is the exact kernel of q(T_F) = prod (T_F - lambda) over the
-unimodular eigenvalues lambda of F(1), computed with no finite-section
-truncation error, and an invariance polish keeps the part that F and F* map
-back into the window.  Every basis vector h then satisfies, with certified
-residuals:
+Toeplitz level: by the paper's theorem the unitary part is Theta H^2 with
+F Theta = Theta U, so T_F acts on it as the constant unitary U.  On the
+degree window {polynomials of degree < N} its part that F and F* keep inside
+the window is the sum of the joint eigenspaces of T_F and T_F* at the
+unimodular eigenvalues lambda of F(1), each one exact kernel with no
+finite-section truncation error.  Every basis vector h then satisfies, with
+certified residuals:
 
 * the symbol action on h and the adjoint-symbol action on h are analytic,
 * both preserve the Hardy norm of h,
@@ -156,11 +157,29 @@ def _check_finite_square(t):
         raise ValueError("operator has non-finite entries")
 
 
+def _check_tol(tol):
+    # a NaN tol passes every "x > 1 + tol" gate, so it is refused here
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _check_contraction(t, tol):
+    _check_tol(tol)
     _check_finite_square(t)
     nrm = spectral_norm(t)
     if nrm > 1.0 + tol:
         raise ValueError(f"operator norm {nrm:.6g} exceeds 1 + tol")
+
+
+def _joint_kernel(t: np.ndarray, t_adj: np.ndarray, lam, tol: float) -> np.ndarray:
+    """Joint kernel of T - lambda E and T_adj - conj(lambda) E, E = [I; 0].
+
+    E is ``np.eye(*t.shape)``: the identity for a square T, and the
+    embedding of the input degrees into the output degrees for a window
+    section of a Toeplitz operator.
+    """
+    eye = np.eye(*t.shape)
+    return nullspace(np.vstack([t - lam * eye, t_adj - np.conj(lam) * eye]), tol)
 
 
 def _unitary_eigenspaces(t: np.ndarray, tol: float) -> list:
@@ -174,11 +193,10 @@ def _unitary_eigenspaces(t: np.ndarray, tol: float) -> list:
     with |lambda| >= 1 - tol, unmerged.  Returns the (lambda, kernel basis)
     pairs whose kernel is nonzero.
     """
-    eye = np.eye(t.shape[0])
     spaces = []
     for lam in np.linalg.eigvals(t):
         if abs(lam) >= 1.0 - tol:
-            kernel = nullspace(np.vstack([t - lam * eye, t.conj().T - np.conj(lam) * eye]), tol)
+            kernel = _joint_kernel(t, t.conj().T, lam, tol)
             if kernel.shape[1]:
                 spaces.append((lam, kernel))
     return spaces
@@ -222,28 +240,6 @@ def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(n, basis, tol)
 
 
-def _stray_blocks(basis: np.ndarray, img: np.ndarray, start: int):
-    """Parts of one image of span(basis) that leave the span.
-
-    The image holds the exact action of one operator on the basis columns,
-    with the window coefficients in rows start .. start + n - 1.  Returns
-    (below, above, off): the rows below the window, the rows above it, and
-    the component of the window part orthogonal to the span.
-    """
-    n = basis.shape[0]
-    inside = img[start:start + n]
-    return img[:start], img[start + n:], inside - basis @ (basis.conj().T @ inside)
-
-
-def _stray_rows(basis: np.ndarray, images, start: int) -> np.ndarray:
-    """Stacked ``_stray_blocks`` of every image: rows outside the window
-    count in full, the window part by its component off the span.  The span
-    is invariant under every operator, within tol, exactly when
-    ``nullspace(rows, tol)`` keeps all basis columns.
-    """
-    return np.vstack([b for img in images for b in _stray_blocks(basis, img, start)])
-
-
 def _window_images(syms, basis: np.ndarray) -> list:
     """Exact actions of the symbols on the basis columns of a degree window.
 
@@ -256,55 +252,41 @@ def _window_images(syms, basis: np.ndarray) -> list:
     return [convolve_block_columns(s, blocks).reshape(-1, r) for s in syms]
 
 
-def _invariance_polish(basis: np.ndarray, act, start: int, tol: float):
-    """Largest part of span(basis) that every operator maps into itself.
+def _kernel_candidates(sym: MatrixSymbol, tol: float) -> list:
+    """Candidate constant unimodular eigenvalues of F, merged within tol.
 
-    ``act(basis)`` returns the exact images of the basis columns laid out as
-    ``_stray_rows`` expects: the span's coordinates in rows start .. start + n
-    - 1, rows outside them counting in full.  Each iteration keeps the
-    directions whose images stay in the span, within tol, until no direction
-    is dropped.  Returns (basis, iterations).
-    """
-    iterations = 0
-    for _ in range(basis.shape[0] + 1):
-        r = basis.shape[1]
-        if r == 0:
-            break
-        coeff_null = nullspace(_stray_rows(basis, act(basis), start), tol)
-        iterations += 1
-        if coeff_null.shape[1] == r:
-            break
-        basis = normalize_column_phases(basis @ coeff_null)
-    return basis, iterations
-
-
-def _unitary_kernel(sym: MatrixSymbol, window: int, tol: float):
-    """Window part of the unitary part of T_F as one exact kernel, ker q(T_F).
-
-    The unitary part is the sum of ker(T_F - lambda) over the constant
-    unimodular eigenvalues lambda of F (the paper's theorem); these kernels
-    reduce T_F and carry no Jordan chain, so ker prod (T_F - lambda) is
-    their sum.  The candidates are the eigenvalues of F(1) that carry a
-    joint kernel of F(1) - lambda and F(1)* - conj(lambda)
-    (``_unitary_eigenspaces``), read at t = 0, a point of every
-    ``CircleGrid``, so the gate has checked that F(1) is a contraction; one
-    that is not a constant eigenvalue has a zero kernel.  Candidates within
-    tol are merged, since a repeated factor squares a small defect under the
-    cut.  T_F maps degrees < n exactly into degrees < n + band, so the
-    factors are window matrices.  Returns (basis, number of merged
-    candidates).
+    The candidates are the eigenvalues of F(1) that carry a joint kernel of
+    F(1) - lambda and F(1)* - conj(lambda) (``_unitary_eigenspaces``), read
+    at t = 0, a point of every ``CircleGrid``, so the gate has checked that
+    F(1) is a contraction; one that is not a constant eigenvalue adds
+    nothing to either window kernel.  Candidates within tol are merged,
+    since a repeated factor squares a small defect under the cut.
     """
     factors = []
     for lam, _ in _unitary_eigenspaces(eval_symbol(sym, 0.0), tol):
         if all(abs(lam - mu) > tol for mu in factors):
             factors.append(lam)
+    return factors
+
+
+def _unitary_kernel(sym: MatrixSymbol, window: int, tol: float) -> np.ndarray:
+    """The exact kernel ker q(T_F) on the window, q(x) = prod (x - lambda).
+
+    The unitary part is the sum of ker(T_F - lambda) over the constant
+    unimodular eigenvalues lambda of F (the paper's theorem); these kernels
+    reduce T_F and carry no Jordan chain, so the product over the
+    ``_kernel_candidates`` holds their sum.  T_F maps degrees < n exactly
+    into degrees < n + band, so the factors are window matrices.  With no
+    T_F* rows it also holds a non-normal block's eigenvectors within tol of
+    a candidate.
+    """
     q = np.eye(sym.dim_in * window, dtype=complex)
     degrees = window
-    for lam in factors:
+    for lam in _kernel_candidates(sym, tol):
         img = toeplitz_window_matrix(sym, degrees, degrees + sym.band) @ q
         img[:q.shape[0]] -= lam * q
         q, degrees = img, degrees + sym.band
-    return nullspace(q, tol), len(factors)
+    return nullspace(q, tol)
 
 
 def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
@@ -312,7 +294,10 @@ def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
 
     Analyticity, norm preservation and invariance of F and F* on
     span(basis), and unitarity of the restriction of F, all by exact
-    coefficient convolution.  Empty for an empty basis.
+    coefficient convolution.  Each image has its window coefficients in rows
+    start .. start + n - 1; the rows below them must vanish for
+    analyticity, and the rows above them and the window part off the span
+    for invariance.  Empty for an empty basis.
     """
     if basis.shape[1] == 0:
         return {}
@@ -322,35 +307,40 @@ def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
     gram = basis.conj().T @ basis
     cert = {}
     for name, img in zip(("fwd", "adj"), images):
-        below, above, off = _stray_blocks(basis, img, start)
+        inside = img[start:start + n]
         # Parseval: norm preservation is B*B = (F B)*(F B) on the full image
-        cert[f"analytic_{name}"] = spectral_norm(below)
+        cert[f"analytic_{name}"] = spectral_norm(img[:start])
         cert[f"norm_{name}"] = spectral_norm(gram - img.conj().T @ img)
-        cert[f"invariance_{name}"] = max(spectral_norm(above), spectral_norm(off))
+        cert[f"invariance_{name}"] = max(
+            spectral_norm(img[start + n:]),
+            spectral_norm(inside - basis @ (basis.conj().T @ inside)))
     coords = basis.conj().T @ images[0][start:start + n]
     cert["restriction_unitary"] = spectral_norm(
         coords.conj().T @ coords - np.eye(basis.shape[1]))
     return cert
 
 
-def _window_refinement(sym: MatrixSymbol, window: int, tol: float):
-    """Window part of a non-analytic symbol: the kernel, polished.
+def _window_eigenspaces(sym: MatrixSymbol, window: int, tol: float):
+    """Window part of a non-analytic symbol: joint eigenspaces of T_F, T_F*.
 
-    The polish keeps the largest part P(K) of the kernel K that F and F*
-    map into itself inside the window (swap: 2 window - 1 down to
-    2 window - 2).  With S_m the solutions of the first m power structure
-    equations, P(S_1) reduces T_F to a unitary, so it lies in K; K lies in
-    every S_m and S_m in S_1, and P only shrinks with its argument, so
-    P(K) = P(S_m) = P(S_1) at every power budget.  Returns (basis, trail:
-    route, kernel_factors, kernel_dim, refinement_iterations).
+    The part L of the unitary part that F and F* keep inside the window is
+    finite and T_F is unitary on it, so it is spanned by eigenvectors
+    T_F h = lambda h with |lambda| = 1; such an h has F h = lambda h a.e.,
+    so lambda is a ``_kernel_candidates`` eigenvalue.  Conversely, if
+    T_F h = lambda h and T_F* h = conj(lambda) h for h in the window,
+    norm(F h) <= norm(h) = norm(P_+ F h) forces F h = lambda h and
+    F* h = conj(lambda) h.  The window sections of F and F* into degrees
+    < window + band hold T_F h and T_F* h exactly, so L is the sum of their
+    ``_joint_kernel`` over the candidates (swap: 2 window - 2).  Returns
+    (basis, trail: route, kernel_factors).
     """
-    syms = (sym, adjoint_symbol(sym))
-    kernel, factors = _unitary_kernel(sym, window, tol)
-    basis, iterations = _invariance_polish(
-        kernel, lambda b: _window_images(syms, b), sym.band * sym.dim_out, tol)
-    trail = {"route": "kernel", "kernel_factors": factors,
-             "kernel_dim": kernel.shape[1], "refinement_iterations": iterations}
-    return basis, trail
+    factors = _kernel_candidates(sym, tol)
+    n_out = window + sym.band
+    t = toeplitz_window_matrix(sym, window, n_out)
+    t_adj = toeplitz_window_matrix(adjoint_symbol(sym), window, n_out)
+    kernels = [empty_basis(t.shape[1])] + [_joint_kernel(t, t_adj, lam, tol) for lam in factors]
+    basis = orthonormal_columns(np.hstack(kernels), tol)
+    return basis, {"route": "kernel", "kernel_factors": len(factors)}
 
 
 def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
@@ -362,15 +352,13 @@ def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
     the constant unitary U0.  The unitary part of T_Psi is zero: by the
     paper's theorem it is Theta H^2 with Psi Theta = Theta U, and the lowest
     nonzero coefficient Theta_j satisfies Psi_0 Theta_j = Theta_j U, which
-    would give Psi_0 a unitary part.  So the window part is kron(I, E_u).
-    Returns (basis, trail) like ``_window_refinement``, with no candidates
-    and no polish: ``kernel_dim`` is the basis dimension.
+    would give Psi_0 a unitary part.  So the window part is kron(I, E_u),
+    with no candidates and no window kernel.  Returns (basis, trail) like
+    ``_window_eigenspaces``.
     """
     e_u = unitary_part_matrix(sym.coeff(0), tol).basis
     basis = np.kron(np.eye(window), e_u)
-    trail = {"route": "analytic", "kernel_factors": 0,
-             "kernel_dim": basis.shape[1], "refinement_iterations": 0}
-    return basis, trail
+    return basis, {"route": "analytic", "kernel_factors": 0}
 
 
 def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> ExtractionResult:
@@ -488,12 +476,13 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     classification is carried in the report.
 
     An analytic symbol takes its subspace from the unitary part of F(0)
-    (``route`` ``analytic``); any other symbol from the kernel ker q(T_F)
-    and the window polish (``route`` ``kernel``).  Both certify it the same
-    way, and ``params`` records the route, the merged candidate count
-    ``kernel_factors``, the dimension ``kernel_dim`` before the polish and
-    the polish's ``refinement_iterations``.
+    (``route`` ``analytic``); any other symbol from the joint eigenspaces of
+    T_F and T_F* at the candidate eigenvalues (``route`` ``kernel``).  Both
+    certify it the same way, and ``params`` records the route and the
+    merged candidate count ``kernel_factors``.  A non-finite or
+    non-positive tol is refused.
     """
+    _check_tol(tol)
     if not sym.is_square:
         raise ValueError("decomposition needs a square symbol")
     if window < 1:
@@ -505,7 +494,7 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
 
     d = sym.dim_out
-    route = _analytic_window_part if sym.is_analytic else _window_refinement
+    route = _analytic_window_part if sym.is_analytic else _window_eigenspaces
     basis, trail = route(sym, window, tol)
     cert = _window_certificate(sym, basis)
     subspace = Subspace(d * window, basis, tol)
@@ -554,6 +543,7 @@ def toeplitz_unitary_part_brute(sym: MatrixSymbol, window: int,
     contains the ``toeplitz_unitary_part`` subspace.  Every power is solved,
     for analytic symbols too.
     """
+    _check_tol(tol)
     if not sym.is_square:
         raise ValueError("decomposition needs a square symbol")
     d = sym.dim_out
@@ -615,15 +605,19 @@ def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,
     Builds u(T) column by column with exact repeated symbol application; the
     returned rectangular matrix maps degrees < window into the enlarged exact
     window and its norm is checked against 1 + tol (von Neumann bound, since
-    |u| < 1 on the boundary grid is required).
+    |u| < 1 on the boundary grid is required).  u needs at least one
+    coefficient, all finite.
     """
+    _check_tol(tol)
     if not sym.is_analytic:
         raise ValueError("polynomial calculus needs an analytic symbol")
     if not sym.is_square:
         raise ValueError("polynomial calculus needs a square symbol")
+    coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())
+    if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+        raise ValueError("scalar polynomial needs one or more finite coefficients")
     if sup_norm_estimate(sym) > 1.0 + tol:
         raise ValueError("symbol sup-norm estimate exceeds 1 + tol")
-    coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())
     boundary_grid = CircleGrid(max(DEFAULT_GRID_SIZE, 4 * len(coeffs)))
     vals = np.polyval(coeffs[::-1], np.exp(1j * boundary_grid.points))
     if np.max(np.abs(vals)) >= 1.0:

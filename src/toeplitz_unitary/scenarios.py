@@ -331,13 +331,14 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
     conditions; instances built from the nonconstant inner generator
     diag(z, 1) violate all three while still having unitary vectors.  The
     biconditional between pointwise condition and product form is asserted on
-    every instance.  The window part is the exact kernel ker q(T_F), before
-    any invariance polish, so on diag(z, 1) it keeps all 2 window - 1
-    directions and stays shift invariant.
+    every instance.  The window part is the exact kernel ker q(T_F), not
+    the report's joint eigenspaces of T_F and T_F*, so on diag(z, 1) it
+    keeps all 2 window - 1 directions, (0, z^(window - 1)) included, and
+    stays shift invariant.
     """
     sym, w0 = butz_symbol(seed, d0, d1, planted)
     dim = sym.dim_out
-    m = Subspace(dim * window, _unitary_kernel(sym, window, tol)[0], tol)
+    m = Subspace(dim * window, _unitary_kernel(sym, window, tol), tol)
     cond_i, cond_ii, cond_iii, info = _butz_conditions(sym, m, dim, window, tol)
 
     checks = [
@@ -452,7 +453,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     # Phi(0) route builds from (i); the report gives nontriviality and the
     # certificate
     report = toeplitz_unitary_part(sym, window, tol)
-    kernel = _unitary_kernel(sym, window, tol)[0]
+    kernel = _unitary_kernel(sym, window, tol)
     planted_window = np.kron(np.eye(window), inclusion)
     res_iii = spectral_norm(
         planted_window - kernel @ (kernel.conj().T @ planted_window))

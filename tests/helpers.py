@@ -1,14 +1,21 @@
 """Helpers shared by the test modules.
 
 Random instances, reference loops that the bitwise parity tests compare the
-library kernels against, and the residual and angle checks that only tests
-use.  No test module imports another; what two of them share lives here.
+library kernels against, the invariance polish that the window part is
+checked against, and the residual and angle checks that only tests use.  No
+test module imports another; what two of them share lives here.
 """
 
 import numpy as np
 
 from toeplitz_unitary.colligation import Colligation
-from toeplitz_unitary.linalg import as_complex, haar_unitary, spectral_norm
+from toeplitz_unitary.linalg import (
+    as_complex,
+    haar_unitary,
+    normalize_column_phases,
+    nullspace,
+    spectral_norm,
+)
 from toeplitz_unitary.symbols import MatrixSymbol, adjoint_symbol
 
 
@@ -113,6 +120,33 @@ def reference_multiply(a, b):
             cur = out.get(idx)
             out[idx] = ma @ mb if cur is None else cur + ma @ mb
     return MatrixSymbol(a.dim_out, b.dim_in, out)
+
+
+def invariance_polish(basis, act, start, tol):
+    """Largest part of span(basis) that every operator maps into itself.
+
+    ``act(basis)`` returns the exact images of the basis columns, with the
+    span's coordinates in rows start .. start + n - 1.  The rows below and
+    above them count in full, the window part by its component off the span.
+    Each iteration keeps the directions whose images stay in the span,
+    within tol, until no direction is dropped.  Returns (basis, iterations).
+    """
+    n = basis.shape[0]
+    iterations = 0
+    for _ in range(n + 1):
+        r = basis.shape[1]
+        if r == 0:
+            break
+        rows = []
+        for img in act(basis):
+            inside = img[start:start + n]
+            rows += [img[:start], img[start + n:], inside - basis @ (basis.conj().T @ inside)]
+        coeff_null = nullspace(np.vstack(rows), tol)
+        iterations += 1
+        if coeff_null.shape[1] == r:
+            break
+        basis = normalize_column_phases(basis @ coeff_null)
+    return basis, iterations
 
 
 def principal_angles(b1, b2) -> np.ndarray:

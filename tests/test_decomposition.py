@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     colligation_symbol,
+    invariance_polish,
     planted_contraction,
     principal_angles,
     random_contraction,
@@ -39,9 +40,8 @@ from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matri
 from toeplitz_unitary.decomposition import (
     ExtractionResult,
     Subspace,
-    _invariance_polish,
     _unitary_kernel,
-    _window_refinement,
+    _window_eigenspaces,
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
@@ -110,6 +110,25 @@ class TestUnitaryPartMatrix:
     def test_malformed_input_rejected(self, func, t, message):
         with pytest.raises(ValueError, match=message):
             func(t)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda tol: toeplitz_unitary_part(MatrixSymbol.constant(2.0 * np.eye(2)), 4, tol=tol),
+    lambda tol: unitary_part_matrix(2.0 * np.eye(2), tol),
+    lambda tol: unitary_part_brute(2.0 * np.eye(2), tol),
+    lambda tol: cdot0_test(2.0 * np.eye(2), tol),
+    lambda tol: poly_calculus(MatrixSymbol.shift(1), [0.0, 0.5], 3, tol),
+    lambda tol: toeplitz_unitary_part_brute(MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]}), 4, tol),
+], ids=["toeplitz_unitary_part", "unitary_part_matrix", "unitary_part_brute", "cdot0_test",
+        "poly_calculus", "toeplitz_unitary_part_brute"])
+def test_non_finite_or_non_positive_tol_rejected(call, tol):
+    # 2 I is no contraction, but "2 > 1 + nan" is False, so a NaN tol would
+    # pass every gate, and toeplitz_unitary_part would certify it trivial;
+    # at tol nan every rank cut keeps all directions, so the brute oracle
+    # would call the whole window of a strict contraction unitary
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        call(tol)
 
 
 class TestUnitaryPartBrute:
@@ -197,41 +216,6 @@ class TestUnitaryPartBrute:
     def test_nilpotent_shift_zero(self):
         s = np.diag(np.ones(3), -1)
         assert unitary_part_brute(s).dim == 0
-
-
-class TestInvariancePolish:
-    """The polish of the window refinement, on the truncated forward shift
-    S e_k = e_(k+1) of C^6."""
-
-    SHIFT = np.eye(6, k=-1)
-
-    @staticmethod
-    def polish(basis, op, start=0):
-        return _invariance_polish(basis, lambda b: [op @ b], start, 1e-8)
-
-    def test_chain_leaving_the_span_is_removed(self):
-        # S e4 = e5 leaves span(e0..e4); then e3, e2, e1 and e0 follow
-        basis, _ = self.polish(np.eye(6)[:, :5].astype(complex), self.SHIFT)
-        assert basis.shape[1] == 0
-
-    def test_invariant_span_is_kept(self):
-        start = np.eye(6)[:, 2:].astype(complex)
-        basis, iterations = self.polish(start, self.SHIFT)
-        assert basis.shape[1] == 4
-        assert iterations == 1
-        assert subspace_gap(basis, start) <= 1e-12
-
-    def test_rows_outside_the_window_count_in_full(self):
-        # a seventh row takes S e5 out of the window
-        basis, _ = self.polish(np.eye(6)[:, 2:].astype(complex), np.eye(7, 6, k=-1))
-        assert basis.shape[1] == 0
-
-    def test_rows_below_the_window_count_in_full(self):
-        # with the window in rows 1..6, np.eye(7, 6) is the backward shift
-        # e_k -> e_(k-1) with e0 sent to row 0, below the window; the window
-        # part alone would keep span(e0..e3)
-        basis, _ = self.polish(np.eye(6)[:, :4].astype(complex), np.eye(7, 6), start=1)
-        assert basis.shape[1] == 0
 
 
 class TestToeplitzUnitaryPart:
@@ -339,9 +323,9 @@ class TestToeplitzUnitaryPart:
 
 class TestStructureEarlyStop:
     """The window kernel ker q(T_F) against the full-budget structure
-    equations (``toeplitz_unitary_part_brute``), and the polished kernel
-    against the polished structure span: in exact arithmetic the polish
-    gives the same answer from either."""
+    equations (``toeplitz_unitary_part_brute``), and the window eigenspaces
+    against the polished structure span: in exact arithmetic both are the
+    part of the unitary part that F and F* keep inside the window."""
 
     @staticmethod
     def _coll4():
@@ -372,7 +356,7 @@ class TestStructureEarlyStop:
             # F(1) = N has no unitary part: no candidate, an empty kernel
             "nilpotent_constant": lambda: MatrixSymbol.constant(np.eye(3, k=-1)),
         }[name]()
-        kernel, _ = _unitary_kernel(sym, window, 1e-8)
+        kernel = _unitary_kernel(sym, window, 1e-8)
         full = toeplitz_unitary_part_brute(sym, window)
         assert kernel.shape == full.basis.shape
         assert subspace_gap(kernel, full.basis) <= 1e-7
@@ -382,29 +366,38 @@ class TestStructureEarlyStop:
         # kernel needs one factor per unimodular eigenvalue of F(1)
         # (coll4 is analytic, so toeplitz_unitary_part would not take it)
         sym = self._coll4()
-        basis, trail = _window_refinement(sym, 6, 1e-8)
-        assert basis.shape[1] == trail["kernel_dim"] == 6
+        kernel = _unitary_kernel(sym, 6, 1e-8)
+        basis, trail = _window_eigenspaces(sym, 6, 1e-8)
+        assert kernel.shape[1] == basis.shape[1] == 6
+        assert trail == {"route": "kernel", "kernel_factors": 3}
         brute = toeplitz_unitary_part_brute(sym, 6)
         assert subspace_gap(basis, brute.basis) <= 1e-7
 
     def test_report_trail(self):
         rng = np.random.default_rng(13)
-        planted = toeplitz_unitary_part(planted_block_symbol(rng, 2, 2)[0], 8)
-        trail = ("route", "kernel_factors", "kernel_dim", "refinement_iterations")
-        assert [planted.params[k] for k in trail] == ["kernel", 2, 16, 1]
-        assert planted.subspace.dim == 16
-        # the polish drops the direction whose image leaves the window
+        planted_sym = planted_block_symbol(rng, 2, 2)[0]
+        planted = toeplitz_unitary_part(planted_sym, 8)
+        trail = ("route", "kernel_factors")
+        assert [planted.params[k] for k in trail] == ["kernel", 2]
+        assert planted.subspace.dim == _unitary_kernel(planted_sym, 8, 1e-8).shape[1] == 16
+        # the kernel keeps (0, z^7), whose image under F leaves the window;
+        # the window eigenspaces do not
         swap = toeplitz_unitary_part(swap_inner_symbol(), 8)
         assert (swap.params["route"], swap.params["kernel_factors"]) == ("kernel", 2)
-        assert (swap.params["kernel_dim"], swap.subspace.dim) == (15, 14)
-        assert swap.params["kernel_dim"] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
-        scalar = toeplitz_unitary_part(random_trig_scalar(rng, 4), 8)
-        assert (scalar.params["route"], scalar.params["kernel_dim"]) == ("kernel", 0)
+        kernel = _unitary_kernel(swap_inner_symbol(), 8, 1e-8)
+        assert (kernel.shape[1], swap.subspace.dim) == (15, 14)
+        assert kernel.shape[1] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
+        scalar_sym = random_trig_scalar(rng, 4)
+        scalar = toeplitz_unitary_part(scalar_sym, 8)
+        assert (scalar.params["route"], scalar.subspace.dim) == ("kernel", 0)
+        assert _unitary_kernel(scalar_sym, 8, 1e-8).shape[1] == 0
         assert scalar.classification == "trivial"
         analytic = toeplitz_unitary_part(self._coll4(), 6)
-        assert [analytic.params[k] for k in trail] == ["analytic", 0, 6, 0]
+        assert [analytic.params[k] for k in trail] == ["analytic", 0]
+        assert analytic.subspace.dim == 6
+        dropped = {"structure_powers", "structure_stop", "kernel_dim", "refinement_iterations"}
         for rep in (planted, swap, scalar, analytic):
-            assert not {"structure_powers", "structure_stop"} & rep.params.keys()
+            assert not dropped & rep.params.keys()
 
     @staticmethod
     def _rotated(sym, seed):
@@ -432,13 +425,17 @@ class TestStructureEarlyStop:
         return block_diag_symbol([swap_inner_symbol(), MatrixSymbol.constant(np.eye(3, k=-1))])
 
     @staticmethod
-    def _polished_brute(sym, window):
-        # the invariance polish applied to the full-budget structure span
+    def _polish(sym, basis):
+        # the part of span(basis) that F and F* map into itself in the window
         syms = (sym, adjoint_symbol(sym))
-        basis, _ = _invariance_polish(
-            toeplitz_unitary_part_brute(sym, window).basis,
-            lambda b: decomposition._window_images(syms, b), sym.band * sym.dim_out, 1e-8)
-        return basis
+        polished, _ = invariance_polish(
+            basis, lambda b: decomposition._window_images(syms, b), sym.band * sym.dim_out, 1e-8)
+        return polished
+
+    @classmethod
+    def _polished_brute(cls, sym, window):
+        # the invariance polish applied to the full-budget structure span
+        return cls._polish(sym, toeplitz_unitary_part_brute(sym, window).basis)
 
     @pytest.mark.parametrize("name, window", [
         ("swap", 4), ("swap", 8), ("swap", 16),
@@ -457,7 +454,7 @@ class TestStructureEarlyStop:
                 swap_inner_symbol()]),
             "three_cycle": self._three_cycle,
         }[name](), 7)
-        kernel, _ = _unitary_kernel(sym, window, 1e-8)
+        kernel = _unitary_kernel(sym, window, 1e-8)
         full = toeplitz_unitary_part_brute(sym, window)
         assert kernel.shape == full.basis.shape
         assert subspace_gap(kernel, full.basis) <= 1e-12
@@ -467,7 +464,7 @@ class TestStructureEarlyStop:
         # remove the polynomials along the middle coordinate of N, and F(1)
         # has no unimodular eigenvalue there
         sym = self._rotated(self._swap_nilpotent(), 7)
-        kernel, _ = _unitary_kernel(sym, 4, 1e-8)
+        kernel = _unitary_kernel(sym, 4, 1e-8)
         full = toeplitz_unitary_part_brute(sym, 4)
         assert kernel.shape == full.basis.shape
         assert subspace_gap(kernel, full.basis) <= 1e-12
@@ -475,16 +472,17 @@ class TestStructureEarlyStop:
     def test_swap_plus_tail_kernel(self):
         # the tail's eigenvalues at t = 0 are strict, so only swap's two
         # factors enter; the kernel is swap's 2 w - 1 window part and the
-        # polish drops one direction
+        # window eigenspaces leave out one direction
         sym = self._rotated(self._swap_tail(), 7)
-        basis, trail = _window_refinement(sym, 8, 1e-8)
-        assert (trail["kernel_factors"], trail["kernel_dim"]) == (2, 15)
-        assert trail["kernel_dim"] == toeplitz_unitary_part_brute(sym, 8).dim
+        basis, trail = _window_eigenspaces(sym, 8, 1e-8)
+        kernel = _unitary_kernel(sym, 8, 1e-8)
+        assert (trail["kernel_factors"], kernel.shape[1]) == (2, 15)
+        assert kernel.shape[1] == toeplitz_unitary_part_brute(sym, 8).dim
         polished = self._polished_brute(sym, 8)
         assert basis.shape == polished.shape == (32, 14)
         assert subspace_gap(basis, polished) <= 1e-12
-        basis, trail = _window_refinement(sym, 32, 1e-8)
-        assert (trail["kernel_dim"], basis.shape[1]) == (63, 62)
+        basis, _ = _window_eigenspaces(sym, 32, 1e-8)
+        assert (_unitary_kernel(sym, 32, 1e-8).shape[1], basis.shape[1]) == (63, 62)
 
     @pytest.mark.parametrize("name, window", [
         ("swap_tail", 8), ("swap_nilpotent", 4), ("three_cycle", 8), ("coll4", 6),
@@ -496,7 +494,7 @@ class TestStructureEarlyStop:
             "three_cycle": lambda: self._rotated(self._three_cycle(), 7),
             "coll4": self._coll4,
         }[name]()
-        basis, _ = _window_refinement(sym, window, 1e-8)
+        basis, _ = _window_eigenspaces(sym, window, 1e-8)
         polished = self._polished_brute(sym, window)
         assert basis.shape == polished.shape
         assert subspace_gap(basis, polished) <= 1e-12
@@ -603,10 +601,68 @@ class TestUnitaryKernel:
     def test_butz_kernel_matches_brute(self, planted):
         for seed in range(10):
             sym, _ = butz_symbol(seed, planted=planted)
-            kernel, _ = _unitary_kernel(sym, 6, 1e-8)
+            kernel = _unitary_kernel(sym, 6, 1e-8)
             brute = toeplitz_unitary_part_brute(sym, 6)
             assert kernel.shape == brute.basis.shape
             assert subspace_gap(kernel, brute.basis) <= 1e-10
+
+
+class TestWindowEigenspaces:
+    """The window part of a non-analytic symbol, the joint eigenspaces of
+    T_F and T_F* at the candidates, against the invariance polish of the
+    kernel ker q(T_F): both are the part of the unitary part that F and F*
+    keep inside the window."""
+
+    @staticmethod
+    def _sweep():
+        early = TestStructureEarlyStop
+        cases = []
+        for window in (4, 8, 16):
+            cases.append((f"swap-{window}", early._rotated(swap_inner_symbol(), 7), window))
+        for window in (4, 8):
+            cases.append((f"three_cycle-{window}", early._rotated(early._three_cycle(), 7), window))
+            cases.append((f"swap_nilpotent-{window}",
+                          early._rotated(early._swap_nilpotent(), 7), window))
+        for window in (8, 16):
+            cases.append((f"swap_tail-{window}", early._rotated(early._swap_tail(), 7), window))
+        for seed in range(10):
+            cases.append((f"butz-{seed}", butz_symbol(seed, planted=False)[0], 6))
+        for seed in range(5):
+            sym = planted_block_symbol(np.random.default_rng(seed), 2, 2)[0]
+            cases.append((f"planted_d4-{seed}", sym, 8))
+        for seed in range(0, 30, 3):
+            sym = early._rotated(block_diag_symbol(
+                [swap_inner_symbol(), colligation_symbol(seed, 1)]), 7)
+            cases.append((f"swap_rank1-{seed}", sym, 6))
+        return cases
+
+    def test_matches_polished_kernel(self):
+        wrong = []
+        for name, sym, window in self._sweep():
+            basis, trail = _window_eigenspaces(sym, window, 1e-8)
+            polished = TestStructureEarlyStop._polish(sym, _unitary_kernel(sym, window, 1e-8))
+            if (basis.shape != polished.shape or trail["route"] != "kernel"
+                    or subspace_gap(basis, polished) > 1e-10):
+                wrong.append((name, basis.shape[1], polished.shape[1]))
+        assert wrong == []
+
+    def test_adjoint_rows_reject_a_non_normal_block(self):
+        # diag(1, N, 0.3 (z + 1/z)) with N = [[a, c], [0, 0]] a contraction
+        # whose eigenvalue a = 1 - 1e-9 sits within tol of the candidate 1:
+        # T_F - 1 moves the polynomials along N's eigenvector by 1e-9, under
+        # the cut, so ker q(T_F) holds 12 directions; T_F* - 1 moves them by
+        # c = 4.4e-5, so the joint kernel keeps the 6 of the first coordinate
+        a = 1.0 - 1e-9
+        n = np.array([[a, 0.99 * np.sqrt(1.0 - a * a)], [0.0, 0.0]])
+        sym = block_diag_symbol([MatrixSymbol.constant(np.eye(1)), MatrixSymbol.constant(n),
+                                 MatrixSymbol(1, 1, {1: [[0.3]], -1: [[0.3]]})])
+        assert _unitary_kernel(sym, 6, 1e-8).shape[1] == 12
+        basis, trail = _window_eigenspaces(sym, 6, 1e-8)
+        assert (basis.shape[1], trail["kernel_factors"]) == (6, 1)
+        assert subspace_gap(basis, np.kron(np.eye(6), np.eye(4, 1))) <= 1e-10
+        rep = toeplitz_unitary_part(sym, 6)
+        assert (rep.subspace.dim, rep.classification) == (6, "constant_type")
+        assert rep.certified_sound
 
 
 class TestAnalyticRoute:
@@ -631,7 +687,7 @@ class TestAnalyticRoute:
                     or rep.subspace.dim != window
                     or subspace_gap(rep.subspace.basis, planted) > 1e-7):
                 wrong.append(seed)
-            loop, _ = _window_refinement(sym, window, 1e-8)
+            loop, _ = _window_eigenspaces(sym, window, 1e-8)
             if spectral_norm(loop - rep.subspace.projector() @ loop) > 1e-7:
                 outside.append(seed)
             if rank == 2:
@@ -654,7 +710,7 @@ class TestAnalyticRoute:
             assert rep.classification == "trivial"
             assert rep.subspace.basis.shape == (sym.dim_out * 5, 0)
             assert rep.certification == {}
-            assert (rep.params["route"], rep.params["kernel_dim"]) == ("analytic", 0)
+            assert (rep.params["route"], rep.params["kernel_factors"]) == ("analytic", 0)
 
 
 def dense_certification(sym, basis, window):
@@ -728,8 +784,8 @@ def intersection_extract(m, dim, tol=1e-8):
 
 
 class TestExactWindowAction:
-    """The window polish, certificate and extraction act on the basis columns
-    by exact convolution; they agree with the dense Laurent-matrix and
+    """The window certificate and extraction act on the basis columns by
+    exact convolution; they agree with the dense Laurent-matrix and
     projector-intersection formulas they replace."""
 
     @staticmethod
@@ -1014,3 +1070,11 @@ class TestPolyCalculus:
         sym = MatrixSymbol(1, 1, {-1: [[0.5]]})
         with pytest.raises(ValueError):
             poly_calculus(sym, [0.0, 0.5], 3)
+
+    @pytest.mark.parametrize("coeffs", [(), [], [np.nan], [0.0, np.inf], [0.25, 1j * np.nan]],
+                             ids=["empty-tuple", "empty-list", "nan", "inf", "imag-nan"])
+    def test_empty_or_non_finite_coefficients_rejected(self, coeffs):
+        # u needs a degree to size the output window, and finite values for
+        # the |u| < 1 test to mean anything
+        with pytest.raises(ValueError, match="finite coefficients"):
+            poly_calculus(MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]}), coeffs, 4)

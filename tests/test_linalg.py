@@ -20,7 +20,7 @@ from helpers import (
 )
 from toeplitz_unitary import decomposition, hardy, linalg, symbols
 from toeplitz_unitary.decomposition import (
-    _window_refinement,
+    _window_eigenspaces,
     toeplitz_unitary_part,
     toeplitz_unitary_part_brute,
 )
@@ -251,7 +251,7 @@ def _rotated_swap_symbol(seed):
 
 # inputs whose rank decisions sit closest to the cut: the first to move
 # under any roundoff change in the kernels; the colligations are analytic,
-# so the kernel route is run through _window_refinement as well.  Patching
+# so the kernel route is run through _window_eigenspaces as well.  Patching
 # decomposition.nullspace covers every kernel of both routes, the
 # eigenspaces of F(0) or F(1) that _unitary_eigenspaces takes included
 CANARIES = [
@@ -267,13 +267,13 @@ CANARIES = [
 def test_decomposition_matches_reference_kernels(name, make_symbol, window, monkeypatch):
     sym = make_symbol()
     fast = toeplitz_unitary_part(sym, window)
-    fast_loop = _window_refinement(sym, window, DEFAULT_TOL)
+    fast_loop = _window_eigenspaces(sym, window, DEFAULT_TOL)
     with monkeypatch.context() as patch:
         for module in (linalg, decomposition):
             patch.setattr(module, "normalize_column_phases", reference_normalize_column_phases)
         patch.setattr(decomposition, "nullspace", reference_nullspace)
         reference = toeplitz_unitary_part(sym, window)
-        reference_loop = _window_refinement(sym, window, DEFAULT_TOL)
+        reference_loop = _window_eigenspaces(sym, window, DEFAULT_TOL)
     assert same_bits(fast.subspace.basis, reference.subspace.basis)
     assert fast.params == reference.params
     assert fast.certification == reference.certification
@@ -288,7 +288,7 @@ def test_decomposition_matches_per_coefficient_products(name, make_symbol, windo
                                                         monkeypatch):
     sym = make_symbol()
     fast = toeplitz_unitary_part(sym, window)
-    fast_loop = _window_refinement(sym, window, DEFAULT_TOL)
+    fast_loop = _window_eigenspaces(sym, window, DEFAULT_TOL)
     fast_brute = toeplitz_unitary_part_brute(sym, window)
     with monkeypatch.context() as patch:
         for module in (hardy, decomposition):
@@ -296,7 +296,7 @@ def test_decomposition_matches_per_coefficient_products(name, make_symbol, windo
         for module in (symbols, decomposition):
             patch.setattr(module, "multiply", reference_multiply)
         reference = toeplitz_unitary_part(sym, window)
-        reference_loop = _window_refinement(sym, window, DEFAULT_TOL)
+        reference_loop = _window_eigenspaces(sym, window, DEFAULT_TOL)
         reference_brute = toeplitz_unitary_part_brute(sym, window)
     assert same_bits(fast.subspace.basis, reference.subspace.basis)
     assert fast.params == reference.params
