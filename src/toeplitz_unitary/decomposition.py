@@ -490,7 +490,8 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     if grid is None:
         grid = default_grid(sym)
     sup = sup_norm_estimate(sym, grid)
-    if sup > 1.0 + tol:
+    # written so that a NaN estimate is refused too
+    if not sup <= 1.0 + tol:
         raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
 
     d = sym.dim_out
@@ -616,7 +617,7 @@ def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,
     coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())
     if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
         raise ValueError("scalar polynomial needs one or more finite coefficients")
-    if sup_norm_estimate(sym) > 1.0 + tol:
+    if not sup_norm_estimate(sym) <= 1.0 + tol:
         raise ValueError("symbol sup-norm estimate exceeds 1 + tol")
     boundary_grid = CircleGrid(max(DEFAULT_GRID_SIZE, 4 * len(coeffs)))
     vals = np.polyval(coeffs[::-1], np.exp(1j * boundary_grid.points))

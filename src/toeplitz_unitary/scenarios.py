@@ -23,6 +23,7 @@ from .linalg import (
     orthonormal_columns,
     random_projection,
     spectral_norm,
+    spectral_norms,
     subspace_gap,
 )
 from .symbols import (
@@ -432,20 +433,16 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     # (ii) every disc value has a unitary part; in the same pass, the pointwise
     # witness (constant inclusion and the planted unitary) for A and for the
     # value at each disc point
-    worst = 0.0
     th = inclusion
-    res_w = max(spectral_norm(w.A @ th - th @ u0),
-                spectral_norm(w.A.conj().T @ th - th @ u0.conj().T))
+    missed = []
+    witness = [w.A @ th - th @ u0, w.A.conj().T @ th - th @ u0.conj().T]
     for lam in lam_grid:
         part_lam = unitary_part_matrix(tau_eval(w, lam), tol)
-        worst = max(worst, spectral_norm(
-            inclusion - part_lam.projector() @ inclusion))
+        missed.append(inclusion - part_lam.projector() @ inclusion)
         val = eval_disc(sym, lam)
-        res_w = max(
-            res_w,
-            spectral_norm(val @ th - th @ u0),
-            spectral_norm(val.conj().T @ th - th @ u0.conj().T),
-        )
+        witness += [val @ th - th @ u0, val.conj().T @ th - th @ u0.conj().T]
+    worst = float(spectral_norms(np.stack(missed)).max())
+    res_w = float(spectral_norms(np.stack(witness)).max())
     checks.append(_check("disc_values_contain_block", worst, 100 * tol))
     # (iii) the multiplication operator has unitary vectors in the window;
     # the planted block is checked against the exact kernel ker q(T_F), whose

@@ -301,20 +301,24 @@ def is_inner(theta: MatrixSymbol, tol: float = DEFAULT_TOL) -> InnerReport:
 
 def pointwise_unitarity_mask(sym: MatrixSymbol, grid: CircleGrid,
                              tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Flag the grid points where the symbol value is unitary within ``tol``."""
+    """Flag the grid points where the symbol value is unitary within ``tol``.
+
+    Only the isometry defect ||V*V - I|| is taken: for a square V, V*V and
+    VV* have the same spectrum, so ||VV* - I|| is the same number and the
+    co-isometry defect would decide nothing more.
+    """
     if not sym.is_square:
         raise ValueError("unitarity mask needs a square symbol")
-    eye = np.eye(sym.dim_out)
     v = eval_on_grid(sym, grid)
-    vh = v.conj().transpose(0, 2, 1)
-    return (spectral_norms(vh @ v - eye) <= tol) & (spectral_norms(v @ vh - eye) <= tol)
+    return spectral_norms(v.conj().transpose(0, 2, 1) @ v - np.eye(sym.dim_out)) <= tol
 
 
 def sup_norm_estimate(sym: MatrixSymbol, grid: CircleGrid | None = None) -> float:
     """Grid maximum of the largest singular value.
 
     A lower bound on the true sup norm; exact up to grid resolution for the
-    trigonometric polynomials in scope.  A grid of fewer than 2 band + 1
+    trigonometric polynomials in scope.  A symbol with a non-finite
+    coefficient raises ``ValueError``.  A grid of fewer than 2 band + 1
     points raises ``ValueError``: a nonzero symbol can vanish on all of it
     (z^3 - z^-3 on 3 or 6 points), so the maximum would say nothing.
     """
@@ -323,7 +327,11 @@ def sup_norm_estimate(sym: MatrixSymbol, grid: CircleGrid | None = None) -> floa
     if grid.size < 2 * sym.band + 1:
         raise ValueError(
             f"grid size {grid.size} below 2*band+1 = {2 * sym.band + 1}")
-    return float(spectral_norms(eval_on_grid(sym, grid)).max())
+    # a non-finite coefficient gives non-finite values, which spectral_norms
+    # refuses with a ValueError; the sum's own warnings would come first
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = eval_on_grid(sym, grid)
+    return float(spectral_norms(values).max())
 
 
 def bcl_symbol(u, p) -> MatrixSymbol:

@@ -131,6 +131,20 @@ def test_non_finite_or_non_positive_tol_rejected(call, tol):
         call(tol)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf], ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("call", [
+    lambda sym: toeplitz_unitary_part(sym, 4),
+    lambda sym: poly_calculus(sym, [0.0, 0.5], 4),
+], ids=["toeplitz_unitary_part", "poly_calculus"])
+def test_non_finite_symbol_rejected(call, bad):
+    # the grid values of such a symbol are non-finite, so its sup-norm
+    # estimate must stop the call by name: a NaN estimate would pass a
+    # "sup > 1 + tol" gate
+    sym = MatrixSymbol(2, 2, {0: np.diag([0.25, bad]), 1: 0.25 * np.eye(2)})
+    with pytest.raises(ValueError, match="non-finite"):
+        call(sym)
+
+
 class TestUnitaryPartBrute:
     @staticmethod
     def _sweep():

@@ -241,6 +241,86 @@ class TestSpectralNorm:
         assert value == 0.0 and type(value) is float
 
 
+EPS = np.finfo(float).eps
+# the shapes the kernel is checked on: every m, n <= 6, so the closed-form
+# 1 x 1 and 2 x 2 Grams and the eigvalsh route each see wide, tall and square
+KERNEL_SHAPES = [(m, n) for m in range(1, 7) for n in range(1, 7)]
+
+
+def _adversarial_stacks(rng, m, n):
+    """(name, stack) pairs that stress a Gram-eigenvalue norm: repeated
+    sigma_1 (isometries), rank one, zero slices, extreme scales, a planted
+    unitary block, a near-tie at sigma_1 and columns of very different size."""
+    k = min(m, n)
+    yield "gaussian", gaussian(rng, 16, m, n)
+    yield "isometry", np.stack([haar_unitary(max(m, n), rng)[:m, :n] for _ in range(8)])
+    yield "rank1", np.stack([np.outer(gaussian(rng, m), gaussian(rng, n).conj())
+                             for _ in range(8)])
+    zeros = gaussian(rng, 8, m, n)
+    zeros[::2] = 0.0
+    yield "zero_slices", zeros
+    for scale in (1e200, 1e-200, 1e300, 1e-300):
+        yield f"scale_{scale:g}", scale * gaussian(rng, 8, m, n)
+    planted = np.zeros((8, m, n), dtype=complex)
+    for block in planted:
+        r = int(rng.integers(1, k + 1))
+        block[:r, :r] = haar_unitary(r, rng)
+        block[r:, r:] = gaussian(rng, m - r, n - r) / 8
+    yield "planted_unitary", planted
+    tie = 1.0 + np.r_[0.0, np.full(k - 1, 1e-9)]
+    yield "near_tie", np.stack([(haar_unitary(m, rng)[:, :k] * tie) @ haar_unitary(n, rng)[:k]
+                                for _ in range(8)])
+    yield "column_scales", gaussian(rng, 8, m, n) * np.logspace(-150, 150, n)
+
+
+class TestSpectralNorms:
+    """``spectral_norms`` takes sigma_1 from the largest eigenvalue of a
+    scaled Gram matrix, not from an SVD: it must stay within 8 eps
+    (relative) of ``np.linalg.svd``, and give each slice the bits it gets
+    alone."""
+
+    @pytest.mark.parametrize("m, n", KERNEL_SHAPES)
+    def test_within_8_eps_of_svd(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for name, stack in _adversarial_stacks(rng, m, n):
+            svd = np.array([np.linalg.svd(a, compute_uv=False)[0] for a in stack])
+            got = linalg.spectral_norms(stack)
+            assert np.all(np.abs(got - svd) <= 8 * EPS * svd), name
+
+    @pytest.mark.parametrize("m, n", KERNEL_SHAPES)
+    def test_each_slice_has_its_own_bits(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for name, stack in _adversarial_stacks(rng, m, n):
+            alone = [linalg.spectral_norms(a[None])[0] for a in stack]
+            assert same_bits(linalg.spectral_norms(stack), np.array(alone)), name
+
+    @pytest.mark.parametrize("shape", [(4, 0, 3), (4, 3, 0), (4, 0, 0), (4, 1, 1),
+                                       (4, 2, 5), (4, 5, 2), (4, 3, 3), (0, 3, 3)])
+    def test_empty_and_zero_matrices_give_zero(self, shape):
+        norms = linalg.spectral_norms(np.zeros(shape))
+        assert norms.shape == (shape[0],) and same_bits(norms, np.zeros(shape[0]))
+
+    @pytest.mark.parametrize("stack, message", [
+        (np.eye(2), "stack"),
+        (np.zeros(3), "stack"),
+        (np.zeros((2, 2, 2, 2)), "stack"),
+        (np.array([[[np.nan, 0.0], [0.0, 1.0]]]), "non-finite"),
+        (np.array([[[0.5, 0.0], [0.0, np.inf]]]), "non-finite"),
+        (np.array([[[0.5]], [[1j * np.inf]]]), "non-finite"),
+        (np.array([[[0.5, 0.2, 0.1]], [[-np.inf, 0.0, 0.0]]]).transpose(0, 2, 1), "non-finite"),
+    ], ids=["2-d", "1-d", "4-d", "nan", "inf", "imag-inf", "tall-inf"])
+    def test_malformed_stack_rejected(self, stack, message):
+        with pytest.raises(ValueError, match=message):
+            linalg.spectral_norms(stack)
+
+    def test_coefficient_norm_sum_keeps_zero_and_tiny_apart(self):
+        assert symbols.coefficient_norm_sum(MatrixSymbol.zero(2, 3)) == 0.0
+        zero_block = MatrixSymbol(2, 2, {1: [[0.0, 0.0], [0.0, 1e-200]]})
+        assert symbols.coefficient_norm_sum(zero_block) == 1e-200
+        tiny = MatrixSymbol(3, 3, {2: 1e-200 * np.ones((3, 3))})
+        assert symbols.coefficient_norm_sum(tiny) > 0.0
+
+
 def _rotated_swap_symbol(seed):
     rng = np.random.default_rng(seed)
     phase = np.exp(2j * np.pi * rng.uniform())
