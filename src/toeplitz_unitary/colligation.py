@@ -51,6 +51,8 @@ class Colligation:
             mat = as_complex(getattr(self, name))
             if mat.shape != want:
                 raise ValueError(f"block {name} has shape {mat.shape}, expected {want}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"block {name} has non-finite entries")
             mat = mat.copy()
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)

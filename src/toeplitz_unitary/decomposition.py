@@ -12,11 +12,12 @@ two independent ways,
 and the pair is kept as a cross-checking oracle throughout the test suite.
 
 Toeplitz level: by the paper's theorem the unitary part is Theta H^2 with
-F Theta = Theta U, so T_F acts on it as the constant unitary U.  On the
-degree window {polynomials of degree < N} its part that F and F* keep inside
-the window is the sum of the joint eigenspaces of T_F and T_F* at the
+F Theta = Theta U and F* Theta = Theta U*, so T_F acts on it as the unitary U.
+On the degree window {polynomials of degree < N} its part that F and F* keep
+inside the window is the sum of the joint eigenspaces of T_F and T_F* at the
 unimodular eigenvalues lambda of F(1), each one exact kernel with no
-finite-section truncation error.  Every basis vector h then satisfies, with
+finite-section truncation error; the scenarios read one kernel of their
+products (``_window_kernel``).  Every basis vector h then satisfies, with
 certified residuals:
 
 * the symbol action on h and the adjoint-symbol action on h are analytic,
@@ -35,6 +36,7 @@ spanning the subspace and the constant unitary it intertwines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -88,8 +90,6 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
         return self.basis @ self.basis.conj().T
 
 
@@ -171,15 +171,28 @@ def _check_contraction(t, tol):
         raise ValueError(f"operator norm {nrm:.6g} exceeds 1 + tol")
 
 
-def _joint_kernel(t: np.ndarray, t_adj: np.ndarray, lam, tol: float) -> np.ndarray:
-    """Joint kernel of T - lambda E and T_adj - conj(lambda) E, E = [I; 0].
+def _check_window_call(sym: MatrixSymbol, window: int, tol):
+    _check_tol(tol)
+    if not sym.is_square:
+        raise ValueError("the symbol must be square")
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window!r}")
 
-    E is ``np.eye(*t.shape)``: the identity for a square T, and the
-    embedding of the input degrees into the output degrees for a window
-    section of a Toeplitz operator.
+
+def _joint_kernel(t: np.ndarray, t_adj: np.ndarray, factors, tol: float) -> np.ndarray:
+    """Kernel of prod (T - lambda E) stacked on prod (T_adj - conj(lambda) E).
+
+    Each factor is the leading block of T (of T_adj) on the previous factor's
+    output degrees, and E = [I; 0]; for a square T it is all of T and E = I.
+    A single factor is taken as it is, with no product.
     """
-    eye = np.eye(*t.shape)
-    return nullspace(np.vstack([t - lam * eye, t_adj - np.conj(lam) * eye]), tol)
+    excess = t.shape[0] - t.shape[1]
+    sizes = [t.shape[1] - k * excess for k in reversed(range(len(factors)))]
+    rows = []
+    for s, lams in ((t, factors), (t_adj, np.conj(factors))):
+        steps = [s[:m + excess, :m] - lam * np.eye(m + excess, m) for m, lam in zip(sizes, lams)]
+        rows.append(reduce(lambda q, f: f @ q, steps))
+    return nullspace(np.vstack(rows), tol)
 
 
 def _unitary_eigenspaces(t: np.ndarray, tol: float) -> list:
@@ -196,7 +209,7 @@ def _unitary_eigenspaces(t: np.ndarray, tol: float) -> list:
     spaces = []
     for lam in np.linalg.eigvals(t):
         if abs(lam) >= 1.0 - tol:
-            kernel = _joint_kernel(t, t.conj().T, lam, tol)
+            kernel = _joint_kernel(t, t.conj().T, [lam], tol)
             if kernel.shape[1]:
                 spaces.append((lam, kernel))
     return spaces
@@ -269,24 +282,25 @@ def _kernel_candidates(sym: MatrixSymbol, tol: float) -> list:
     return factors
 
 
-def _unitary_kernel(sym: MatrixSymbol, window: int, tol: float) -> np.ndarray:
-    """The exact kernel ker q(T_F) on the window, q(x) = prod (x - lambda).
+def _window_sections(sym: MatrixSymbol, degrees: int):
+    """Sections of F and F* from degrees < degrees into degrees < degrees + band."""
+    return [toeplitz_window_matrix(s, degrees, degrees + sym.band)
+            for s in (sym, adjoint_symbol(sym))]
 
-    The unitary part is the sum of ker(T_F - lambda) over the constant
-    unimodular eigenvalues lambda of F (the paper's theorem); these kernels
-    reduce T_F and carry no Jordan chain, so the product over the
-    ``_kernel_candidates`` holds their sum.  T_F maps degrees < n exactly
-    into degrees < n + band, so the factors are window matrices.  With no
-    T_F* rows it also holds a non-normal block's eigenvectors within tol of
-    a candidate.
+
+def _window_kernel(sym: MatrixSymbol, window: int, tol: float) -> np.ndarray:
+    """ker q(T_F) cut with ker conj(q)(T_F*) on the window, q(x) = prod (x - lambda).
+
+    Over the m ``_kernel_candidates`` these hold the sum of the joint kernels
+    of T_F - lambda and T_F* - conj(lambda), which reduce T_F and carry no
+    Jordan chain; the factors are blocks of the exact sections from
+    window + (m - 1) band degrees.
     """
-    q = np.eye(sym.dim_in * window, dtype=complex)
-    degrees = window
-    for lam in _kernel_candidates(sym, tol):
-        img = toeplitz_window_matrix(sym, degrees, degrees + sym.band) @ q
-        img[:q.shape[0]] -= lam * q
-        q, degrees = img, degrees + sym.band
-    return nullspace(q, tol)
+    factors = _kernel_candidates(sym, tol)
+    if not factors:
+        return empty_basis(sym.dim_in * window)
+    t, t_adj = _window_sections(sym, window + (len(factors) - 1) * sym.band)
+    return _joint_kernel(t, t_adj, factors, tol)
 
 
 def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
@@ -335,10 +349,8 @@ def _window_eigenspaces(sym: MatrixSymbol, window: int, tol: float):
     (basis, trail: route, kernel_factors).
     """
     factors = _kernel_candidates(sym, tol)
-    n_out = window + sym.band
-    t = toeplitz_window_matrix(sym, window, n_out)
-    t_adj = toeplitz_window_matrix(adjoint_symbol(sym), window, n_out)
-    kernels = [empty_basis(t.shape[1])] + [_joint_kernel(t, t_adj, lam, tol) for lam in factors]
+    t, t_adj = _window_sections(sym, window)
+    kernels = [empty_basis(t.shape[1])] + [_joint_kernel(t, t_adj, [lam], tol) for lam in factors]
     basis = orthonormal_columns(np.hstack(kernels), tol)
     return basis, {"route": "kernel", "kernel_factors": len(factors)}
 
@@ -371,8 +383,8 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     """
     if m.dim == 0:
         raise ValueError("cannot extract from the zero subspace")
-    if m.ambient_dim % dim:
-        raise ValueError("ambient dimension is not a multiple of the coefficient dim")
+    if dim < 1 or m.ambient_dim % dim:
+        raise ValueError(f"coefficient dim {dim} must be positive and divide the ambient dim")
     window = m.ambient_dim // dim
 
     # vectors of degree <= window - 2, in basis coordinates; the shift moves
@@ -482,11 +494,7 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     merged candidate count ``kernel_factors``.  A non-finite or
     non-positive tol is refused.
     """
-    _check_tol(tol)
-    if not sym.is_square:
-        raise ValueError("decomposition needs a square symbol")
-    if window < 1:
-        raise ValueError("window must be positive")
+    _check_window_call(sym, window, tol)
     if grid is None:
         grid = default_grid(sym)
     sup = sup_norm_estimate(sym, grid)
@@ -544,9 +552,7 @@ def toeplitz_unitary_part_brute(sym: MatrixSymbol, window: int,
     contains the ``toeplitz_unitary_part`` subspace.  Every power is solved,
     for analytic symbols too.
     """
-    _check_tol(tol)
-    if not sym.is_square:
-        raise ValueError("decomposition needs a square symbol")
+    _check_window_call(sym, window, tol)
     d = sym.dim_out
     n = d * window
     basis = np.eye(n, dtype=complex)
@@ -609,11 +615,9 @@ def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,
     |u| < 1 on the boundary grid is required).  u needs at least one
     coefficient, all finite.
     """
-    _check_tol(tol)
+    _check_window_call(sym, window, tol)
     if not sym.is_analytic:
         raise ValueError("polynomial calculus needs an analytic symbol")
-    if not sym.is_square:
-        raise ValueError("polynomial calculus needs a square symbol")
     coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())
     if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
         raise ValueError("scalar polynomial needs one or more finite coefficients")

@@ -170,10 +170,7 @@ def subspace_gap(b1, b2) -> float:
     """Operator-norm distance between the two range projectors."""
     b1 = as_complex(b1)
     b2 = as_complex(b2)
-    n = b1.shape[0]
-    p1 = b1 @ b1.conj().T if b1.shape[1] else np.zeros((n, n), dtype=complex)
-    p2 = b2 @ b2.conj().T if b2.shape[1] else np.zeros((n, n), dtype=complex)
-    return spectral_norm(p1 - p2)
+    return spectral_norm(b1 @ b1.conj().T - b2 @ b2.conj().T)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

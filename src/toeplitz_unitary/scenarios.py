@@ -50,7 +50,7 @@ from .colligation import (
 )
 from .decomposition import (
     Subspace,
-    _unitary_kernel,
+    _window_kernel,
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
@@ -332,14 +332,14 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
     conditions; instances built from the nonconstant inner generator
     diag(z, 1) violate all three while still having unitary vectors.  The
     biconditional between pointwise condition and product form is asserted on
-    every instance.  The window part is the exact kernel ker q(T_F), not
-    the report's joint eigenspaces of T_F and T_F*, so on diag(z, 1) it
-    keeps all 2 window - 1 directions, (0, z^(window - 1)) included, and
-    stays shift invariant.
+    every instance.  The window part is ``_window_kernel``, whose products
+    of T_F and T_F* factors act past the window, not the report's joint
+    eigenspaces, so on diag(z, 1) it keeps all 2 window - 1 directions,
+    (0, z^(window - 1)) included, and stays shift invariant.
     """
     sym, w0 = butz_symbol(seed, d0, d1, planted)
     dim = sym.dim_out
-    m = Subspace(dim * window, _unitary_kernel(sym, window, tol), tol)
+    m = Subspace(dim * window, _window_kernel(sym, window, tol), tol)
     cond_i, cond_ii, cond_iii, info = _butz_conditions(sym, m, dim, window, tol)
 
     checks = [
@@ -445,12 +445,12 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     res_w = float(spectral_norms(np.stack(witness)).max())
     checks.append(_check("disc_values_contain_block", worst, 100 * tol))
     # (iii) the multiplication operator has unitary vectors in the window;
-    # the planted block is checked against the exact kernel ker q(T_F), whose
-    # candidates come from F(1), not against the report's subspace, which the
-    # Phi(0) route builds from (i); the report gives nontriviality and the
-    # certificate
+    # the planted block is checked against the exact kernel of q(T_F) stacked
+    # on conj(q)(T_F*), whose candidates come from F(1), not against the
+    # report's subspace, which the Phi(0) route builds from (i); the report
+    # gives nontriviality and the certificate
     report = toeplitz_unitary_part(sym, window, tol)
-    kernel = _unitary_kernel(sym, window, tol)
+    kernel = _window_kernel(sym, window, tol)
     planted_window = np.kron(np.eye(window), inclusion)
     res_iii = spectral_norm(
         planted_window - kernel @ (kernel.conj().T @ planted_window))

@@ -16,6 +16,7 @@ from toeplitz_unitary.linalg import (
     nullspace,
     spectral_norm,
 )
+from toeplitz_unitary.scenarios import planted_block_symbol
 from toeplitz_unitary.symbols import MatrixSymbol, adjoint_symbol
 
 
@@ -77,6 +78,29 @@ def colligation_symbol(seed, rank, d0=1, d1=2):
     b = np.vstack([np.zeros((d0, rank)), u1 @ q])
     c = np.hstack([np.zeros((rank, d0)), q.conj().T])
     return MatrixSymbol(d, d, {0: a, 1: b @ c})
+
+
+def rotated_swap_symbol(seed):
+    """swap_inner_symbol with a random phase, in a random unitary frame."""
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.uniform())
+    q = haar_unitary(2, rng)
+    e12 = np.array([[0.0, phase], [0.0, 0.0]])
+    return MatrixSymbol(2, 2, {1: q @ e12 @ q.conj().T, -1: q @ e12.conj().T @ q.conj().T})
+
+
+# (name, symbol factory, window): inputs whose rank decisions sit closest to
+# the cut, the first to move under any roundoff change in the kernels; the
+# colligations are analytic, so the kernel route is run through
+# _window_eigenspaces as well.  Patching decomposition.nullspace covers every
+# kernel of both routes, the eigenspaces of F(0) or F(1) that
+# _unitary_eigenspaces takes included
+CANARIES = [
+    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
+    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),
+    ("swap", lambda: rotated_swap_symbol(8), 8),
+    ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0], 8),
+]
 
 
 def parity_symbol(rng, d_out, d_in, count, adjoint=False, spread=3):

@@ -47,6 +47,23 @@ class TestValidate:
             assert spectral_norm(w.D) <= 1 + 1e-12
 
 
+@pytest.mark.parametrize("block", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf], ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("call", [
+    validate,
+    lambda w: defect_identities(w, disc_grid(4, 0.5)),
+    polynomial_from_colligation,
+], ids=["validate", "defect_identities", "polynomial_from_colligation"])
+def test_non_finite_block_rejected(call, bad, block):
+    # with A = [[nan]], validate and defect_identities raised LinAlgError
+    # ("SVD did not converge") and polynomial_from_colligation returned a
+    # symbol with a NaN coefficient; the blocks are refused where they enter
+    blocks = {"A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
+    blocks[block] = [[bad]]
+    with pytest.raises(ValueError, match=f"block {block} has non-finite entries"):
+        call(Colligation(1, 1, **blocks))
+
+
 class TestTauEval:
     def test_at_zero_returns_a(self):
         rng = np.random.default_rng(2)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CANARIES,
+    assert_same_bits,
     colligation_symbol,
     invariance_polish,
     planted_contraction,
@@ -40,8 +42,10 @@ from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matri
 from toeplitz_unitary.decomposition import (
     ExtractionResult,
     Subspace,
-    _unitary_kernel,
+    _joint_kernel,
+    _kernel_candidates,
     _window_eigenspaces,
+    _window_kernel,
     beurling_extract,
     cdot0_test,
     extract_constant_unitary,
@@ -143,6 +147,28 @@ def test_non_finite_symbol_rejected(call, bad):
     sym = MatrixSymbol(2, 2, {0: np.diag([0.25, bad]), 1: 0.25 * np.eye(2)})
     with pytest.raises(ValueError, match="non-finite"):
         call(sym)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda w: toeplitz_unitary_part(MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]}), w),
+    lambda w: toeplitz_unitary_part_brute(MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]}), w),
+    lambda w: poly_calculus(MatrixSymbol.shift(1), [0.0, 0.5], w),
+], ids=["toeplitz_unitary_part", "toeplitz_unitary_part_brute", "poly_calculus"])
+def test_window_below_one_rejected(call, window):
+    # at window 0 the brute oracle returned an empty subspace and
+    # poly_calculus a 1 x 0 matrix; at -1 both raised numpy's "negative
+    # dimensions are not allowed"
+    with pytest.raises(ValueError, match="window must be positive"):
+        call(window)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_beurling_extract_rejects_non_positive_dim(dim):
+    # dim 0 raised ZeroDivisionError, and -1 divides every ambient dimension
+    m = Subspace(4, np.eye(4, dtype=complex)[:, :2])
+    with pytest.raises(ValueError, match=f"coefficient dim {dim} must be positive"):
+        beurling_extract(m, dim)
 
 
 class TestUnitaryPartBrute:
@@ -336,10 +362,11 @@ class TestToeplitzUnitaryPart:
 
 
 class TestStructureEarlyStop:
-    """The window kernel ker q(T_F) against the full-budget structure
-    equations (``toeplitz_unitary_part_brute``), and the window eigenspaces
-    against the polished structure span: in exact arithmetic both are the
-    part of the unitary part that F and F* keep inside the window."""
+    """The window kernel of q(T_F) and conj(q)(T_F*) against the full-budget
+    structure equations (``toeplitz_unitary_part_brute``), and the window
+    eigenspaces against the polished structure span: in exact arithmetic the
+    latter two are the part of the unitary part that F and F* keep inside
+    the window."""
 
     @staticmethod
     def _coll4():
@@ -370,7 +397,7 @@ class TestStructureEarlyStop:
             # F(1) = N has no unitary part: no candidate, an empty kernel
             "nilpotent_constant": lambda: MatrixSymbol.constant(np.eye(3, k=-1)),
         }[name]()
-        kernel = _unitary_kernel(sym, window, 1e-8)
+        kernel = _window_kernel(sym, window, 1e-8)
         full = toeplitz_unitary_part_brute(sym, window)
         assert kernel.shape == full.basis.shape
         assert subspace_gap(kernel, full.basis) <= 1e-7
@@ -380,7 +407,7 @@ class TestStructureEarlyStop:
         # kernel needs one factor per unimodular eigenvalue of F(1)
         # (coll4 is analytic, so toeplitz_unitary_part would not take it)
         sym = self._coll4()
-        kernel = _unitary_kernel(sym, 6, 1e-8)
+        kernel = _window_kernel(sym, 6, 1e-8)
         basis, trail = _window_eigenspaces(sym, 6, 1e-8)
         assert kernel.shape[1] == basis.shape[1] == 6
         assert trail == {"route": "kernel", "kernel_factors": 3}
@@ -393,18 +420,18 @@ class TestStructureEarlyStop:
         planted = toeplitz_unitary_part(planted_sym, 8)
         trail = ("route", "kernel_factors")
         assert [planted.params[k] for k in trail] == ["kernel", 2]
-        assert planted.subspace.dim == _unitary_kernel(planted_sym, 8, 1e-8).shape[1] == 16
+        assert planted.subspace.dim == _window_kernel(planted_sym, 8, 1e-8).shape[1] == 16
         # the kernel keeps (0, z^7), whose image under F leaves the window;
         # the window eigenspaces do not
         swap = toeplitz_unitary_part(swap_inner_symbol(), 8)
         assert (swap.params["route"], swap.params["kernel_factors"]) == ("kernel", 2)
-        kernel = _unitary_kernel(swap_inner_symbol(), 8, 1e-8)
+        kernel = _window_kernel(swap_inner_symbol(), 8, 1e-8)
         assert (kernel.shape[1], swap.subspace.dim) == (15, 14)
         assert kernel.shape[1] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
         scalar_sym = random_trig_scalar(rng, 4)
         scalar = toeplitz_unitary_part(scalar_sym, 8)
         assert (scalar.params["route"], scalar.subspace.dim) == ("kernel", 0)
-        assert _unitary_kernel(scalar_sym, 8, 1e-8).shape[1] == 0
+        assert _window_kernel(scalar_sym, 8, 1e-8).shape[1] == 0
         assert scalar.classification == "trivial"
         analytic = toeplitz_unitary_part(self._coll4(), 6)
         assert [analytic.params[k] for k in trail] == ["analytic", 0]
@@ -468,7 +495,7 @@ class TestStructureEarlyStop:
                 swap_inner_symbol()]),
             "three_cycle": self._three_cycle,
         }[name](), 7)
-        kernel = _unitary_kernel(sym, window, 1e-8)
+        kernel = _window_kernel(sym, window, 1e-8)
         full = toeplitz_unitary_part_brute(sym, window)
         assert kernel.shape == full.basis.shape
         assert subspace_gap(kernel, full.basis) <= 1e-12
@@ -478,7 +505,7 @@ class TestStructureEarlyStop:
         # remove the polynomials along the middle coordinate of N, and F(1)
         # has no unimodular eigenvalue there
         sym = self._rotated(self._swap_nilpotent(), 7)
-        kernel = _unitary_kernel(sym, 4, 1e-8)
+        kernel = _window_kernel(sym, 4, 1e-8)
         full = toeplitz_unitary_part_brute(sym, 4)
         assert kernel.shape == full.basis.shape
         assert subspace_gap(kernel, full.basis) <= 1e-12
@@ -489,14 +516,14 @@ class TestStructureEarlyStop:
         # window eigenspaces leave out one direction
         sym = self._rotated(self._swap_tail(), 7)
         basis, trail = _window_eigenspaces(sym, 8, 1e-8)
-        kernel = _unitary_kernel(sym, 8, 1e-8)
+        kernel = _window_kernel(sym, 8, 1e-8)
         assert (trail["kernel_factors"], kernel.shape[1]) == (2, 15)
         assert kernel.shape[1] == toeplitz_unitary_part_brute(sym, 8).dim
         polished = self._polished_brute(sym, 8)
         assert basis.shape == polished.shape == (32, 14)
         assert subspace_gap(basis, polished) <= 1e-12
         basis, _ = _window_eigenspaces(sym, 32, 1e-8)
-        assert (_unitary_kernel(sym, 32, 1e-8).shape[1], basis.shape[1]) == (63, 62)
+        assert (_window_kernel(sym, 32, 1e-8).shape[1], basis.shape[1]) == (63, 62)
 
     @pytest.mark.parametrize("name, window", [
         ("swap_tail", 8), ("swap_nilpotent", 4), ("three_cycle", 8), ("coll4", 6),
@@ -527,8 +554,9 @@ class TestStructureEarlyStop:
 
 
 class TestUnitaryKernel:
-    """ker q(T_F) where its candidate step can go wrong, and on inputs whose
-    structure equations never close inside the window."""
+    """The window kernel, ker q(T_F) cut with ker conj(q)(T_F*), and the report
+    where their candidate step can go wrong, and on inputs whose structure
+    equations never close inside the window."""
 
     @staticmethod
     def _rotated(sym, seed=7):
@@ -615,7 +643,7 @@ class TestUnitaryKernel:
     def test_butz_kernel_matches_brute(self, planted):
         for seed in range(10):
             sym, _ = butz_symbol(seed, planted=planted)
-            kernel = _unitary_kernel(sym, 6, 1e-8)
+            kernel = _window_kernel(sym, 6, 1e-8)
             brute = toeplitz_unitary_part_brute(sym, 6)
             assert kernel.shape == brute.basis.shape
             assert subspace_gap(kernel, brute.basis) <= 1e-10
@@ -624,8 +652,8 @@ class TestUnitaryKernel:
 class TestWindowEigenspaces:
     """The window part of a non-analytic symbol, the joint eigenspaces of
     T_F and T_F* at the candidates, against the invariance polish of the
-    kernel ker q(T_F): both are the part of the unitary part that F and F*
-    keep inside the window."""
+    window kernel of the products q(T_F) and conj(q)(T_F*): both are the part
+    of the unitary part that F and F* keep inside the window."""
 
     @staticmethod
     def _sweep():
@@ -654,29 +682,93 @@ class TestWindowEigenspaces:
         wrong = []
         for name, sym, window in self._sweep():
             basis, trail = _window_eigenspaces(sym, window, 1e-8)
-            polished = TestStructureEarlyStop._polish(sym, _unitary_kernel(sym, window, 1e-8))
+            polished = TestStructureEarlyStop._polish(sym, _window_kernel(sym, window, 1e-8))
             if (basis.shape != polished.shape or trail["route"] != "kernel"
                     or subspace_gap(basis, polished) > 1e-10):
                 wrong.append((name, basis.shape[1], polished.shape[1]))
         assert wrong == []
 
+    @staticmethod
+    def _tf_only_kernel(sym, window, tol):
+        # ker q(T_F) with no T_F* rows, one window section per factor
+        q = np.eye(sym.dim_in * window, dtype=complex)
+        degrees = window
+        for lam in _kernel_candidates(sym, tol):
+            img = toeplitz_window_matrix(sym, degrees, degrees + sym.band) @ q
+            img[:q.shape[0]] -= lam * q
+            q, degrees = img, degrees + sym.band
+        return nullspace(q, tol)
+
     def test_adjoint_rows_reject_a_non_normal_block(self):
         # diag(1, N, 0.3 (z + 1/z)) with N = [[a, c], [0, 0]] a contraction
         # whose eigenvalue a = 1 - 1e-9 sits within tol of the candidate 1:
         # T_F - 1 moves the polynomials along N's eigenvector by 1e-9, under
-        # the cut, so ker q(T_F) holds 12 directions; T_F* - 1 moves them by
-        # c = 4.4e-5, so the joint kernel keeps the 6 of the first coordinate
+        # the cut, so a kernel of T_F factors alone holds 12 directions;
+        # T_F* - 1 moves them by c = 4.4e-5, so both window kernels keep the
+        # 6 of the first coordinate
         a = 1.0 - 1e-9
         n = np.array([[a, 0.99 * np.sqrt(1.0 - a * a)], [0.0, 0.0]])
         sym = block_diag_symbol([MatrixSymbol.constant(np.eye(1)), MatrixSymbol.constant(n),
                                  MatrixSymbol(1, 1, {1: [[0.3]], -1: [[0.3]]})])
-        assert _unitary_kernel(sym, 6, 1e-8).shape[1] == 12
+        assert self._tf_only_kernel(sym, 6, 1e-8).shape[1] == 12
+        kernel = _window_kernel(sym, 6, 1e-8)
         basis, trail = _window_eigenspaces(sym, 6, 1e-8)
-        assert (basis.shape[1], trail["kernel_factors"]) == (6, 1)
+        assert (kernel.shape[1], basis.shape[1], trail["kernel_factors"]) == (6, 6, 1)
+        assert subspace_gap(kernel, basis) <= 1e-10
         assert subspace_gap(basis, np.kron(np.eye(6), np.eye(4, 1))) <= 1e-10
         rep = toeplitz_unitary_part(sym, 6)
         assert (rep.subspace.dim, rep.classification) == (6, "constant_type")
         assert rep.certified_sound
+
+
+def reference_joint_kernel(t, t_adj, lam, tol):
+    """The single-factor joint kernel as it was built before the products."""
+    eye = np.eye(*t.shape)
+    return nullspace(np.vstack([t - lam * eye, t_adj - np.conj(lam) * eye]), tol)
+
+
+class TestJointKernelParity:
+    """One factor of ``_joint_kernel`` builds T - lambda E on
+    T_adj - conj(lambda) E with no product, so the matrix unitary part and the
+    report's window part keep every bit of the single-factor kernel."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_square_contractions(self, seed):
+        rng = np.random.default_rng(seed)
+        t, _ = planted_contraction(rng, 3 + seed % 4, 1 + seed % 3)
+        kernels = [np.zeros((t.shape[0], 0))]
+        for lam in np.linalg.eigvals(t):
+            got = _joint_kernel(t, t.conj().T, [lam], 1e-8)
+            want = reference_joint_kernel(t, t.conj().T, lam, 1e-8)
+            assert_same_bits(got, want)
+            if abs(lam) >= 1.0 - 1e-8:
+                kernels.append(want)
+        want = orthonormal_columns(np.hstack(kernels), 1e-8)
+        assert_same_bits(unitary_part_matrix(t).basis, want)
+
+    SECTIONS = CANARIES + [
+        ("swap", swap_inner_symbol, 4),
+        ("swap", swap_inner_symbol, 16),
+        ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0], 16),
+        ("planted_d4_seed9", lambda: planted_block_symbol(np.random.default_rng(9), 2, 2)[0], 8),
+    ]
+
+    @pytest.mark.parametrize("name,make_symbol,window", SECTIONS,
+                             ids=[f"{c[0]}-w{c[2]}" for c in SECTIONS])
+    def test_window_sections(self, name, make_symbol, window):
+        sym = make_symbol()
+        n_out = window + sym.band
+        t = toeplitz_window_matrix(sym, window, n_out)
+        t_adj = toeplitz_window_matrix(adjoint_symbol(sym), window, n_out)
+        factors = _kernel_candidates(sym, 1e-8)
+        assert factors
+        kernels = [np.zeros((t.shape[1], 0))]
+        for lam in factors:
+            want = reference_joint_kernel(t, t_adj, lam, 1e-8)
+            assert_same_bits(_joint_kernel(t, t_adj, [lam], 1e-8), want)
+            kernels.append(want)
+        basis, _ = _window_eigenspaces(sym, window, 1e-8)
+        assert_same_bits(basis, orthonormal_columns(np.hstack(kernels), 1e-8))
 
 
 class TestAnalyticRoute:

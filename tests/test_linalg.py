@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    colligation_symbol,
+    CANARIES,
     gaussian,
     reference_convolve_block_columns,
     reference_multiply,
@@ -33,7 +33,6 @@ from toeplitz_unitary.linalg import (
     nullspace,
     right_svd,
 )
-from toeplitz_unitary.scenarios import planted_block_symbol
 from toeplitz_unitary.symbols import MatrixSymbol
 
 
@@ -319,27 +318,6 @@ class TestSpectralNorms:
         assert symbols.coefficient_norm_sum(zero_block) == 1e-200
         tiny = MatrixSymbol(3, 3, {2: 1e-200 * np.ones((3, 3))})
         assert symbols.coefficient_norm_sum(tiny) > 0.0
-
-
-def _rotated_swap_symbol(seed):
-    rng = np.random.default_rng(seed)
-    phase = np.exp(2j * np.pi * rng.uniform())
-    q = haar_unitary(2, rng)
-    e12 = np.array([[0.0, phase], [0.0, 0.0]])
-    return MatrixSymbol(2, 2, {1: q @ e12 @ q.conj().T, -1: q @ e12.conj().T @ q.conj().T})
-
-
-# inputs whose rank decisions sit closest to the cut: the first to move
-# under any roundoff change in the kernels; the colligations are analytic,
-# so the kernel route is run through _window_eigenspaces as well.  Patching
-# decomposition.nullspace covers every kernel of both routes, the
-# eigenspaces of F(0) or F(1) that _unitary_eigenspaces takes included
-CANARIES = [
-    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
-    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),
-    ("swap", lambda: _rotated_swap_symbol(8), 8),
-    ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0], 8),
-]
 
 
 @pytest.mark.parametrize("name,make_symbol,window", CANARIES,

@@ -3,7 +3,7 @@ import pytest
 
 from toeplitz_unitary import scenarios
 from toeplitz_unitary.colligation import polynomial_from_colligation
-from toeplitz_unitary.decomposition import _unitary_kernel, toeplitz_unitary_part_brute
+from toeplitz_unitary.decomposition import _window_kernel, toeplitz_unitary_part_brute
 from toeplitz_unitary.linalg import haar_unitary, subspace_gap
 from toeplitz_unitary.symbols import MatrixSymbol
 from toeplitz_unitary.serialize import canonical_dumps
@@ -195,7 +195,7 @@ class TestPropDS:
         for seed in range(16):
             colligation, _ = planted_colligation(np.random.default_rng(seed), d0, d1)
             sym = polynomial_from_colligation(colligation)
-            kernel = _unitary_kernel(sym, window, 1e-8)
+            kernel = _window_kernel(sym, window, 1e-8)
             brute = toeplitz_unitary_part_brute(sym, window, 1e-8)
             if (kernel.shape[1] != d0 * window
                     or subspace_gap(kernel, planted) > 1e-10):
@@ -219,7 +219,7 @@ class TestPropDS:
         assert scenario_prop_ds(seed=0).overall
         # an empty kernel must fail check (iii): it reads neither the
         # report's Phi(0) subspace nor the constant term's part
-        monkeypatch.setattr(scenarios, "_unitary_kernel",
+        monkeypatch.setattr(scenarios, "_window_kernel",
                             lambda sym, window, tol: np.zeros((sym.dim_in * window, 0)))
         failed = [c.name for c in scenario_prop_ds(seed=0).checks if not c.passed]
         assert failed == ["window_part_contains_block"]
