@@ -42,6 +42,7 @@ from .decomposition import (
     toeplitz_unitary_part_brute,
     unitary_part_brute,
     unitary_part_matrix,
+    unitary_parts,
     verify_maincondn,
 )
 from .scenarios import SCENARIOS, ScenarioResult, run_all, run_scenario
@@ -60,6 +61,6 @@ __all__ = [
     "cdot0_test", "extract_constant_unitary", "poly_calculus",
     "reducing_check", "toeplitz_unitary_part",
     "toeplitz_unitary_part_brute", "unitary_part_brute", "unitary_part_matrix",
-    "verify_maincondn",
+    "unitary_parts", "verify_maincondn",
     "SCENARIOS", "ScenarioResult", "run_all", "run_scenario",
 ]

@@ -102,23 +102,32 @@ def validate(w: Colligation, tol: float = DEFAULT_TOL) -> ColligationReport:
     )
 
 
-def tau_eval(w: Colligation, lam: complex) -> np.ndarray:
+def tau_eval(w: Colligation, lam) -> np.ndarray:
     """Evaluate the transfer function at a point of the open disc.
 
-    The resolvent factor is applied through a linear solve, never an explicit
-    inverse; ``I - lam D`` is invertible because ``norm(D) <= 1`` and |lam| < 1.
+    ``lam`` may also be an array of points: the values then stack along its
+    axes, each slice with the bits of the scalar call at its point, since
+    the solves and products run one slice at a time and the rest is
+    elementwise.  The resolvent factor is applied through a linear solve,
+    never an explicit inverse; ``I - lam D`` is invertible because
+    ``norm(D) <= 1`` and |lam| < 1.  A point off the open disc, NaN
+    included, raises ``ValueError`` naming it.
     """
-    lam = complex(lam)
-    if abs(lam) >= 1.0:
-        raise ValueError(f"transfer function evaluated only on |lambda| < 1, got {abs(lam):.6g}")
+    pts = np.asarray(lam, dtype=complex)
+    # "not < 1" refuses NaN too; hypot rounds like the scalar abs
+    off = ~(np.hypot(pts.real, pts.imag) < 1.0)
+    if off.any():
+        raise ValueError("transfer function evaluated only on |lambda| < 1, "
+                         f"got lambda={complex(pts[off][0])!r}")
     if w.dim_k == 0:
-        return w.A.copy()
+        return np.broadcast_to(w.A, pts.shape + w.A.shape).copy()
+    z = pts[..., None, None]
     eye_k = np.eye(w.dim_k)
     try:
-        resolved = np.linalg.solve(eye_k - lam * w.D, w.C)
+        resolved = np.linalg.solve(eye_k - z * w.D, w.C)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"resolvent solve failed at lambda={lam!r}") from exc
-    return w.A + lam * (w.B @ resolved)
+    return w.A + z * (w.B @ resolved)
 
 
 def defect_identities(w: Colligation, lambda_grid) -> TransferReport:

@@ -6,6 +6,9 @@ two independent ways,
 
 * ``unitary_part_matrix``   - the sum of the eigenspaces at the unimodular
   eigenvalues, each the joint kernel of T - lambda and T* - conj(lambda);
+  it is ``unitary_parts`` on a stack of one, which takes a (G, n, n) stack
+  in one pass of batched LAPACK calls, each slice with the bits it gets
+  alone;
 * ``unitary_part_brute``    - intersect the kernels of I - T^{*n} T^n and
   I - T^n T^{*n} over n = 1 .. 2 dim,
 
@@ -42,12 +45,14 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _rank,
     as_complex,
     empty_basis,
     normalize_column_phases,
     nullspace,
     orthonormal_columns,
     psd_kernel,
+    right_svd,
     spectral_norm,
 )
 from .symbols import (
@@ -77,13 +82,31 @@ class Subspace:
         b = as_complex(self.basis)
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise ValueError("basis must be an (ambient_dim, r) array")
-        if b.shape[1]:
-            gram = b.conj().T @ b
-            if spectral_norm(gram - np.eye(b.shape[1])) > 100 * self.tol:
-                raise ValueError("basis columns are not orthonormal")
+        _check_orthonormal(b[None], self.tol)
+        self._freeze(b)
+
+    def _freeze(self, b: np.ndarray) -> None:
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+
+    @classmethod
+    def _stack(cls, ambient_dim: int, bases: list, tol: float) -> list:
+        """One Subspace per (ambient_dim, r) basis, the orthonormality test
+        run once per group of equal width instead of once per basis."""
+        widths = {}
+        for b in bases:
+            widths.setdefault(b.shape[1], []).append(b)
+        for group in widths.values():
+            _check_orthonormal(np.stack(group), tol)
+        out = []
+        for b in bases:
+            sub = object.__new__(cls)
+            object.__setattr__(sub, "ambient_dim", ambient_dim)
+            object.__setattr__(sub, "tol", tol)
+            sub._freeze(b)
+            out.append(sub)
+        return out
 
     @property
     def dim(self) -> int:
@@ -150,6 +173,19 @@ class UnitaryPartReport:
         return all(v <= 100 * tol for v in self.certification.values())
 
 
+def _check_orthonormal(bases: np.ndarray, tol: float) -> None:
+    """Refuse a (G, n, r) stack of bases unless each has norm(B*B - I) <= 100 tol.
+
+    The norms are the first singular values of one batched SVD, as
+    ``spectral_norm`` takes them.
+    """
+    count, _, r = bases.shape
+    if count and r:
+        gram = bases.conj().transpose(0, 2, 1) @ bases
+        if np.any(np.linalg.svd(gram - np.eye(r), compute_uv=False)[:, 0] > 100 * tol):
+            raise ValueError("basis columns are not orthonormal")
+
+
 def _check_finite_square(t):
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {t.shape}")
@@ -163,12 +199,30 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
-def _check_contraction(t, tol):
+def _check_contractions(stack, tol):
+    """Refuse a (G, n, n) stack unless every slice is a finite contraction.
+
+    The norms are the first singular values of one batched SVD, each with the
+    bits of ``spectral_norm`` on its slice.
+    """
     _check_tol(tol)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"operators must be a (G, n, n) stack, got shape {stack.shape}")
+    count = stack.shape[0]
+    at = lambda g: f" (slice {g})" if count > 1 else ""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"operator has non-finite entries{at(np.argmin(finite))}")
+    if stack.size:
+        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        g = int(np.argmax(norms))
+        if norms[g] > 1.0 + tol:
+            raise ValueError(f"operator norm {norms[g]:.6g} exceeds 1 + tol{at(g)}")
+
+
+def _check_contraction(t, tol):
     _check_finite_square(t)
-    nrm = spectral_norm(t)
-    if nrm > 1.0 + tol:
-        raise ValueError(f"operator norm {nrm:.6g} exceeds 1 + tol")
+    _check_contractions(t[None], tol)
 
 
 def _check_window_call(sym: MatrixSymbol, window: int, tol):
@@ -195,38 +249,81 @@ def _joint_kernel(t: np.ndarray, t_adj: np.ndarray, factors, tol: float) -> np.n
     return nullspace(np.vstack(rows), tol)
 
 
-def _unitary_eigenspaces(t: np.ndarray, tol: float) -> list:
-    """Eigenspaces of a contraction at its unimodular eigenvalues.
+def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
+    """Eigenspaces of each contraction of a (G, n, n) stack at its unimodular eigenvalues.
 
     For |lambda| = 1, T x = lambda x forces T* x = conj(lambda) x, since
     norm(T* x - conj(lambda) x)^2 = norm(T* x)^2 - norm(x)^2 <= 0; so the
     eigenspace is the joint kernel of T - lambda and T* - conj(lambda), and
     it reduces T.  The T* rows reject the eigenvectors of a non-normal block
     with eigenvalues near the circle.  The candidates are the eigenvalues
-    with |lambda| >= 1 - tol, unmerged.  Returns the (lambda, kernel basis)
-    pairs whose kernel is nonzero.
+    with |lambda| >= 1 - tol, unmerged.  Returns, per slice, the
+    (lambda, kernel basis) pairs whose kernel is nonzero.
+
+    One batched ``eigvals`` gives every slice's eigenvalues and one batched
+    ``right_svd`` the kernel of every (slice, candidate) joint matrix.
+    Batched LAPACK factors each matrix with its own call, and the joint
+    matrices, the cut and the phases are elementwise, so each kernel has the
+    bits of the ``_joint_kernel`` of its slice alone.
     """
-    spaces = []
-    for lam in np.linalg.eigvals(t):
-        if abs(lam) >= 1.0 - tol:
-            kernel = _joint_kernel(t, t.conj().T, [lam], tol)
-            if kernel.shape[1]:
-                spaces.append((lam, kernel))
+    count, n, _ = stack.shape
+    spaces = [[] for _ in range(count)]
+    if count == 0 or n == 0:
+        return spaces
+    lams = np.linalg.eigvals(stack)
+    # hypot rounds like the scalar abs of each eigenvalue
+    slices, cols = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - tol)
+    lams = lams[slices, cols]
+    t = stack[slices]
+    eye = np.eye(n)
+    lam = lams[:, None, None]
+    joint = np.concatenate(
+        [t - lam * eye, t.conj().transpose(0, 2, 1) - np.conj(lam) * eye], axis=1)
+    s, vh = right_svd(joint)
+    # the phases are fixed column by column, so the full V and its trailing
+    # kernel columns share their bits
+    v = normalize_column_phases(vh.conj().transpose(0, 2, 1))
+    for g, mu, r, basis in zip(slices, lams, _rank(s, tol), v):
+        if r < n:
+            spaces[g].append((mu, basis[:, r:]))
     return spaces
 
 
-def unitary_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
-    """Largest subspace reducing a contraction to a unitary.
+def unitary_parts(stack, tol: float = DEFAULT_TOL) -> list:
+    """Unitary part of each contraction in a (G, n, n) stack, as Subspaces.
 
     On C^n the unitary part is a finite unitary, so it is the sum of the
     eigenspaces of T at its unimodular eigenvalues (``_unitary_eigenspaces``),
-    each of which reduces T.
+    each of which reduces T; their span is orthonormalized by one batched
+    SVD per group of slices with equal kernel widths.  Each slice's basis
+    has the bits that the stack of that slice alone gives, whatever else
+    the stack holds.  A stack that is not
+    (G, n, n), has a non-finite entry or a slice of norm above 1 + tol
+    raises ``ValueError``.
     """
+    stack = as_complex(stack)
+    _check_contractions(stack, tol)
+    n = stack.shape[1]
+    spans = [np.hstack([empty_basis(n)] + [kernel for _, kernel in spaces])
+             for spaces in _unitary_eigenspaces(stack, tol)]
+    bases = [empty_basis(n)] * len(spans)
+    widths = {}
+    for g, x in enumerate(spans):
+        if x.size:
+            widths.setdefault(x.shape[1], []).append(g)
+    for members in widths.values():
+        u, s, _ = np.linalg.svd(np.stack([spans[g] for g in members]), full_matrices=False)
+        for g, basis, r in zip(members, normalize_column_phases(u), _rank(s, tol)):
+            bases[g] = basis[:, :r]
+    return Subspace._stack(n, bases, tol)
+
+
+def unitary_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
+    """Largest subspace reducing a contraction to a unitary: ``unitary_parts``
+    on the stack of one."""
     t = as_complex(t)
-    _check_contraction(t, tol)
-    n = t.shape[0]
-    kernels = [empty_basis(n)] + [kernel for _, kernel in _unitary_eigenspaces(t, tol)]
-    return Subspace(n, orthonormal_columns(np.hstack(kernels), tol), tol)
+    _check_finite_square(t)
+    return unitary_parts(t[None], tol)[0]
 
 
 def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
@@ -276,7 +373,7 @@ def _kernel_candidates(sym: MatrixSymbol, tol: float) -> list:
     since a repeated factor squares a small defect under the cut.
     """
     factors = []
-    for lam, _ in _unitary_eigenspaces(eval_symbol(sym, 0.0), tol):
+    for lam, _ in _unitary_eigenspaces(eval_symbol(sym, 0.0)[None], tol)[0]:
         if all(abs(lam - mu) > tol for mu in factors):
             factors.append(lam)
     return factors

@@ -89,28 +89,37 @@ def normalize_column_phases(b: np.ndarray) -> np.ndarray:
     """Scale each column so its first significantly-nonzero entry is real positive.
 
     Makes orthonormalization output deterministic for golden-file tests.
-    Zero columns are left as they are.  The pivot moduli come from ``hypot``,
-    which rounds like the scalar ``abs`` (array ``abs`` of complex entries can
-    differ by one ulp), and a lone nonzero column is scaled by a scalar, since
-    numpy's one-element array product can round differently; both keep the
-    output bitwise equal to a per-column loop.
+    ``b`` is an (n, r) matrix or a (..., n, r) stack of them; every column is
+    scaled on its own, by whole-array operations whose bits do not depend on
+    the array's shape, so each slice of a stack, and each column, gets the
+    bits that the 2-D call on it alone gives.  Zero columns are left as they
+    are.  The pivot moduli come from ``hypot``, which rounds like the scalar
+    ``abs`` (array ``abs`` of complex entries can differ by one ulp), so the
+    output is bitwise equal to a per-column loop.
     """
-    b = as_complex(b).copy()
+    b = as_complex(b)
     if b.size == 0:
-        return b
-    mags = np.abs(b)
-    top = mags.max(axis=0)
-    first = np.argmax(mags > 1e-12 * top, axis=0)
-    pivots = b[first, np.arange(b.shape[1])]
+        return b.copy()
+    flat = b.reshape((-1,) + b.shape[-2:])
+    mags = np.abs(flat)
+    top = mags.max(axis=1)
+    first = np.argmax(mags > 1e-12 * top[:, None], axis=1)
+    pivots = flat[np.arange(flat.shape[0])[:, None], first, np.arange(flat.shape[2])]
     moduli = np.hypot(pivots.real, pivots.imag)
-    phases = np.conj(pivots / np.where(top > 0.0, moduli, 1.0))
-    live = np.flatnonzero(top)
-    if live.size == b.shape[1] > 1:
-        b *= phases
-    else:
-        for j in live:
-            b[:, j] = b[:, j] * phases[j]
-    return b
+    live = top > 0.0
+    out = flat * np.conj(pivots / np.where(live, moduli, 1.0))[:, None]
+    if not live.all():
+        out = np.where(live[:, None], out, flat)
+    return out.reshape(b.shape)
+
+
+def _rank(s: np.ndarray, tol: float):
+    """Count of singular values above the cut tol * max(sigma_1, 1).
+
+    ``s`` holds descending singular values along its last axis, one row per
+    matrix of a stack; an empty row gives 0.
+    """
+    return (s > tol * np.maximum(s[..., :1], 1.0)).sum(axis=-1)
 
 
 def orthonormal_columns(x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -119,21 +128,19 @@ def orthonormal_columns(x, tol: float = DEFAULT_TOL) -> np.ndarray:
     if x.size == 0:
         return empty_basis(x.shape[0])
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    cut = tol * max(s[0] if s.size else 0.0, 1.0)
-    r = int(np.sum(s > cut))
-    return normalize_column_phases(u[:, :r])
+    return normalize_column_phases(u[:, :_rank(s, tol)])
 
 
 def right_svd(a: np.ndarray, full_matrices: bool = False):
     """Singular values and right singular vectors ``(s, vh)`` of ``a``.
 
     Equal, bit for bit, to the ``s`` and ``vh`` of ``np.linalg.svd(a,
-    full_matrices)``.  An economy SVD with rows >= 2 cols and cols >=
-    R_FACTOR_MIN_COLS runs on the R factor of ``a``: zgesdd factors such
-    inputs by QR first itself, and only its left factor, which is not formed
-    here, needs the Q.
+    full_matrices)``, for a matrix or a (G, rows, cols) stack.  An economy
+    SVD with rows >= 2 cols and cols >= R_FACTOR_MIN_COLS runs on the R
+    factor of ``a``: zgesdd factors such inputs by QR first itself, and only
+    its left factor, which is not formed here, needs the Q.
     """
-    rows, cols = a.shape
+    rows, cols = a.shape[-2:]
     if not full_matrices and rows >= 2 * cols and cols >= R_FACTOR_MIN_COLS:
         a = np.linalg.qr(a, mode="r")
     _, s, vh = np.linalg.svd(a, full_matrices=full_matrices)
@@ -148,9 +155,7 @@ def nullspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.eye(n, dtype=complex) if n else empty_basis(0)
     # the economy SVD already carries the full right factor when rows >= cols
     s, vh = right_svd(a, full_matrices=a.shape[0] < n)
-    cut = tol * max(s[0] if s.size else 0.0, 1.0)
-    r = int(np.sum(s > cut))
-    return normalize_column_phases(vh[r:].conj().T)
+    return normalize_column_phases(vh[_rank(s, tol):].conj().T)
 
 
 def psd_kernel(q, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -38,7 +38,7 @@ from .symbols import (
     pointwise_unitarity_mask,
     sup_norm_estimate,
 )
-from .hardy import HardyVector, toeplitz_apply_exact, toeplitz_window_matrix
+from .hardy import convolve_block_columns, toeplitz_window_matrix
 from .colligation import (
     Colligation,
     bcl_colligation,
@@ -58,6 +58,7 @@ from .decomposition import (
     toeplitz_unitary_part,
     toeplitz_unitary_part_brute,
     unitary_part_matrix,
+    unitary_parts,
 )
 
 
@@ -197,11 +198,13 @@ def scenario_bcl_example(u=None, p=None, window: int = 8,
     sym = polynomial_from_colligation(w)
     inner_rep = is_inner(sym, tol=tol)
 
-    rng = np.random.default_rng(7)
-    norm_dev = 0.0
-    for _ in range(20):
-        h = HardyVector(d, rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d)))
-        norm_dev = max(norm_dev, abs(toeplitz_apply_exact(sym, h).norm() - h.norm()))
+    # 20 random Hardy vectors of degree 4, each drawn as its real then its
+    # imaginary coefficients, and their images under T_F by one convolution
+    draws = np.random.default_rng(7).standard_normal((20, 2, 5, d))
+    samples = draws[:, 0] + 1j * draws[:, 1]
+    images = convolve_block_columns(sym, samples.transpose(1, 2, 0))[sym.band:]
+    norm_dev = max(abs(np.linalg.norm(images[..., j]) - np.linalg.norm(h))
+                   for j, h in enumerate(samples))
 
     report = toeplitz_unitary_part(sym, window, tol)
     rank = int(round(np.trace(p).real))
@@ -426,23 +429,20 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
         return ScenarioResult("prop_ds", params, tuple(checks), records=records)
 
     inclusion = np.vstack([np.eye(d0), np.zeros((d1, d0))]).astype(complex)
-    # (i) the constant term has the planted unitary part
-    part0 = unitary_part_matrix(w.A, tol)
-    res_i = spectral_norm(inclusion - part0.projector() @ inclusion)
-    checks.append(_check("constant_term_contains_block", res_i, 100 * tol))
-    # (ii) every disc value has a unitary part; in the same pass, the pointwise
-    # witness (constant inclusion and the planted unitary) for A and for the
-    # value at each disc point
+    # (i) the constant term and (ii) the value at every disc point have the
+    # planted block in their unitary part: one stacked pass over
+    # [A, tau(lambda_1), ..., tau(lambda_n)]
+    parts = unitary_parts(np.concatenate([w.A[None], tau_eval(w, lam_grid)]), tol)
+    missed = [inclusion - part.projector() @ inclusion for part in parts]
+    checks.append(_check("constant_term_contains_block", spectral_norm(missed[0]), 100 * tol))
+    worst = float(spectral_norms(np.stack(missed[1:])).max())
+    # the pointwise witness (constant inclusion and the planted unitary) for
+    # A and for the polynomial's value at each disc point
     th = inclusion
-    missed = []
-    witness = [w.A @ th - th @ u0, w.A.conj().T @ th - th @ u0.conj().T]
-    for lam in lam_grid:
-        part_lam = unitary_part_matrix(tau_eval(w, lam), tol)
-        missed.append(inclusion - part_lam.projector() @ inclusion)
-        val = eval_disc(sym, lam)
-        witness += [val @ th - th @ u0, val.conj().T @ th - th @ u0.conj().T]
-    worst = float(spectral_norms(np.stack(missed)).max())
-    res_w = float(spectral_norms(np.stack(witness)).max())
+    vals = np.concatenate([w.A[None], eval_disc(sym, lam_grid)])
+    witness = np.concatenate([vals @ th - th @ u0,
+                              vals.conj().transpose(0, 2, 1) @ th - th @ u0.conj().T])
+    res_w = float(spectral_norms(witness).max())
     checks.append(_check("disc_values_contain_block", worst, 100 * tol))
     # (iii) the multiplication operator has unitary vectors in the window;
     # the planted block is checked against the exact kernel of q(T_F) stacked

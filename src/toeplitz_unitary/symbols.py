@@ -170,15 +170,25 @@ def eval_symbol(sym: MatrixSymbol, t: float) -> np.ndarray:
     return out
 
 
-def eval_disc(sym: MatrixSymbol, z: complex) -> np.ndarray:
+def eval_disc(sym: MatrixSymbol, z) -> np.ndarray:
     """Evaluate an analytic symbol at a point ``z`` of the closed disc.
 
-    Horner's rule over the coefficients band .. 0.  A symbol with a negative
-    Fourier index raises ``ValueError``: it has no value inside the disc.
+    Horner's rule over the coefficients band .. 0.  ``z`` may also be an
+    array of points: the values then stack along its axes, each slice with
+    the bits of the scalar call at its point (the steps are elementwise).  A
+    symbol with a negative Fourier index raises ``ValueError``: it has no
+    value inside the disc.  So does a non-finite point, by name.  The
+    modulus is not checked, so a point of the circle that rounds to
+    modulus 1 + eps is evaluated.
     """
     if not sym.is_analytic:
         raise ValueError("symbol has negative Fourier coefficients")
-    acc = np.zeros((sym.dim_out, sym.dim_in), dtype=complex)
+    z = np.asarray(z)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"eval_disc needs finite points, got z={complex(z[~finite][0])!r}")
+    acc = np.zeros(z.shape + (sym.dim_out, sym.dim_in), dtype=complex)
+    z = z[..., None, None]
     for k in range(sym.band, -1, -1):
         acc = acc * z + sym.coeff(k)
     return acc

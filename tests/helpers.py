@@ -93,8 +93,10 @@ def rotated_swap_symbol(seed):
 # the cut, the first to move under any roundoff change in the kernels; the
 # colligations are analytic, so the kernel route is run through
 # _window_eigenspaces as well.  Patching decomposition.nullspace covers every
-# kernel of both routes, the eigenspaces of F(0) or F(1) that
-# _unitary_eigenspaces takes included
+# window kernel of both routes; the eigenspaces of F(0) or F(1) that
+# _unitary_eigenspaces takes from one batched right_svd share only the
+# patched normalize_column_phases, and the unitary-part parity tests compare
+# them with the per-matrix loop
 CANARIES = [
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_colligation
+from helpers import assert_same_bits, random_colligation
 from toeplitz_unitary.linalg import DEFAULT_TOL, haar_unitary, random_projection, spectral_norm
 from toeplitz_unitary.symbols import CircleGrid, eval_disc, eval_symbol
 from toeplitz_unitary.colligation import (
@@ -85,6 +85,19 @@ class TestTauEval:
         with pytest.raises(ValueError):
             tau_eval(w, 1.0)
 
+    @pytest.mark.parametrize("lam, shown", [
+        (complex("nan"), "nan"), (float("nan"), "nan"), (complex(0.0, float("nan")), "nan"),
+        (float("inf"), "inf"), (complex(-float("inf"), 0.5), "inf"), (1.0, "1"),
+        (np.array([0.5, 0.2j, complex("nan"), 0.1]), "nan"),
+        (np.array([[0.5, 0.2j], [1.0 + 1e-9, 0.0]]), "1.000000001"),
+    ], ids=["nan", "real-nan", "imag-nan", "inf", "neg-inf", "one", "stack-nan", "stack-off"])
+    def test_off_disc_point_rejected_by_name(self, lam, shown):
+        # "abs(nan) >= 1" is False, so the old gate let NaN through and
+        # returned an all-NaN value
+        w = random_colligation(2, 1, np.random.default_rng(4))
+        with pytest.raises(ValueError, match=f"only on \\|lambda\\| < 1, got lambda=.*{shown}"):
+            tau_eval(w, lam)
+
     def test_contractive_on_disc(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -109,6 +122,13 @@ class TestDefectIdentities:
         assert rep.max_defect2 <= 1e-10
         assert rep.max_norm <= 1.0 + 1e-9
 
+    def test_nan_point_rejected_by_name(self):
+        # a NaN point passed the tau_eval gate, and the defect solve then
+        # raised "LinAlgError: SVD did not converge"
+        w = random_colligation(3, 2, np.random.default_rng(7))
+        with pytest.raises(ValueError, match="got lambda=.*nan"):
+            defect_identities(w, [0.5, complex("nan")])
+
     def test_perturbed_colligation_detected(self):
         rng = np.random.default_rng(8)
         w = random_colligation(3, 2, rng)
@@ -116,6 +136,40 @@ class TestDefectIdentities:
         bad = Colligation(3, 2, a_perturbed, w.B, w.C, w.D)
         rep = defect_identities(bad, disc_grid(100, 0.99))
         assert max(rep.max_defect1, rep.max_defect2) > 1e-4
+
+
+class TestTauEvalParity:
+    """Each slice of ``tau_eval`` on an array of points has the bits of the
+    scalar call: the solves and products run one slice at a time, the rest
+    is elementwise."""
+
+    POINTS = np.concatenate([disc_grid(32, 0.9), disc_grid(5, 0.3), [0.0, -0.5, 0.25j]])
+
+    @pytest.mark.parametrize("dim_e, dim_k", [(3, 2), (1, 1), (1, 3), (2, 0), (4, 1)])
+    def test_slices_match_scalar_calls(self, dim_e, dim_k):
+        rng = np.random.default_rng(10 * dim_e + dim_k)
+        for _ in range(4):
+            w = random_colligation(dim_e, dim_k, rng)
+            values = tau_eval(w, self.POINTS)
+            assert values.shape == (len(self.POINTS), dim_e, dim_e)
+            for value, lam in zip(values, self.POINTS):
+                assert_same_bits(value, tau_eval(w, lam))
+                assert_same_bits(value, tau_eval(w, complex(lam)))
+            grid = self.POINTS[:36].reshape(6, 6)
+            assert_same_bits(tau_eval(w, grid), values[:36].reshape(6, 6, dim_e, dim_e))
+
+    def test_scalar_point_gives_a_matrix(self):
+        w = random_colligation(3, 2, np.random.default_rng(1))
+        assert tau_eval(w, 0.5).shape == (3, 3)
+        assert tau_eval(w, np.array([])).shape == (0, 3, 3)
+
+    def test_no_state_space_values_are_copies(self):
+        u = haar_unitary(2, np.random.default_rng(3))
+        w = Colligation(2, 0, u, np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
+        values = tau_eval(w, self.POINTS)
+        assert values.flags.writeable and not np.shares_memory(values, w.A)
+        for value in values:
+            assert_same_bits(value, w.A.copy())
 
 
 class TestDiscGrid:

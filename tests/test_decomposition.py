@@ -55,6 +55,7 @@ from toeplitz_unitary.decomposition import (
     toeplitz_unitary_part_brute,
     unitary_part_brute,
     unitary_part_matrix,
+    unitary_parts,
     verify_maincondn,
 )
 from toeplitz_unitary.scenarios import (
@@ -622,7 +623,8 @@ class TestUnitaryKernel:
     def test_candidates_read_at_t0(self, monkeypatch):
         # random_trig_scalar is a contraction on the 512-point grid only;
         # F(1) is the grid value at t = 0, so the gate has checked that the
-        # matrix whose eigenspaces give the candidates is a contraction
+        # matrix whose eigenspaces give the candidates is a contraction; it
+        # comes as a stack of one
         seen = []
         eigenspaces = decomposition._unitary_eigenspaces
 
@@ -636,7 +638,7 @@ class TestUnitaryKernel:
             sym = random_trig_scalar(rng, 4)
             rep = toeplitz_unitary_part(sym, 8)
             assert rep.classification == "trivial"
-            assert np.array_equal(seen[-1], eval_on_grid(sym, CircleGrid(512))[0])
+            assert np.array_equal(seen[-1], eval_on_grid(sym, CircleGrid(512))[:1])
         assert len(seen) == 20
 
     @pytest.mark.parametrize("planted", [True, False], ids=["planted", "swap"])
@@ -769,6 +771,117 @@ class TestJointKernelParity:
             kernels.append(want)
         basis, _ = _window_eigenspaces(sym, window, 1e-8)
         assert_same_bits(basis, orthonormal_columns(np.hstack(kernels), 1e-8))
+
+
+def reference_unitary_part(t, tol=1e-8):
+    """The per-matrix unitary part as it was before the stacked pass: the
+    contraction check, ``eigvals``, one ``_joint_kernel`` per candidate and
+    ``orthonormal_columns`` of their span."""
+    t = np.asarray(t, dtype=complex)
+    assert np.all(np.isfinite(t)) and spectral_norm(t) <= 1.0 + tol
+    kernels = [np.zeros((t.shape[0], 0), dtype=complex)]
+    for lam in np.linalg.eigvals(t):
+        if abs(lam) >= 1.0 - tol:
+            kernel = _joint_kernel(t, t.conj().T, [lam], tol)
+            if kernel.shape[1]:
+                kernels.append(kernel)
+    return orthonormal_columns(np.hstack(kernels), tol)
+
+
+class TestUnitaryPartsParity:
+    """Each slice of ``unitary_parts`` has the bits of the per-matrix loop on
+    it alone, and ``unitary_part_matrix`` is the stack of one: batched LAPACK
+    factors every slice with its own call, and the joint matrices, the cut
+    and the phases are elementwise."""
+
+    @staticmethod
+    def _assert_parity(stack):
+        stack = np.asarray(stack, dtype=complex)
+        parts = unitary_parts(stack)
+        assert len(parts) == len(stack)
+        for part, t in zip(parts, stack):
+            want = reference_unitary_part(t)
+            assert_same_bits(part.basis, want)
+            assert_same_bits(unitary_part_matrix(t).basis, want)
+        return [part.dim for part in parts]
+
+    def test_sweep(self):
+        # the 726 sweep matrices, one stack per size, in sweep order
+        by_size = {}
+        for _, t, _ in TestUnitaryPartBrute._sweep():
+            by_size.setdefault(t.shape[0], []).append(t)
+        dims = []
+        for mats in by_size.values():
+            dims += self._assert_parity(mats)
+        assert len(dims) == 726 and max(dims) == 8 and min(dims) == 0
+
+    @pytest.mark.parametrize("name,make_symbol,window", CANARIES,
+                             ids=[f"{c[0]}-w{c[2]}" for c in CANARIES])
+    def test_canaries(self, name, make_symbol, window):
+        # F(1), F(0) and F(-1), and the square window sections of T_F and
+        # T_F*, whose 16 to 32 columns take the R-factor route
+        sym = make_symbol()
+        values = [eval_symbol(sym, t) for t in (0.0, np.pi)]
+        if sym.is_analytic:
+            values.append(sym.coeff(0))
+        self._assert_parity(values)
+        sections = [toeplitz_window_matrix(s, window, window) for s in (sym, adjoint_symbol(sym))]
+        assert sections[0].shape[0] >= 16
+        self._assert_parity(sections)
+
+    def test_mixed_eigenvalue_counts_and_ranks(self):
+        # 0 to 4 unimodular eigenvalues, a repeated one (a kernel of rank 2
+        # beside kernels of rank 1), a Jordan block at the circle, and
+        # eigenvalues within tol of it, shuffled into one stack
+        rng = np.random.default_rng(5)
+        q = haar_unitary(4, rng)
+        jordan = np.zeros((4, 4), dtype=complex)
+        jordan[:2, :2] = 0.999 * np.array([[1.0, 0.001], [0.0, 1.0]])
+        jordan[2:, 2:] = haar_unitary(2, rng)
+        mats = [planted_contraction(rng, 4, k)[0] for k in (0, 1, 2, 3, 4, 2, 1)]
+        mats += [q @ np.diag([1.0, 1.0, 1j, 0.9]) @ q.conj().T,
+                 q @ np.diag([1.0, 1.0, 1.0, 1.0]) @ q.conj().T,
+                 q @ jordan @ q.conj().T,
+                 np.diag([1.0, 1.0 - 1e-9, np.exp(1e-9j), 0.5]),
+                 np.diag([-1.0, 1.0 - 1e-7, 0.0, 0.0])]
+        order = rng.permutation(len(mats))
+        dims = self._assert_parity([mats[i] for i in order])
+        assert sorted(dims) == [0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4]
+
+    def test_non_normal_guard_block(self):
+        # F(1) of the guard symbol diag(1, N, 0.3 (z + 1/z)): N's eigenvalue
+        # 1 - 1e-9 is a candidate, and only the T* rows reject its vector
+        a = 1.0 - 1e-9
+        n = np.array([[a, 0.99 * np.sqrt(1.0 - a * a)], [0.0, 0.0]])
+        guard = np.zeros((4, 4), dtype=complex)
+        guard[0, 0], guard[1:3, 1:3], guard[3, 3] = 1.0, n, 0.6
+        rng = np.random.default_rng(6)
+        q = haar_unitary(4, rng)
+        assert self._assert_parity([guard, q @ guard @ q.conj().T, guard.T]) == [1, 1, 1]
+
+    def test_one_by_one_and_empty_stacks(self):
+        scalars = [1.0, 0.5, np.exp(1j), 1.0 - 1e-9, 1.0 - 1e-7, 0.0, -1.0]
+        dims = self._assert_parity(np.reshape(scalars, (-1, 1, 1)))
+        assert dims == [1, 0, 1, 1, 0, 0, 1]
+        assert unitary_parts(np.zeros((0, 3, 3))) == []
+        empty = unitary_parts(np.zeros((2, 0, 0)))
+        assert [(p.ambient_dim, p.basis.shape) for p in empty] == [(0, (0, 0))] * 2
+
+    @pytest.mark.parametrize("bad, message", [
+        (2.0 * np.eye(3), r"exceeds 1 \+ tol \(slice 2\)"),
+        (np.diag([np.nan, 0.0, 0.0]), r"non-finite entries \(slice 2\)"),
+        (np.diag([0.0, 1j * np.inf, 0.0]), r"non-finite entries \(slice 2\)"),
+    ], ids=["expansive", "nan", "imag-inf"])
+    def test_one_bad_slice_rejected(self, bad, message):
+        stack = np.stack([np.eye(3), 0.5 * np.eye(3), bad, np.eye(3)])
+        with pytest.raises(ValueError, match=message):
+            unitary_parts(stack)
+
+    @pytest.mark.parametrize("stack", [np.eye(3), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))],
+                             ids=["2-d", "rectangular", "4-d"])
+    def test_malformed_stack_rejected(self, stack):
+        with pytest.raises(ValueError, match=r"\(G, n, n\) stack"):
+            unitary_parts(stack)
 
 
 class TestAnalyticRoute:

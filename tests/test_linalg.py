@@ -38,6 +38,9 @@ from toeplitz_unitary.symbols import MatrixSymbol
 
 def reference_normalize_column_phases(b):
     b = np.asarray(b, dtype=complex).copy()
+    if b.ndim > 2:
+        # a stack, one matrix at a time
+        return np.array([reference_normalize_column_phases(x) for x in b]).reshape(b.shape)
     for j in range(b.shape[1]):
         col = b[:, j]
         mags = np.abs(col)
@@ -212,6 +215,74 @@ class TestNormalizeColumnPhases:
         kept = b.copy()
         normalize_column_phases(b)
         assert same_bits(b, kept)
+
+
+class TestStackParity:
+    """Each slice of a stacked ``normalize_column_phases`` or ``right_svd``
+    has the bits of the 2-D call on it alone, on the inputs of the 2-D tests
+    above; the matrix unitary part relies on this to take all its kernels
+    and spans in batched calls."""
+
+    @staticmethod
+    def _assert_slices(func, stack):
+        out = func(stack)
+        for got, x in zip(out, stack):
+            assert same_bits(got, func(x))
+        return out
+
+    @staticmethod
+    def _adversarial(rng, rows, cols):
+        # zero columns (one holding -0.0), a column whose leading entries sit
+        # under the pivot threshold, a lone live column and a plain one
+        zero = gaussian(rng, rows, cols)
+        zero[:, 0] = 0.0
+        zero[rows - 1, 0] = -0.0
+        below = gaussian(rng, rows, cols)
+        below[0] *= 1e-13
+        lone = np.zeros((rows, cols), dtype=complex)
+        lone[:, -1] = gaussian(rng, rows)
+        lone[0, 0] = -0.0
+        scaled = gaussian(rng, rows, cols) * 10.0 ** rng.integers(-20, 5, size=(rows, cols))
+        return np.stack([zero, below, lone, scaled, gaussian(rng, rows, cols)])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 32])
+    @pytest.mark.parametrize("cols", [1, 2, 5])
+    def test_normalize_slices(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        stack = self._adversarial(rng, rows, cols)
+        out = self._assert_slices(normalize_column_phases, stack)
+        for got, x in zip(out, stack):
+            assert same_bits(got, reference_normalize_column_phases(x))
+        # a stack of stacks, and the same stack with column-major slices
+        assert same_bits(normalize_column_phases(stack.reshape((5, 1, rows, cols))),
+                         out.reshape((5, 1, rows, cols)))
+        column_major = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert same_bits(normalize_column_phases(column_major), out)
+
+    def test_normalize_single_rows(self):
+        rng = np.random.default_rng(3)
+        for cols in (1, 2, 3, 9):
+            stack = gaussian(rng, 50, 1, cols)
+            stack[7, 0, 0] = 0.0
+            self._assert_slices(normalize_column_phases, stack)
+
+    def test_normalize_empty_stacks(self):
+        for shape in [(0, 3, 2), (2, 0, 3), (2, 4, 0)]:
+            assert same_bits(normalize_column_phases(np.zeros(shape)), np.zeros(shape, complex))
+
+    @pytest.mark.parametrize("rows, cols", [(4 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS),
+                                            (2 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS),
+                                            (6, 4), (3, 3)])
+    def test_right_svd_slices(self, rows, cols, qr_calls):
+        rng = np.random.default_rng(rows + cols)
+        stack = np.stack([_planted(rng, rows, cols, rank) for rank in range(0, cols + 1, 2)])
+        s, vh = right_svd(stack)
+        for k, a in enumerate(stack):
+            s1, vh1 = right_svd(a)
+            assert same_bits(s[k], s1) and same_bits(vh[k], vh1)
+        # the R-factor route takes one batched QR, as the 2-D call takes one
+        tall = rows >= 2 * cols and cols >= R_FACTOR_MIN_COLS
+        assert len(qr_calls) == (1 + len(stack) if tall else 0)
 
 
 class TestSpectralNorm:

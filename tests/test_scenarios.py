@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from toeplitz_unitary import scenarios
-from toeplitz_unitary.colligation import polynomial_from_colligation
+from toeplitz_unitary.colligation import bcl_colligation, polynomial_from_colligation
+from toeplitz_unitary.hardy import HardyVector, toeplitz_apply_exact
 from toeplitz_unitary.decomposition import _window_kernel, toeplitz_unitary_part_brute
 from toeplitz_unitary.linalg import haar_unitary, subspace_gap
 from toeplitz_unitary.symbols import MatrixSymbol
@@ -92,6 +93,30 @@ class TestBclExample:
         result = scenario_bcl_example(u=u, p=np.diag([1.0, 0.0]), window=4)
         assert result.overall
         assert not result.parameters["identity_case"]
+
+
+    def test_samples_take_one_convolution(self, monkeypatch):
+        # T_F acts on the 20 random sample vectors in one convolution, and the
+        # isometry residual keeps the bits of the per-vector loop it replaced
+        # (exactly so here: the model symbol's entries are 0 and 1)
+        shapes = []
+        convolve = scenarios.convolve_block_columns
+
+        def recording(sym, blocks):
+            shapes.append(blocks.shape)
+            return convolve(sym, blocks)
+
+        monkeypatch.setattr(scenarios, "convolve_block_columns", recording)
+        result = scenario_bcl_example()
+        assert shapes == [(5, 2, 20)]
+        sym = polynomial_from_colligation(bcl_colligation(np.eye(2), np.diag([1.0, 0.0])))
+        rng = np.random.default_rng(7)
+        want = 0.0
+        for _ in range(20):
+            h = HardyVector(2, rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+            want = max(want, abs(toeplitz_apply_exact(sym, h).norm() - h.norm()))
+        check = next(c for c in result.checks if c.name == "toeplitz_isometry_on_samples")
+        assert check.residual == want
 
 
 class TestButz:
@@ -223,6 +248,26 @@ class TestPropDS:
                             lambda sym, window, tol: np.zeros((sym.dim_in * window, 0)))
         failed = [c.name for c in scenario_prop_ds(seed=0).checks if not c.passed]
         assert failed == ["window_part_contains_block"]
+
+
+    def test_disc_sweep_is_one_stacked_pass(self, monkeypatch):
+        # checks (i) and (ii) take every unitary part from one unitary_parts
+        # call, and the disc values from one tau_eval and one eval_disc call
+        # on all the points; no call is made per point
+        calls = []
+
+        def recording(name, func, arg):
+            def wrapper(*args, **kwargs):
+                calls.append((name, np.shape(args[arg])))
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name, arg in (("unitary_part_matrix", 0), ("unitary_parts", 0),
+                          ("tau_eval", 1), ("eval_disc", 1)):
+            monkeypatch.setattr(scenarios, name, recording(name, getattr(scenarios, name), arg))
+        assert scenario_prop_ds(seed=0, n_lambda=32).overall
+        assert sorted(calls) == [("eval_disc", (32,)), ("tau_eval", (32,)),
+                                 ("unitary_parts", (33, 3, 3))]
 
 
 class TestWold:

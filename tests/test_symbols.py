@@ -63,6 +63,40 @@ class TestEval:
             eval_disc(MatrixSymbol(2, 2, {-1: E12, 1: E21}), 0.5)
 
 
+class TestEvalDiscParity:
+    """Each slice of ``eval_disc`` on an array of points has the bits of the
+    scalar call: Horner's steps are elementwise."""
+
+    POINTS = np.concatenate([0.9 * np.exp(2j * np.pi * np.arange(32) / 32),
+                             np.exp(1j * np.linspace(0.0, 6.0, 7)), [0.0, -0.5, 0.25j]])
+
+    @pytest.mark.parametrize("d_out, d_in, band", [(3, 3, 1), (2, 3, 2), (1, 1, 4), (4, 2, 0)])
+    def test_slices_match_scalar_calls(self, d_out, d_in, band):
+        rng = np.random.default_rng(d_out + 10 * d_in + 100 * band)
+        sym = MatrixSymbol(d_out, d_in, {k: rng.standard_normal((d_out, d_in))
+                                         + 1j * rng.standard_normal((d_out, d_in))
+                                         for k in range(band + 1)})
+        values = eval_disc(sym, self.POINTS)
+        assert values.shape == (len(self.POINTS), d_out, d_in)
+        for value, z in zip(values, self.POINTS):
+            assert_same_bits(value, eval_disc(sym, z))
+            assert_same_bits(value, eval_disc(sym, complex(z)))
+        assert_same_bits(eval_disc(sym, self.POINTS[:40].reshape(5, 8)),
+                         values[:40].reshape(5, 8, d_out, d_in))
+        reals = np.array([0.0, 0.5, -0.7])
+        for value, x in zip(eval_disc(sym, reals), reals):
+            assert_same_bits(value, eval_disc(sym, float(x)))
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, complex(0.0, -np.inf), complex("nan"),
+                                   np.array([0.5, np.nan]), np.array([[0.1j], [np.inf]])],
+                             ids=["nan", "inf", "imag-inf", "complex-nan", "stack-nan", "stack-inf"])
+    def test_non_finite_point_rejected_by_name(self, z):
+        # Horner's rule returned an all-NaN value without a word
+        sym = MatrixSymbol(2, 2, {0: E12, 1: E21})
+        with pytest.raises(ValueError, match="finite points, got z=.*(nan|inf)"):
+            eval_disc(sym, z)
+
+
 class TestAdjoint:
     def test_constant(self):
         u = haar_unitary(3, np.random.default_rng(0))
