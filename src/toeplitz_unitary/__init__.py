@@ -11,14 +11,12 @@ from .symbols import (
     block_diag_symbol,
     compose_scalar_polynomial,
     eval_disc,
-    eval_on_grid,
     eval_symbol,
     is_inner,
     multiply,
     pointwise_unitarity_mask,
     sup_norm_estimate,
 )
-from .hardy import HardyVector, toeplitz_apply_exact
 from .colligation import (
     Colligation,
     TransferReport,
@@ -52,9 +50,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CircleGrid", "InnerReport", "MatrixSymbol",
     "adjoint_symbol", "bcl_symbol", "block_diag_symbol",
-    "compose_scalar_polynomial", "eval_disc", "eval_on_grid", "eval_symbol",
+    "compose_scalar_polynomial", "eval_disc", "eval_symbol",
     "is_inner", "multiply", "pointwise_unitarity_mask", "sup_norm_estimate",
-    "HardyVector", "toeplitz_apply_exact",
     "Colligation", "TransferReport", "bcl_colligation", "defect_identities",
     "disc_grid", "polynomial_from_colligation", "tau_eval", "validate",
     "ExtractionResult", "Subspace", "UnitaryPartReport", "beurling_extract",

@@ -45,14 +45,13 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    _rank,
     as_complex,
     empty_basis,
     normalize_column_phases,
     nullspace,
+    nullspaces,
+    orthonormal_bases,
     orthonormal_columns,
-    psd_kernel,
-    right_svd,
     spectral_norm,
 )
 from .symbols import (
@@ -94,11 +93,8 @@ class Subspace:
     def _stack(cls, ambient_dim: int, bases: list, tol: float) -> list:
         """One Subspace per (ambient_dim, r) basis, the orthonormality test
         run once per group of equal width instead of once per basis."""
-        widths = {}
-        for b in bases:
-            widths.setdefault(b.shape[1], []).append(b)
-        for group in widths.values():
-            _check_orthonormal(np.stack(group), tol)
+        for width in {b.shape[1] for b in bases}:
+            _check_orthonormal(np.stack([b for b in bases if b.shape[1] == width]), tol)
         out = []
         for b in bases:
             sub = object.__new__(cls)
@@ -174,13 +170,16 @@ class UnitaryPartReport:
 
 
 def _check_orthonormal(bases: np.ndarray, tol: float) -> None:
-    """Refuse a (G, n, r) stack of bases unless each has norm(B*B - I) <= 100 tol.
+    """Refuse a (G, n, r) stack of bases unless each is finite and has
+    norm(B*B - I) <= 100 tol.
 
     The norms are the first singular values of one batched SVD, as
     ``spectral_norm`` takes them.
     """
     count, _, r = bases.shape
     if count and r:
+        if not np.isfinite(bases).all():
+            raise ValueError("basis has non-finite entries")
         gram = bases.conj().transpose(0, 2, 1) @ bases
         if np.any(np.linalg.svd(gram - np.eye(r), compute_uv=False)[:, 0] > 100 * tol):
             raise ValueError("basis columns are not orthonormal")
@@ -260,16 +259,13 @@ def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
     with |lambda| >= 1 - tol, unmerged.  Returns, per slice, the
     (lambda, kernel basis) pairs whose kernel is nonzero.
 
-    One batched ``eigvals`` gives every slice's eigenvalues and one batched
-    ``right_svd`` the kernel of every (slice, candidate) joint matrix.
-    Batched LAPACK factors each matrix with its own call, and the joint
-    matrices, the cut and the phases are elementwise, so each kernel has the
-    bits of the ``_joint_kernel`` of its slice alone.
+    One batched ``eigvals`` gives every slice's eigenvalues and one
+    ``nullspaces`` the kernel of every (slice, candidate) joint matrix, each
+    with the bits of the ``_joint_kernel`` of its slice alone: the joint
+    matrices are elementwise.
     """
     count, n, _ = stack.shape
     spaces = [[] for _ in range(count)]
-    if count == 0 or n == 0:
-        return spaces
     lams = np.linalg.eigvals(stack)
     # hypot rounds like the scalar abs of each eigenvalue
     slices, cols = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - tol)
@@ -279,13 +275,9 @@ def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
     lam = lams[:, None, None]
     joint = np.concatenate(
         [t - lam * eye, t.conj().transpose(0, 2, 1) - np.conj(lam) * eye], axis=1)
-    s, vh = right_svd(joint)
-    # the phases are fixed column by column, so the full V and its trailing
-    # kernel columns share their bits
-    v = normalize_column_phases(vh.conj().transpose(0, 2, 1))
-    for g, mu, r, basis in zip(slices, lams, _rank(s, tol), v):
-        if r < n:
-            spaces[g].append((mu, basis[:, r:]))
+    for g, mu, kernel in zip(slices, lams, nullspaces(joint, tol)):
+        if kernel.shape[1]:
+            spaces[g].append((mu, kernel))
     return spaces
 
 
@@ -294,10 +286,10 @@ def unitary_parts(stack, tol: float = DEFAULT_TOL) -> list:
 
     On C^n the unitary part is a finite unitary, so it is the sum of the
     eigenspaces of T at its unimodular eigenvalues (``_unitary_eigenspaces``),
-    each of which reduces T; their span is orthonormalized by one batched
-    SVD per group of slices with equal kernel widths.  Each slice's basis
-    has the bits that the stack of that slice alone gives, whatever else
-    the stack holds.  A stack that is not
+    each of which reduces T; their span is orthonormalized by one
+    ``orthonormal_bases`` per group of slices with equal kernel widths.  Each
+    slice's basis has the bits that the stack of that slice alone gives,
+    whatever else the stack holds.  A stack that is not
     (G, n, n), has a non-finite entry or a slice of norm above 1 + tol
     raises ``ValueError``.
     """
@@ -306,16 +298,11 @@ def unitary_parts(stack, tol: float = DEFAULT_TOL) -> list:
     n = stack.shape[1]
     spans = [np.hstack([empty_basis(n)] + [kernel for _, kernel in spaces])
              for spaces in _unitary_eigenspaces(stack, tol)]
-    bases = [empty_basis(n)] * len(spans)
-    widths = {}
-    for g, x in enumerate(spans):
-        if x.size:
-            widths.setdefault(x.shape[1], []).append(g)
-    for members in widths.values():
-        u, s, _ = np.linalg.svd(np.stack([spans[g] for g in members]), full_matrices=False)
-        for g, basis, r in zip(members, normalize_column_phases(u), _rank(s, tol)):
-            bases[g] = basis[:, :r]
-    return Subspace._stack(n, bases, tol)
+    bases = {}
+    for width in {x.shape[1] for x in spans}:
+        members = [g for g, x in enumerate(spans) if x.shape[1] == width]
+        bases.update(zip(members, orthonormal_bases(np.stack([spans[g] for g in members]), tol)))
+    return Subspace._stack(n, [bases[g] for g in range(len(spans))], tol)
 
 
 def unitary_part_matrix(t, tol: float = DEFAULT_TOL) -> Subspace:
@@ -331,7 +318,8 @@ def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
 
     Accumulates ker(I - T^{*m} T^m) and ker(I - T^m T^{*m}) for
     m = 1 .. 2 * ambient_dim, which leaves slack over the ambient_dim powers
-    that the dimension-drop argument requires.
+    that the dimension-drop argument requires.  Each step keeps the
+    ``nullspace`` of the defect restricted to the current basis.
     """
     t = as_complex(t)
     _check_contraction(t, tol)
@@ -345,7 +333,7 @@ def unitary_part_brute(t, tol: float = DEFAULT_TOL) -> Subspace:
             if basis.shape[1] == 0:
                 return Subspace(n, basis, tol)
             restricted = basis.conj().T @ defect @ basis
-            kern = psd_kernel(restricted, tol)
+            kern = nullspace(restricted, tol)
             basis = normalize_column_phases(basis @ kern)
     return Subspace(n, basis, tol)
 

@@ -1,10 +1,8 @@
-"""Truncated vector-valued Hardy space and exact Toeplitz / Laurent action.
+"""Exact Toeplitz / Laurent action on polynomials h = sum_k a_k z^k, a_k in C^d.
 
-Vectors are polynomials h = sum_k a_k z^k with coefficients a_k in C^d; the
-norm is the coefficient two-norm (Parseval), computed exactly and never by
-quadrature.  Applying a trigonometric-polynomial symbol is an exact finite
-convolution, so degree bookkeeping replaces truncation error: the result of
-every operation carries all of its nonzero coefficients.
+Applying a trigonometric-polynomial symbol to the coefficient blocks is an
+exact finite convolution, so degree bookkeeping replaces truncation error:
+the result carries all of its nonzero coefficients.
 
 The adjoint Toeplitz operator is always realized through the adjoint symbol
 (T_F^* = T_{F^*}), never as the transpose of a finite section; finite
@@ -19,36 +17,9 @@ rank decisions downstream depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import as_complex
 from .symbols import MatrixSymbol, _coefficient_products
-
-
-@dataclass(frozen=True, eq=False)
-class HardyVector:
-    """Polynomial vector with coefficients rows a_0 .. a_n in C^dim."""
-
-    dim: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = as_complex(self.coeffs)
-        if c.ndim != 2 or c.shape[1] != self.dim or c.shape[0] < 1:
-            raise ValueError("coefficients must be a nonempty (n+1, dim) array")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    @staticmethod
-    def constant(vec) -> "HardyVector":
-        vec = as_complex(vec).reshape(1, -1)
-        return HardyVector(vec.shape[1], vec)
 
 
 def toeplitz_window_matrix(sym: MatrixSymbol, n_in: int, n_out: int) -> np.ndarray:
@@ -86,10 +57,3 @@ def convolve_block_columns(sym: MatrixSymbol, blocks: np.ndarray) -> np.ndarray:
         out[at:at + n_in] += prod
     return out
 
-
-def toeplitz_apply_exact(sym: MatrixSymbol, h: HardyVector) -> HardyVector:
-    """Analytic projection of the symbol action: exact coefficients of P_+(F h)."""
-    if sym.dim_in != h.dim:
-        raise ValueError(f"symbol expects dimension {sym.dim_in}, vector has {h.dim}")
-    return HardyVector(sym.dim_out,
-                       convolve_block_columns(sym, h.coeffs[:, :, None])[sym.band:, :, 0])

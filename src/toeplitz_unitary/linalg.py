@@ -1,13 +1,15 @@
 """Dense linear-algebra helpers shared across the package.
 
-All rank decisions use a relative singular-value threshold
-``tol * max(largest singular value, 1)``.  The floor at 1 keeps kernels of
-numerically-zero matrices well defined: everything in this package is built
-from contractions, so 1 is the natural scale.
+Only this module decides a rank, always at ``tol * max(largest singular
+value, 1)``.  The floor at 1 keeps kernels of numerically-zero matrices well
+defined: everything in this package is built from contractions, so 1 is the
+natural scale.
 
-Kernels need only the singular values and the right singular vectors
-(``right_svd``).  Tall inputs take them from the SVD of the QR R factor, with
-the same bits as the plain SVD.
+Kernels (``nullspaces``) and spans (``orthonormal_bases``) take (G, m, n)
+stacks, each slice with the bits of its matrix alone; ``nullspace`` and
+``orthonormal_columns`` are stacks of one.  Kernels need only the singular
+values and right singular vectors (``right_svd``); tall inputs take them from
+the SVD of the QR R factor, with the same bits as the plain SVD.
 
 The norm of one matrix (``spectral_norm``) is its first singular value from
 one SVD.  Stacks of small matrices, as the circle and disc checks make, go
@@ -41,6 +43,13 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _as_stack(stack, name: str) -> np.ndarray:
+    stack = as_complex(stack)
+    if stack.ndim != 3:
+        raise ValueError(f"{name} needs a (G, m, n) stack, got shape {stack.shape}")
+    return stack
+
+
 def spectral_norms(stack) -> np.ndarray:
     """Largest singular value of each matrix in a (G, m, n) stack.
 
@@ -56,9 +65,7 @@ def spectral_norms(stack) -> np.ndarray:
     the stack holds.  Empty and zero matrices give 0.0.  A stack that is
     not 3-D, or has a non-finite entry, raises ``ValueError``.
     """
-    stack = as_complex(stack)
-    if stack.ndim != 3:
-        raise ValueError(f"spectral_norms needs a (G, m, n) stack, got shape {stack.shape}")
+    stack = _as_stack(stack, "spectral_norms")
     count, rows, cols = stack.shape
     if rows == 0 or cols == 0:
         return np.zeros(count)
@@ -122,13 +129,23 @@ def _rank(s: np.ndarray, tol: float):
     return (s > tol * np.maximum(s[..., :1], 1.0)).sum(axis=-1)
 
 
+def orthonormal_bases(stack, tol: float = DEFAULT_TOL) -> list:
+    """Orthonormal basis of the range of each matrix in a (G, m, n) stack:
+    the first rank_g left singular vectors of slice g, from one batched SVD.
+    Each has the bits of its matrix alone; the phases are set column by
+    column, only up to the largest rank."""
+    stack = _as_stack(stack, "orthonormal_bases")
+    if stack.size == 0:
+        return [empty_basis(stack.shape[1]) for _ in stack]
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    ranks = _rank(s, tol)
+    u = normalize_column_phases(u[:, :, :ranks.max()])
+    return [basis[:, :r] for basis, r in zip(u, ranks)]
+
+
 def orthonormal_columns(x, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space of ``x`` (SVD based)."""
-    x = as_complex(x)
-    if x.size == 0:
-        return empty_basis(x.shape[0])
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return normalize_column_phases(u[:, :_rank(s, tol)])
+    """Orthonormal basis of the range of ``x``: a stack of one."""
+    return orthonormal_bases(as_complex(x)[None], tol)[0]
 
 
 def right_svd(a: np.ndarray, full_matrices: bool = False):
@@ -147,28 +164,25 @@ def right_svd(a: np.ndarray, full_matrices: bool = False):
     return s, vh
 
 
-def nullspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ``ker a``, columns of shape (a.shape[1], k)."""
-    a = as_complex(a)
-    n = a.shape[1]
-    if a.size == 0 or n == 0:
-        return np.eye(n, dtype=complex) if n else empty_basis(0)
+def nullspaces(stack, tol: float = DEFAULT_TOL) -> list:
+    """Orthonormal basis of the kernel of each matrix in a (G, m, n) stack:
+    the trailing n - rank_g right singular vectors of slice g, from one
+    batched ``right_svd``.  Each has the bits of its matrix alone; the phases
+    are set column by column, only from the smallest rank on."""
+    stack = _as_stack(stack, "nullspaces")
+    if stack.size == 0:
+        return [np.eye(stack.shape[2], dtype=complex) for _ in stack]
     # the economy SVD already carries the full right factor when rows >= cols
-    s, vh = right_svd(a, full_matrices=a.shape[0] < n)
-    return normalize_column_phases(vh[_rank(s, tol):].conj().T)
+    s, vh = right_svd(stack, full_matrices=stack.shape[1] < stack.shape[2])
+    ranks = _rank(s, tol)
+    low = ranks.min()
+    v = normalize_column_phases(vh[:, low:].conj().transpose(0, 2, 1))
+    return [basis[:, r - low:] for basis, r in zip(v, ranks)]
 
 
-def psd_kernel(q, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Kernel of a positive-semidefinite matrix via Hermitian eigendecomposition."""
-    q = as_complex(q)
-    n = q.shape[0]
-    if n == 0:
-        return empty_basis(0)
-    q = 0.5 * (q + q.conj().T)
-    w, v = np.linalg.eigh(q)
-    cut = tol * max(abs(w[-1]) if w.size else 0.0, 1.0)
-    keep = np.abs(w) <= cut
-    return normalize_column_phases(v[:, keep])
+def nullspace(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of ``ker a``, of shape (a.shape[1], k): a stack of one."""
+    return nullspaces(as_complex(a)[None], tol)[0]
 
 
 def subspace_gap(b1, b2) -> float:

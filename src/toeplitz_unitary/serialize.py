@@ -74,7 +74,7 @@ def symbol_from_json(obj) -> MatrixSymbol:
                         _indexed_coeffs(obj))
 
 
-def polymatrix_to_json(p: MatrixSymbol) -> dict:
+def analytic_symbol_to_json(p: MatrixSymbol) -> dict:
     """An analytic symbol with its ``degree`` and every coefficient 0 ..
     degree written out, zero ones included; a negative index is an error."""
     if not p.is_analytic:
@@ -87,8 +87,8 @@ def polymatrix_to_json(p: MatrixSymbol) -> dict:
     }
 
 
-def polymatrix_from_json(obj) -> MatrixSymbol:
-    """The analytic symbol of a ``polymatrix_to_json`` object; an index
+def analytic_symbol_from_json(obj) -> MatrixSymbol:
+    """The analytic symbol of an ``analytic_symbol_to_json`` object; an index
     outside 0 .. degree is an error."""
     degree = _json_int(obj, "degree")
     dim_out, dim_in = _json_int(obj, "dim_out"), _json_int(obj, "dim_in")
@@ -134,7 +134,7 @@ def report_to_json(report: UnitaryPartReport, config: dict | None = None) -> dic
         "schema": SCHEMA_VERSION,
         "classification": report.classification,
         "subspace": subspace_to_json(report.subspace),
-        "theta": None if report.theta is None else polymatrix_to_json(report.theta),
+        "theta": None if report.theta is None else analytic_symbol_to_json(report.theta),
         "u_matrix": None if report.u_matrix is None else encode_matrix(report.u_matrix),
         "residuals": report.residuals,
         "params": report.params,

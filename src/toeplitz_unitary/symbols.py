@@ -10,7 +10,8 @@ symbol with no negative index (``is_analytic``): its degree is ``band``, and
 ``eval_disc`` evaluates it on the closed disc.  Circle measure statements are
 tested on uniform grids with a declared tolerance, never claimed
 almost-everywhere; identities between trigonometric polynomials are checked on
-their Fourier coefficients, which decide them exactly.
+their Fourier coefficients, which decide them exactly.  ``eval_symbol``, the
+one circle evaluator, takes an angle or an array of them (a grid's points).
 """
 
 from __future__ import annotations
@@ -162,11 +163,14 @@ class InnerReport:
         return self.residual <= self.tol
 
 
-def eval_symbol(sym: MatrixSymbol, t: float) -> np.ndarray:
-    """Evaluate the finite Fourier sum at angle ``t`` (radians)."""
-    out = np.zeros((sym.dim_out, sym.dim_in), dtype=complex)
+def eval_symbol(sym: MatrixSymbol, t) -> np.ndarray:
+    """Evaluate the finite Fourier sum at angle ``t`` (radians), or at an
+    array of angles: the values then stack along its axes, each with the
+    bits of the scalar call (the sum is taken term by term, elementwise)."""
+    t = np.asarray(t)
+    out = np.zeros(t.shape + (sym.dim_out, sym.dim_in), dtype=complex)
     for k, mat in sym.coeffs.items():
-        out += mat * np.exp(1j * k * t)
+        out += mat * np.exp(1j * k * t)[..., None, None]
     return out
 
 
@@ -192,19 +196,6 @@ def eval_disc(sym: MatrixSymbol, z) -> np.ndarray:
     for k in range(sym.band, -1, -1):
         acc = acc * z + sym.coeff(k)
     return acc
-
-
-def eval_on_grid(sym: MatrixSymbol, grid: CircleGrid) -> np.ndarray:
-    """Values at every grid point, stacked as (grid.size, dim_out, dim_in).
-
-    The same Fourier sum as ``eval_symbol``, term by term in the same order,
-    so every slice equals the per-point value exactly.
-    """
-    t = grid.points
-    out = np.zeros((grid.size, sym.dim_out, sym.dim_in), dtype=complex)
-    for k, mat in sym.coeffs.items():
-        out += mat * np.exp(1j * k * t)[:, None, None]
-    return out
 
 
 def adjoint_symbol(sym: MatrixSymbol) -> MatrixSymbol:
@@ -319,7 +310,7 @@ def pointwise_unitarity_mask(sym: MatrixSymbol, grid: CircleGrid,
     """
     if not sym.is_square:
         raise ValueError("unitarity mask needs a square symbol")
-    v = eval_on_grid(sym, grid)
+    v = eval_symbol(sym, grid.points)
     return spectral_norms(v.conj().transpose(0, 2, 1) @ v - np.eye(sym.dim_out)) <= tol
 
 
@@ -340,7 +331,7 @@ def sup_norm_estimate(sym: MatrixSymbol, grid: CircleGrid | None = None) -> floa
     # a non-finite coefficient gives non-finite values, which spectral_norms
     # refuses with a ValueError; the sum's own warnings would come first
     with np.errstate(invalid="ignore", over="ignore"):
-        values = eval_on_grid(sym, grid)
+        values = eval_symbol(sym, grid.points)
     return float(spectral_norms(values).max())
 
 

@@ -2,9 +2,12 @@
 
 Random instances, reference loops that the bitwise parity tests compare the
 library kernels against, the invariance polish that the window part is
-checked against, and the residual and angle checks that only tests use.  No
-test module imports another; what two of them share lives here.
+checked against, a Hardy vector with the exact Toeplitz action on it, and
+the residual and angle checks that only tests use.  No test module imports
+another; what two of them share lives here.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from toeplitz_unitary.linalg import (
     nullspace,
     spectral_norm,
 )
+from toeplitz_unitary.hardy import convolve_block_columns
 from toeplitz_unitary.scenarios import planted_block_symbol
 from toeplitz_unitary.symbols import MatrixSymbol, adjoint_symbol
 
@@ -93,10 +97,9 @@ def rotated_swap_symbol(seed):
 # the cut, the first to move under any roundoff change in the kernels; the
 # colligations are analytic, so the kernel route is run through
 # _window_eigenspaces as well.  Patching decomposition.nullspace covers every
-# window kernel of both routes; the eigenspaces of F(0) or F(1) that
-# _unitary_eigenspaces takes from one batched right_svd share only the
-# patched normalize_column_phases, and the unitary-part parity tests compare
-# them with the per-matrix loop
+# window kernel of both routes, and decomposition.nullspaces the eigenspaces
+# of F(0) or F(1) that _unitary_eigenspaces takes in one stacked call; the
+# unitary-part parity tests compare those with the per-matrix loop as well
 CANARIES = [
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),
@@ -146,6 +149,38 @@ def reference_multiply(a, b):
             cur = out.get(idx)
             out[idx] = ma @ mb if cur is None else cur + ma @ mb
     return MatrixSymbol(a.dim_out, b.dim_in, out)
+
+
+@dataclass(frozen=True, eq=False)
+class HardyVector:
+    """Polynomial vector with coefficients rows a_0 .. a_n in C^dim."""
+
+    dim: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        c = as_complex(self.coeffs)
+        if c.ndim != 2 or c.shape[1] != self.dim or c.shape[0] < 1:
+            raise ValueError("coefficients must be a nonempty (n+1, dim) array")
+        c = c.copy()
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.coeffs))
+
+    @staticmethod
+    def constant(vec) -> "HardyVector":
+        vec = as_complex(vec).reshape(1, -1)
+        return HardyVector(vec.shape[1], vec)
+
+
+def toeplitz_apply_exact(sym, h: HardyVector) -> HardyVector:
+    """Analytic projection of the symbol action: exact coefficients of P_+(F h)."""
+    if sym.dim_in != h.dim:
+        raise ValueError(f"symbol expects dimension {sym.dim_in}, vector has {h.dim}")
+    return HardyVector(sym.dim_out,
+                       convolve_block_columns(sym, h.coeffs[:, :, None])[sym.band:, :, 0])
 
 
 def invariance_polish(basis, act, start, tol):

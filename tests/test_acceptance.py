@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    HardyVector,
     planted_contraction,
     principal_angles,
     random_colligation,
     random_contraction,
+    toeplitz_apply_exact,
     unitary_residuals,
 )
 from toeplitz_unitary.linalg import (
@@ -29,7 +31,6 @@ from toeplitz_unitary.symbols import (
     is_inner,
     multiply,
 )
-from toeplitz_unitary.hardy import HardyVector, toeplitz_apply_exact
 from toeplitz_unitary.colligation import defect_identities, disc_grid
 from toeplitz_unitary.decomposition import (
     reducing_check,

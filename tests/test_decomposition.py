@@ -33,7 +33,6 @@ from toeplitz_unitary.symbols import (
     bcl_symbol,
     block_diag_symbol,
     compose_scalar_polynomial,
-    eval_on_grid,
     eval_symbol,
     is_inner,
     multiply,
@@ -172,6 +171,25 @@ def test_beurling_extract_rejects_non_positive_dim(dim):
         beurling_extract(m, dim)
 
 
+class TestSubspaceCheck:
+    @pytest.mark.parametrize("basis", [[[np.nan], [0.0]], [[np.inf], [0.0]], [[1.0], [1j * np.inf]]],
+                             ids=["nan", "inf", "imag-inf"])
+    def test_non_finite_basis_rejected_by_name(self, basis):
+        # the Gram matmul warned, then its SVD raised LinAlgError
+        with pytest.raises(ValueError, match="basis has non-finite entries"):
+            Subspace(2, basis)
+
+    def test_stack_with_one_bad_slice_rejected_by_name(self):
+        good = [np.eye(3, 2), np.eye(3, 2)[::-1], haar_unitary(3, np.random.default_rng(0))[:, :2]]
+        decomposition._check_orthonormal(np.stack(good), 1e-8)
+        bad = good[2].copy()
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="basis has non-finite entries"):
+            decomposition._check_orthonormal(np.stack(good + [bad] + good), 1e-8)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            decomposition._check_orthonormal(np.stack(good + [2.0 * good[0]]), 1e-8)
+
+
 class TestUnitaryPartBrute:
     @staticmethod
     def _sweep():
@@ -257,6 +275,65 @@ class TestUnitaryPartBrute:
     def test_nilpotent_shift_zero(self):
         s = np.diag(np.ones(3), -1)
         assert unitary_part_brute(s).dim == 0
+
+
+def reference_psd_kernel(q, tol=1e-8):
+    """Kernel of a Hermitian matrix from its eigenvalues, cut at
+    tol * max(|top eigenvalue|, 1): what ``unitary_part_brute`` took of each
+    restricted defect before it took its ``nullspace``."""
+    q = np.asarray(q, dtype=complex)
+    if q.shape[0] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (q + q.conj().T))
+    keep = np.abs(w) <= tol * max(abs(w[-1]), 1.0)
+    return normalize_column_phases(v[:, keep])
+
+
+class TestBruteKernelParity:
+    """``unitary_part_brute`` cuts each restricted defect by its singular
+    values.  For a Hermitian matrix sigma = |lambda|, and both cuts sit at
+    tol * max(top, 1), so it keeps the dimensions the eigenvalue kernel gave;
+    where the matrix route agrees, within its gap tolerance."""
+
+    @staticmethod
+    def _parts(t, monkeypatch):
+        brute = unitary_part_brute(t)
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "nullspace", reference_psd_kernel)
+            eigen = unitary_part_brute(t)
+        assert brute.dim == eigen.dim
+        return brute, eigen
+
+    def _assert_same_parts(self, mats, monkeypatch):
+        dims = []
+        for t in mats:
+            brute, eigen = self._parts(t, monkeypatch)
+            matrix = unitary_part_matrix(t)
+            assert brute.dim == matrix.dim
+            assert subspace_gap(brute.basis, eigen.basis) <= 1e-9
+            assert subspace_gap(brute.basis, matrix.basis) <= 1e-9
+            dims.append(brute.dim)
+        return dims
+
+    def test_sweep(self, monkeypatch):
+        dims = self._assert_same_parts([t for _, t, _ in TestUnitaryPartBrute._sweep()],
+                                       monkeypatch)
+        assert len(dims) == 726 and max(dims) == 8 and min(dims) == 0
+
+    @pytest.mark.parametrize("name,make_symbol,window", CANARIES,
+                             ids=[f"{c[0]}-w{c[2]}" for c in CANARIES])
+    def test_canaries(self, name, make_symbol, window, monkeypatch):
+        sym = make_symbol()
+        values = [eval_symbol(sym, t) for t in (0.0, np.pi)]
+        if sym.is_analytic:
+            values.append(sym.coeff(0))
+        self._assert_same_parts(values, monkeypatch)
+        # the square window sections of T_F and T_F*: the rank-1 colligation's
+        # defects have singular values so close to the cut that the two
+        # kernels differ by up to 3.2e-6 with the same dimension, and at
+        # window 8 the matrix route keeps 8 directions where both keep 9
+        for s in (sym, adjoint_symbol(sym)):
+            self._parts(toeplitz_window_matrix(s, window, window), monkeypatch)
 
 
 class TestToeplitzUnitaryPart:
@@ -638,7 +715,7 @@ class TestUnitaryKernel:
             sym = random_trig_scalar(rng, 4)
             rep = toeplitz_unitary_part(sym, 8)
             assert rep.classification == "trivial"
-            assert np.array_equal(seen[-1], eval_on_grid(sym, CircleGrid(512))[:1])
+            assert np.array_equal(seen[-1], eval_symbol(sym, CircleGrid(512).points)[:1])
         assert len(seen) == 20
 
     @pytest.mark.parametrize("planted", [True, False], ids=["planted", "swap"])

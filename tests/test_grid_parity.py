@@ -29,7 +29,6 @@ from toeplitz_unitary.symbols import (
     CircleGrid,
     MatrixSymbol,
     bcl_symbol,
-    eval_on_grid,
     eval_symbol,
     is_inner,
     pointwise_unitarity_mask,
@@ -91,8 +90,8 @@ def _grid_defects(sym, theta, u):
     """The same three defects' maxima on 4096 points, lower bounds on their
     sup norms (the batched evaluation equals the per-point loop, see above)."""
     grid = CircleGrid(4096)
-    phi = eval_on_grid(sym, grid)
-    th = eval_on_grid(theta, grid)
+    phi = eval_symbol(sym, grid.points)
+    th = eval_symbol(theta, grid.points)
 
     def adjoint(v):
         return v.conj().transpose(0, 2, 1)
@@ -118,7 +117,7 @@ def test_eval_on_grid_matches_eval_symbol(d, band):
     sym, theta, _, _ = _instance(d, band)
     grid = CircleGrid(DEFAULT_GRID_SIZE)
     for s in (sym, theta):
-        values = eval_on_grid(s, grid)
+        values = eval_symbol(s, grid.points)
         assert values.shape == (grid.size, s.dim_out, s.dim_in)
         for j, t in enumerate(grid.points):
             assert np.array_equal(values[j], eval_symbol(s, t))
@@ -191,7 +190,7 @@ def test_spectral_norms_match_per_matrix():
     grid = CircleGrid(DEFAULT_GRID_SIZE)
     for d, band in CASES:
         sym, theta, _, _ = _instance(d, band)
-        for stack in (eval_on_grid(sym, grid), eval_on_grid(theta, grid)):
+        for stack in (eval_symbol(sym, grid.points), eval_symbol(theta, grid.points)):
             norms = spectral_norms(stack)
             assert norms.tolist() == [_norm(m) for m in stack]
             _assert_near_svd(norms, [spectral_norm(m) for m in stack])

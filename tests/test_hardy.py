@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    HardyVector,
     assert_same_bits,
     gaussian,
     parity_symbol,
     reference_convolve_block_columns,
+    toeplitz_apply_exact,
 )
 from toeplitz_unitary import symbols
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm
@@ -17,12 +19,7 @@ from toeplitz_unitary.symbols import (
     multiply,
     sup_norm_estimate,
 )
-from toeplitz_unitary.hardy import (
-    HardyVector,
-    convolve_block_columns,
-    toeplitz_apply_exact,
-    toeplitz_window_matrix,
-)
+from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matrix
 
 P = np.diag([1.0, 0.0])
 

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     CANARIES,
+    assert_same_bits,
     gaussian,
     reference_convolve_block_columns,
     reference_multiply,
@@ -31,6 +32,9 @@ from toeplitz_unitary.linalg import (
     haar_unitary,
     normalize_column_phases,
     nullspace,
+    nullspaces,
+    orthonormal_bases,
+    orthonormal_columns,
     right_svd,
 )
 from toeplitz_unitary.symbols import MatrixSymbol
@@ -62,6 +66,15 @@ def reference_nullspace(a, tol=DEFAULT_TOL):
     cut = tol * max(s[0] if s.size else 0.0, 1.0)
     r = int(np.sum(s > cut))
     return reference_normalize_column_phases(vh[r:].conj().T)
+
+
+def reference_orthonormal_columns(x, tol=DEFAULT_TOL):
+    x = np.asarray(x, dtype=complex)
+    if x.size == 0:
+        return empty_basis(x.shape[0])
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    r = int(np.sum(s > tol * max(s[0], 1.0)))
+    return reference_normalize_column_phases(u[:, :r])
 
 
 def same_bits(x, y):
@@ -285,6 +298,84 @@ class TestStackParity:
         assert len(qr_calls) == (1 + len(stack) if tall else 0)
 
 
+class TestKernelSpanStackParity:
+    """Each basis of ``nullspaces`` and ``orthonormal_bases`` has the bits of
+    the 2-D call on its slice alone and of the plain SVD loop, whatever the
+    ranks of the other slices: the phases are set only on the columns from
+    the smallest kernel rank on, or up to the largest span rank, and column
+    by column."""
+
+    SHAPES = [(3, 3), (6, 4), (2, 5), (1, 6), (5, 1),
+              (2 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS),
+              (4 * R_FACTOR_MIN_COLS, R_FACTOR_MIN_COLS + 3)]
+
+    @staticmethod
+    def _ragged(rng, rows, cols):
+        # every rank from 0 to full, a full-rank slice with weak rows beside
+        # strong ones, and one with a -0.0 column, shuffled
+        full = min(rows, cols)
+        mats = [_planted(rng, rows, cols, rank) for rank in range(full + 1)]
+        weak = _planted(rng, rows, cols, full)
+        weak[rows // 2:] *= 1e-9
+        signed = gaussian(rng, rows, cols)
+        signed[:, 0] = -0.0
+        mats += [weak, signed]
+        return np.stack([mats[i] for i in rng.permutation(len(mats))])
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_nullspaces_slices(self, rows, cols, qr_calls):
+        stack = self._ragged(np.random.default_rng(rows + 7 * cols), rows, cols)
+        kernels = nullspaces(stack)
+        assert len(kernels) == len(stack)
+        for got, a in zip(kernels, stack):
+            assert_same_bits(got, nullspace(a))
+            assert_same_bits(got, reference_nullspace(a))
+        assert {k.shape[1] for k in kernels} >= {cols - min(rows, cols), cols}
+        # the R-factor route takes one batched QR, as each 2-D call takes one
+        tall = rows >= 2 * cols and cols >= R_FACTOR_MIN_COLS
+        assert len(qr_calls) == (1 + len(stack) if tall else 0)
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_orthonormal_bases_slices(self, rows, cols):
+        stack = self._ragged(np.random.default_rng(rows + 5 * cols), rows, cols)
+        bases = orthonormal_bases(stack)
+        assert len(bases) == len(stack)
+        for got, x in zip(bases, stack):
+            assert_same_bits(got, orthonormal_columns(x))
+            assert_same_bits(got, reference_orthonormal_columns(x))
+        assert {b.shape[1] for b in bases} >= {0, min(rows, cols)}
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_uniform_ranks(self, rank):
+        # every slice full rank, or every slice zero: one end of the phase
+        # window is empty
+        rng = np.random.default_rng(rank)
+        stack = np.stack([_planted(rng, 5, 3, rank) for _ in range(4)])
+        for got, a in zip(nullspaces(stack), stack):
+            assert_same_bits(got, reference_nullspace(a))
+            assert got.shape == (3, 3 - rank)
+        for got, x in zip(orthonormal_bases(stack), stack):
+            assert_same_bits(got, reference_orthonormal_columns(x))
+            assert got.shape == (5, rank)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 0, 0), (2, 0, 3), (2, 4, 0), (3, 0, 0)])
+    def test_empty_stacks(self, shape):
+        stack = np.zeros(shape, dtype=complex)
+        kernels, bases = nullspaces(stack), orthonormal_bases(stack)
+        assert len(kernels) == len(bases) == shape[0]
+        for kernel, basis, a in zip(kernels, bases, stack):
+            assert_same_bits(kernel, nullspace(a))
+            assert_same_bits(kernel, reference_nullspace(a))
+            assert_same_bits(basis, orthonormal_columns(a))
+            assert_same_bits(basis, reference_orthonormal_columns(a))
+
+    @pytest.mark.parametrize("func", [nullspaces, orthonormal_bases])
+    @pytest.mark.parametrize("shape", [(3, 3), (3,), (1, 2, 3, 3)])
+    def test_non_stack_rejected(self, func, shape):
+        with pytest.raises(ValueError, match=r"\(G, m, n\) stack"):
+            func(np.zeros(shape))
+
+
 class TestSpectralNorm:
     """``spectral_norm`` reads the first singular value off one SVD call; it
     must give the bits of ``np.linalg.norm(a, 2)``, which calls the same
@@ -401,6 +492,8 @@ def test_decomposition_matches_reference_kernels(name, make_symbol, window, monk
         for module in (linalg, decomposition):
             patch.setattr(module, "normalize_column_phases", reference_normalize_column_phases)
         patch.setattr(decomposition, "nullspace", reference_nullspace)
+        patch.setattr(decomposition, "nullspaces",
+                      lambda stack, tol: [reference_nullspace(a, tol) for a in stack])
         reference = toeplitz_unitary_part(sym, window)
         reference_loop = _window_eigenspaces(sym, window, DEFAULT_TOL)
     assert same_bits(fast.subspace.basis, reference.subspace.basis)

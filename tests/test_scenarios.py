@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import HardyVector, toeplitz_apply_exact
 from toeplitz_unitary import scenarios
 from toeplitz_unitary.colligation import bcl_colligation, polynomial_from_colligation
-from toeplitz_unitary.hardy import HardyVector, toeplitz_apply_exact
 from toeplitz_unitary.decomposition import _window_kernel, toeplitz_unitary_part_brute
 from toeplitz_unitary.linalg import haar_unitary, subspace_gap
 from toeplitz_unitary.symbols import MatrixSymbol

@@ -10,13 +10,13 @@ from toeplitz_unitary.colligation import bcl_colligation
 from toeplitz_unitary.decomposition import toeplitz_unitary_part
 from toeplitz_unitary.scenarios import run_all, swap_inner_symbol
 from toeplitz_unitary.serialize import (
+    analytic_symbol_from_json,
+    analytic_symbol_to_json,
     canonical_dumps,
     colligation_from_json,
     colligation_to_json,
     decode_matrix,
     encode_matrix,
-    polymatrix_from_json,
-    polymatrix_to_json,
     report_to_json,
     symbol_from_json,
     symbol_to_json,
@@ -42,10 +42,10 @@ def test_polymatrix_round_trip():
     # z^2 e_1 has zero coefficients below its degree, which are written out
     for coeffs in ({0: [[0.3], [0.1]], 1: [[0.0], [0.9]]}, {2: [[1.0], [0.0]]}):
         p = MatrixSymbol(2, 1, coeffs)
-        obj = polymatrix_to_json(p)
+        obj = analytic_symbol_to_json(p)
         assert obj["degree"] == p.band == max(coeffs)
         assert [c["k"] for c in obj["coeffs"]] == list(range(p.band + 1))
-        back = polymatrix_from_json(obj)
+        back = analytic_symbol_from_json(obj)
         assert back.is_analytic and back.band == p.band
         assert list(back.coeffs) == list(p.coeffs)
         for k in range(p.band + 1):
@@ -54,10 +54,10 @@ def test_polymatrix_round_trip():
 
 def test_polymatrix_rejects_negative_indices():
     with pytest.raises(ValueError):
-        polymatrix_from_json({"dim_out": 1, "dim_in": 1, "degree": 1,
-                              "coeffs": [{"k": -1, "re": [[1.0]], "im": [[0.0]]}]})
+        analytic_symbol_from_json({"dim_out": 1, "dim_in": 1, "degree": 1,
+                                   "coeffs": [{"k": -1, "re": [[1.0]], "im": [[0.0]]}]})
     with pytest.raises(ValueError, match="negative Fourier"):
-        polymatrix_to_json(MatrixSymbol(1, 1, {-1: [[1.0]], 0: [[0.5]]}))
+        analytic_symbol_to_json(MatrixSymbol(1, 1, {-1: [[1.0]], 0: [[0.5]]}))
 
 
 def test_colligation_round_trip():
@@ -77,7 +77,7 @@ def test_symbol_rejects_repeated_index():
 
 def test_polymatrix_rejects_repeated_index():
     with pytest.raises(ValueError, match="more than once"):
-        polymatrix_from_json({"dim_out": 1, "dim_in": 1, "degree": 1, "coeffs": [
+        analytic_symbol_from_json({"dim_out": 1, "dim_in": 1, "degree": 1, "coeffs": [
             {"k": 1, "re": [[1.0]], "im": [[0.0]]},
             {"k": 1, "re": [[0.0]], "im": [[0.0]]}]})
 
@@ -111,7 +111,7 @@ def test_symbol_rejects_non_integer(key, value):
 @pytest.mark.parametrize("key", ["degree", "dim_out", "dim_in", "k"])
 def test_polymatrix_rejects_non_integer(key, value):
     with pytest.raises(ValueError, match="must be an integer"):
-        polymatrix_from_json(_with(POLY, key, value))
+        analytic_symbol_from_json(_with(POLY, key, value))
 
 
 @pytest.mark.parametrize("value", NON_INTEGERS)

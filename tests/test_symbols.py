@@ -12,7 +12,6 @@ from toeplitz_unitary.symbols import (
     compose_scalar_polynomial,
     default_grid,
     eval_disc,
-    eval_on_grid,
     eval_symbol,
     is_inner,
     multiply,
@@ -95,6 +94,35 @@ class TestEvalDiscParity:
         sym = MatrixSymbol(2, 2, {0: E12, 1: E21})
         with pytest.raises(ValueError, match="finite points, got z=.*(nan|inf)"):
             eval_disc(sym, z)
+
+
+class TestEvalSymbolParity:
+    """Each slice of ``eval_symbol`` on an array of angles has the bits of the
+    scalar call: the Fourier sum is taken term by term, elementwise."""
+
+    ANGLES = np.concatenate([CircleGrid(64).points, np.linspace(-7.0, 7.0, 9),
+                             [0.0, -0.0, np.pi, 2.0 * np.pi, 1e6]])
+
+    @pytest.mark.parametrize("d_out, d_in, count", [(1, 1, 1), (2, 3, 4), (3, 2, 6), (4, 4, 3)])
+    def test_slices_match_scalar_calls(self, d_out, d_in, count):
+        rng = np.random.default_rng(d_out + 10 * d_in + 100 * count)
+        for adjoint in (False, True):
+            # shuffled sparse indices, some coefficients holding -0.0 rows
+            sym = parity_symbol(rng, d_out, d_in, count, adjoint=adjoint)
+            values = eval_symbol(sym, self.ANGLES)
+            assert values.shape == (len(self.ANGLES), sym.dim_out, sym.dim_in)
+            for value, t in zip(values, self.ANGLES):
+                assert_same_bits(value, eval_symbol(sym, t))
+                assert_same_bits(value, eval_symbol(sym, float(t)))
+            assert_same_bits(eval_symbol(sym, self.ANGLES[:72].reshape(8, 9)),
+                             values[:72].reshape(8, 9, sym.dim_out, sym.dim_in))
+
+    def test_zero_symbol_and_no_angles(self):
+        zero = MatrixSymbol.zero(2, 3)
+        assert_same_bits(eval_symbol(zero, self.ANGLES), np.zeros((len(self.ANGLES), 2, 3), complex))
+        assert_same_bits(eval_symbol(zero, 0.5), np.zeros((2, 3), complex))
+        sym = parity_symbol(np.random.default_rng(0), 2, 3, 4)
+        assert eval_symbol(sym, np.zeros(0)).shape == (0, 2, 3)
 
 
 class TestAdjoint:
@@ -277,7 +305,7 @@ class TestIsInner:
         instances.append(MatrixSymbol.constant(u))
         for j, theta in enumerate(instances):
             rep = is_inner(theta)
-            v = eval_on_grid(theta, CircleGrid(4096))
+            v = eval_symbol(theta, CircleGrid(4096).points)
             defect = v.conj().transpose(0, 2, 1) @ v - np.eye(2)
             assert rep.residual >= spectral_norms(defect).max()
             assert (rep.residual <= 1e-8) == (j >= 10)
