@@ -53,6 +53,7 @@ from .linalg import (
     orthonormal_bases,
     orthonormal_columns,
     spectral_norm,
+    spectral_norms,
 )
 from .symbols import (
     DEFAULT_GRID_SIZE,
@@ -171,17 +172,13 @@ class UnitaryPartReport:
 
 def _check_orthonormal(bases: np.ndarray, tol: float) -> None:
     """Refuse a (G, n, r) stack of bases unless each is finite and has
-    norm(B*B - I) <= 100 tol.
-
-    The norms are the first singular values of one batched SVD, as
-    ``spectral_norm`` takes them.
-    """
+    norm(B*B - I) <= 100 tol, the norms from one ``spectral_norms``."""
     count, _, r = bases.shape
     if count and r:
         if not np.isfinite(bases).all():
             raise ValueError("basis has non-finite entries")
         gram = bases.conj().transpose(0, 2, 1) @ bases
-        if np.any(np.linalg.svd(gram - np.eye(r), compute_uv=False)[:, 0] > 100 * tol):
+        if np.any(spectral_norms(gram - np.eye(r)) > 100 * tol):
             raise ValueError("basis columns are not orthonormal")
 
 
@@ -199,11 +196,8 @@ def _check_tol(tol):
 
 
 def _check_contractions(stack, tol):
-    """Refuse a (G, n, n) stack unless every slice is a finite contraction.
-
-    The norms are the first singular values of one batched SVD, each with the
-    bits of ``spectral_norm`` on its slice.
-    """
+    """Refuse a (G, n, n) stack unless every slice is a finite contraction,
+    the norms from one ``spectral_norms``."""
     _check_tol(tol)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"operators must be a (G, n, n) stack, got shape {stack.shape}")
@@ -213,7 +207,7 @@ def _check_contractions(stack, tol):
     if not finite.all():
         raise ValueError(f"operator has non-finite entries{at(np.argmin(finite))}")
     if stack.size:
-        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        norms = spectral_norms(stack)
         g = int(np.argmax(norms))
         if norms[g] > 1.0 + tol:
             raise ValueError(f"operator norm {norms[g]:.6g} exceeds 1 + tol{at(g)}")
@@ -232,20 +226,26 @@ def _check_window_call(sym: MatrixSymbol, window: int, tol):
         raise ValueError(f"window must be positive, got {window!r}")
 
 
-def _joint_kernel(t: np.ndarray, t_adj: np.ndarray, factors, tol: float) -> np.ndarray:
-    """Kernel of prod (T - lambda E) stacked on prod (T_adj - conj(lambda) E).
+def _joint_kernels(t: np.ndarray, t_adj: np.ndarray, factors: np.ndarray, tol: float) -> list:
+    """Kernels of prod (T - lambda E) stacked on prod (T_adj - conj(lambda) E),
+    one per row of the (G, m) array ``factors``.
 
-    Each factor is the leading block of T (of T_adj) on the previous factor's
-    output degrees, and E = [I; 0]; for a square T it is all of T and E = I.
-    A single factor is taken as it is, with no product.
+    T and T_adj are one section pair, shared by every row, or (G, rows, cols)
+    stacks of them.  Each factor is the leading block of T (of T_adj) on the
+    previous factor's output degrees, and E = [I; 0]; for a square T it is
+    all of T and E = I.  A single factor is taken as it is, with no product.
+    All G kernels come from one ``nullspaces``, each with the bits of its
+    matrix alone.
     """
-    excess = t.shape[0] - t.shape[1]
-    sizes = [t.shape[1] - k * excess for k in reversed(range(len(factors)))]
-    rows = []
+    rows, cols = t.shape[-2:]
+    excess = rows - cols
+    sizes = [cols - k * excess for k in reversed(range(factors.shape[1]))]
+    blocks = []
     for s, lams in ((t, factors), (t_adj, np.conj(factors))):
-        steps = [s[:m + excess, :m] - lam * np.eye(m + excess, m) for m, lam in zip(sizes, lams)]
-        rows.append(reduce(lambda q, f: f @ q, steps))
-    return nullspace(np.vstack(rows), tol)
+        steps = [s[..., :m + excess, :m] - lam[:, None, None] * np.eye(m + excess, m)
+                 for m, lam in zip(sizes, lams.T)]
+        blocks.append(reduce(lambda q, f: f @ q, steps))
+    return nullspaces(np.concatenate(blocks, axis=1), tol)
 
 
 def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
@@ -260,22 +260,16 @@ def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
     (lambda, kernel basis) pairs whose kernel is nonzero.
 
     One batched ``eigvals`` gives every slice's eigenvalues and one
-    ``nullspaces`` the kernel of every (slice, candidate) joint matrix, each
-    with the bits of the ``_joint_kernel`` of its slice alone: the joint
-    matrices are elementwise.
+    ``_joint_kernels`` the kernel of every (slice, candidate) pair.
     """
-    count, n, _ = stack.shape
-    spaces = [[] for _ in range(count)]
+    spaces = [[] for _ in stack]
     lams = np.linalg.eigvals(stack)
     # hypot rounds like the scalar abs of each eigenvalue
     slices, cols = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - tol)
     lams = lams[slices, cols]
     t = stack[slices]
-    eye = np.eye(n)
-    lam = lams[:, None, None]
-    joint = np.concatenate(
-        [t - lam * eye, t.conj().transpose(0, 2, 1) - np.conj(lam) * eye], axis=1)
-    for g, mu, kernel in zip(slices, lams, nullspaces(joint, tol)):
+    kernels = _joint_kernels(t, t.conj().transpose(0, 2, 1), lams[:, None], tol)
+    for g, mu, kernel in zip(slices, lams, kernels):
         if kernel.shape[1]:
             spaces[g].append((mu, kernel))
     return spaces
@@ -381,11 +375,12 @@ def _window_kernel(sym: MatrixSymbol, window: int, tol: float) -> np.ndarray:
     Jordan chain; the factors are blocks of the exact sections from
     window + (m - 1) band degrees.
     """
+    _check_window_call(sym, window, tol)
     factors = _kernel_candidates(sym, tol)
     if not factors:
         return empty_basis(sym.dim_in * window)
     t, t_adj = _window_sections(sym, window + (len(factors) - 1) * sym.band)
-    return _joint_kernel(t, t_adj, factors, tol)
+    return _joint_kernels(t, t_adj, np.array([factors]), tol)[0]
 
 
 def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
@@ -430,13 +425,14 @@ def _window_eigenspaces(sym: MatrixSymbol, window: int, tol: float):
     norm(F h) <= norm(h) = norm(P_+ F h) forces F h = lambda h and
     F* h = conj(lambda) h.  The window sections of F and F* into degrees
     < window + band hold T_F h and T_F* h exactly, so L is the sum of their
-    ``_joint_kernel`` over the candidates (swap: 2 window - 2).  Returns
-    (basis, trail: route, kernel_factors).
+    joint kernels over the candidates (swap: 2 window - 2), one factor row
+    per candidate in one ``_joint_kernels``.  Returns (basis, trail: route,
+    kernel_factors).
     """
     factors = _kernel_candidates(sym, tol)
     t, t_adj = _window_sections(sym, window)
-    kernels = [empty_basis(t.shape[1])] + [_joint_kernel(t, t_adj, [lam], tol) for lam in factors]
-    basis = orthonormal_columns(np.hstack(kernels), tol)
+    kernels = _joint_kernels(t, t_adj, np.reshape(factors, (-1, 1)), tol)
+    basis = orthonormal_columns(np.hstack([empty_basis(t.shape[1])] + kernels), tol)
     return basis, {"route": "kernel", "kernel_factors": len(factors)}
 
 
@@ -490,16 +486,14 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
     r = wandering.shape[1]
     blocks = wandering.reshape(window, dim, r)
     scale = max(np.max(np.abs(blocks)), 1.0)
-    degree = window - 1
-    while degree > 0 and np.all(np.abs(blocks[degree]) <= 1e-12 * scale):
-        degree -= 1
-    theta = MatrixSymbol(dim, r, {k: blocks[k] for k in range(degree + 1)})
+    # each column's degree is its last block of norm above 1e-12 scale, and
+    # theta's degree is the largest of them
+    live = np.linalg.norm(blocks, axis=1) > 1e-12 * scale
+    degrees = np.where(live.any(axis=0), window - 1 - np.argmax(live[::-1], axis=0), 0)
+    theta = MatrixSymbol(dim, r, {k: blocks[k] for k in range(degrees.max() + 1)})
 
     columns = []
-    for j in range(r):
-        dj = theta.band
-        while dj > 0 and np.linalg.norm(theta.coeff(dj)[:, j]) <= 1e-12 * scale:
-            dj -= 1
+    for j, dj in enumerate(degrees):
         # theta column j and its shifts that fit in the window
         col = MatrixSymbol(dim, 1, {k: theta.coeff(k)[:, j:j + 1] for k in range(dj + 1)})
         columns.append(toeplitz_window_matrix(col, window - dj, window))

@@ -96,10 +96,10 @@ def rotated_swap_symbol(seed):
 # (name, symbol factory, window): inputs whose rank decisions sit closest to
 # the cut, the first to move under any roundoff change in the kernels; the
 # colligations are analytic, so the kernel route is run through
-# _window_eigenspaces as well.  Patching decomposition.nullspace covers every
-# window kernel of both routes, and decomposition.nullspaces the eigenspaces
-# of F(0) or F(1) that _unitary_eigenspaces takes in one stacked call; the
-# unitary-part parity tests compare those with the per-matrix loop as well
+# _window_eigenspaces as well.  Patching decomposition.nullspaces covers
+# every kernel that _joint_kernels takes: the window kernels of the kernel
+# route and the eigenspaces of F(0) or F(1); the unitary-part parity tests
+# compare those with the per-matrix loop as well
 CANARIES = [
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
     ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),

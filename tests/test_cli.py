@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from toeplitz_unitary.serialize import (
     symbol_to_json,
     write_json_atomic,
 )
-from toeplitz_unitary.scenarios import swap_inner_symbol
+from toeplitz_unitary.scenarios import SCENARIOS, swap_inner_symbol
 from toeplitz_unitary.symbols import MatrixSymbol, bcl_symbol
 
 
@@ -220,6 +221,15 @@ class TestScenario:
         index = json.loads((tmp_path / "res" / "index.json").read_text())
         assert index["all_pass"] is True
         assert len(index["results"]) == 9
+
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    @pytest.mark.parametrize("name", sorted(
+        name for name, fn in SCENARIOS.items() if "window" in inspect.signature(fn).parameters))
+    def test_window_below_one_is_domain_error(self, tmp_path, capsys, name, window):
+        out = tmp_path / "res"
+        assert main(["scenario", "--scenario", name, "--window", window, "--out", str(out)]) == 2
+        assert f"window must be positive, got {window}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scenario(self, tmp_path):
         rc = main(["scenario", "--scenario", "nonexistent",

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from helpers import (
     planted_contraction,
     principal_angles,
     random_contraction,
+    rotated_swap_symbol,
     unitary_residuals,
 )
 from toeplitz_unitary import decomposition
@@ -21,6 +24,7 @@ from toeplitz_unitary.linalg import (
     haar_unitary,
     normalize_column_phases,
     nullspace,
+    nullspaces,
     orthonormal_columns,
     random_projection,
     spectral_norm,
@@ -41,7 +45,7 @@ from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matri
 from toeplitz_unitary.decomposition import (
     ExtractionResult,
     Subspace,
-    _joint_kernel,
+    _joint_kernels,
     _kernel_candidates,
     _window_eigenspaces,
     _window_kernel,
@@ -806,10 +810,24 @@ def reference_joint_kernel(t, t_adj, lam, tol):
     return nullspace(np.vstack([t - lam * eye, t_adj - np.conj(lam) * eye]), tol)
 
 
+def reference_product_kernel(t, t_adj, factors, tol):
+    """The multi-factor joint kernel as the 2-D product loop built it, one
+    section pair and one list of factors at a time."""
+    excess = t.shape[0] - t.shape[1]
+    sizes = [t.shape[1] - k * excess for k in reversed(range(len(factors)))]
+    rows = []
+    for s, lams in ((t, factors), (t_adj, np.conj(factors))):
+        steps = [s[:m + excess, :m] - lam * np.eye(m + excess, m) for m, lam in zip(sizes, lams)]
+        rows.append(reduce(lambda q, f: f @ q, steps))
+    return nullspace(np.vstack(rows), tol)
+
+
 class TestJointKernelParity:
-    """One factor of ``_joint_kernel`` builds T - lambda E on
-    T_adj - conj(lambda) E with no product, so the matrix unitary part and the
-    report's window part keep every bit of the single-factor kernel."""
+    """``_joint_kernels`` is the one builder of the joint matrices.  One
+    factor builds T - lambda E on T_adj - conj(lambda) E with no product, and
+    each kernel of a stack has the bits of its matrix alone, so the matrix
+    unitary part and both window parts keep every bit of the per-matrix
+    kernels."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_square_contractions(self, seed):
@@ -817,13 +835,33 @@ class TestJointKernelParity:
         t, _ = planted_contraction(rng, 3 + seed % 4, 1 + seed % 3)
         kernels = [np.zeros((t.shape[0], 0))]
         for lam in np.linalg.eigvals(t):
-            got = _joint_kernel(t, t.conj().T, [lam], 1e-8)
+            got, = _joint_kernels(t, t.conj().T, np.array([[lam]]), 1e-8)
             want = reference_joint_kernel(t, t.conj().T, lam, 1e-8)
             assert_same_bits(got, want)
             if abs(lam) >= 1.0 - 1e-8:
                 kernels.append(want)
         want = orthonormal_columns(np.hstack(kernels), 1e-8)
         assert_same_bits(unitary_part_matrix(t).basis, want)
+
+    def test_mixed_stack_of_candidates(self):
+        # every eigenvalue of contractions with 0 to 4 unimodular ones, a
+        # repeated eigenvalue and a point off the spectrum, in one stack
+        rng = np.random.default_rng(11)
+        q = haar_unitary(4, rng)
+        mats = [planted_contraction(rng, 4, k)[0] for k in range(5)]
+        mats.append(q @ np.diag([1.0, 1.0, 1j, 0.5]) @ q.conj().T)
+        pairs = [(t, lam) for t in mats for lam in np.linalg.eigvals(t)]
+        pairs.append((mats[2], np.exp(0.3j)))
+        order = rng.permutation(len(pairs))
+        t = np.stack([pairs[i][0] for i in order])
+        lams = np.array([pairs[i][1] for i in order])
+        got = _joint_kernels(t, t.conj().transpose(0, 2, 1), lams[:, None], 1e-8)
+        widths = []
+        for g, i in enumerate(order):
+            mat, lam = pairs[i]
+            assert_same_bits(got[g], reference_joint_kernel(mat, mat.conj().T, lam, 1e-8))
+            widths.append(got[g].shape[1])
+        assert sorted(widths) == [0] * 10 + [1] * 13 + [2] * 2
 
     SECTIONS = CANARIES + [
         ("swap", swap_inner_symbol, 4),
@@ -844,22 +882,74 @@ class TestJointKernelParity:
         kernels = [np.zeros((t.shape[1], 0))]
         for lam in factors:
             want = reference_joint_kernel(t, t_adj, lam, 1e-8)
-            assert_same_bits(_joint_kernel(t, t_adj, [lam], 1e-8), want)
+            assert_same_bits(_joint_kernels(t, t_adj, np.array([[lam]]), 1e-8)[0], want)
             kernels.append(want)
         basis, _ = _window_eigenspaces(sym, window, 1e-8)
         assert_same_bits(basis, orthonormal_columns(np.hstack(kernels), 1e-8))
 
+    @pytest.mark.parametrize("name,make_symbol,window", SECTIONS,
+                             ids=[f"{c[0]}-w{c[2]}" for c in SECTIONS])
+    def test_one_pair_with_many_factor_rows(self, name, make_symbol, window):
+        # rows of two factors on the sections from window + band degrees:
+        # the pair is shared by every row, and each row's kernel is the call
+        # on that row alone
+        sym = make_symbol()
+        band = sym.band
+        t = toeplitz_window_matrix(sym, window + band, window + 2 * band)
+        t_adj = toeplitz_window_matrix(adjoint_symbol(sym), window + band, window + 2 * band)
+        lam, mu = (_kernel_candidates(sym, 1e-8) * 2)[:2]
+        factors = np.array([[lam, mu], [mu, lam], [lam, lam], [0.5, np.exp(0.3j)]])
+        got = _joint_kernels(t, t_adj, factors, 1e-8)
+        assert len(got) == len(factors)
+        for kernel, row in zip(got, factors):
+            assert_same_bits(kernel, _joint_kernels(t, t_adj, row[None], 1e-8)[0])
+            assert_same_bits(kernel, reference_product_kernel(t, t_adj, row, 1e-8))
+
+    PRODUCTS = SECTIONS + [("swap_tail", lambda: TestStructureEarlyStop._rotated(
+        TestStructureEarlyStop._swap_tail(), 7), 8)]
+
+    @pytest.mark.parametrize("name,make_symbol,window", PRODUCTS,
+                             ids=[f"{c[0]}-w{c[2]}" for c in PRODUCTS])
+    def test_window_kernel_product(self, name, make_symbol, window):
+        sym = make_symbol()
+        factors = _kernel_candidates(sym, 1e-8)
+        t, t_adj = decomposition._window_sections(sym, window + (len(factors) - 1) * sym.band)
+        want = reference_product_kernel(t, t_adj, factors, 1e-8)
+        assert_same_bits(_window_kernel(sym, window, 1e-8), want)
+
+    @pytest.mark.parametrize("name,make_symbol", [
+        ("swap", lambda: rotated_swap_symbol(8)),
+        ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0]),
+    ])
+    def test_window_eigenspaces_makes_two_kernel_calls(self, name, make_symbol, monkeypatch):
+        # one stack for F(1)'s candidates and one for every window kernel
+        sym = make_symbol()
+        stacks = []
+
+        def counted(stack, tol):
+            stacks.append(np.shape(stack))
+            return nullspaces(stack, tol)
+
+        def refused(*args):
+            raise AssertionError("a window kernel went through nullspace")
+
+        monkeypatch.setattr(decomposition, "nullspaces", counted)
+        monkeypatch.setattr(decomposition, "nullspace", refused)
+        _, trail = _window_eigenspaces(sym, 8, 1e-8)
+        assert len(stacks) == 2
+        assert stacks[1][0] == trail["kernel_factors"] >= 2
+
 
 def reference_unitary_part(t, tol=1e-8):
     """The per-matrix unitary part as it was before the stacked pass: the
-    contraction check, ``eigvals``, one ``_joint_kernel`` per candidate and
+    contraction check, ``eigvals``, one joint kernel per candidate and
     ``orthonormal_columns`` of their span."""
     t = np.asarray(t, dtype=complex)
     assert np.all(np.isfinite(t)) and spectral_norm(t) <= 1.0 + tol
     kernels = [np.zeros((t.shape[0], 0), dtype=complex)]
     for lam in np.linalg.eigvals(t):
         if abs(lam) >= 1.0 - tol:
-            kernel = _joint_kernel(t, t.conj().T, [lam], tol)
+            kernel = reference_joint_kernel(t, t.conj().T, lam, tol)
             if kernel.shape[1]:
                 kernels.append(kernel)
     return orthonormal_columns(np.hstack(kernels), tol)
@@ -1183,6 +1273,19 @@ class TestBeurlingExtract:
         for t in CircleGrid(32).points:
             v0, v1 = eval_symbol(theta0, t), eval_symbol(ext.theta, t)
             assert spectral_norm(v0 @ v0.conj().T - v1 @ v1.conj().T) <= 1e-10
+
+    def test_degree_does_not_depend_on_the_coefficient_frame(self):
+        # span{e1 + z 9e-13 (0, 1, 1), z e1} in C^3, window 2: every entry of
+        # the top block is under 1e-12, its column norm 1.27e-12 is not.  A
+        # rule that trims theta's degree entry by entry gave degree 0 in this
+        # frame and degree 1 once a rotation moves (0, 1, 1) onto one axis
+        h = np.zeros((6, 2), dtype=complex)
+        h[0, 0], h[4:, 0], h[3, 1] = 1.0, 0.9e-12, 1.0
+        c = np.sqrt(0.5)
+        rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, c], [0.0, -c, c]])
+        for frame in (np.eye(3), rotation):
+            basis = orthonormal_columns(np.kron(np.eye(2), frame) @ h)
+            assert beurling_extract(Subspace(6, basis), 3).theta.band == 1
 
     def test_rejects_non_invariant(self):
         # span of a single degree-one vector is not shift invariant

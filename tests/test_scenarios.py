@@ -120,6 +120,13 @@ class TestBclExample:
 
 
 class TestButz:
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        # window 0 gave an empty kernel and a failed result; -1 raised
+        # numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=f"window must be positive, got {window}"):
+            scenario_butz_equivalence(window=window)
+
     def test_planted_seeds(self):
         for seed in range(4):
             result = scenario_butz_equivalence(seed=seed, planted=True)
