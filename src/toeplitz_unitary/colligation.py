@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex, spectral_norm
+from .linalg import DEFAULT_TOL, as_complex, spectral_norm, spectral_norms
 from .symbols import MatrixSymbol
 
 
@@ -134,32 +134,28 @@ def defect_identities(w: Colligation, lambda_grid) -> TransferReport:
     """Check both defect identities on a grid of disc points.
 
     Residuals stay at rounding level for genuinely unitary colligations and
-    grow past the perturbation size for invalid ones.
+    grow past the perturbation size for invalid ones.  The whole grid takes
+    one stacked pass: ``tau_eval`` (which refuses a point off the open disc),
+    batched solves, and one ``spectral_norms`` for the three maxima, each
+    within 8 eps (relative) of the SVD's.  An empty grid raises ``ValueError``.
     """
-    eye_e = np.eye(w.dim_e)
-    eye_k = np.eye(w.dim_k)
-    max_d1 = 0.0
-    max_d2 = 0.0
-    max_norm = 0.0
     pts = tuple(complex(z) for z in lambda_grid)
-    for lam in pts:
-        phi = tau_eval(w, lam)
-        max_norm = max(max_norm, spectral_norm(phi))
-        factor = 1.0 - abs(lam) ** 2
-        if w.dim_k == 0:
-            rhs1 = np.zeros((w.dim_e, w.dim_e))
-            rhs2 = np.zeros((w.dim_e, w.dim_e))
-        else:
-            # B (I-lam D)^-1 (I-conj(lam) D*)^-1 B*
-            y = np.linalg.solve(eye_k - np.conj(lam) * w.D.conj().T, w.B.conj().T)
-            rhs1 = factor * (w.B @ np.linalg.solve(eye_k - lam * w.D, y))
-            # C* (I-conj(lam) D*)^-1 (I-lam D)^-1 C
-            x = np.linalg.solve(eye_k - lam * w.D, w.C)
-            rhs2 = factor * (w.C.conj().T @ np.linalg.solve(
-                eye_k - np.conj(lam) * w.D.conj().T, x))
-        max_d1 = max(max_d1, spectral_norm(eye_e - phi @ phi.conj().T - rhs1))
-        max_d2 = max(max_d2, spectral_norm(eye_e - phi.conj().T @ phi - rhs2))
-    return TransferReport(pts, max_d1, max_d2, max_norm)
+    if not pts:
+        raise ValueError("defect identities need a non-empty lambda grid")
+    z = np.array(pts)
+    phi = tau_eval(w, z)
+    phi_adj = phi.conj().transpose(0, 2, 1)
+    defect1 = np.eye(w.dim_e) - phi @ phi_adj
+    defect2 = np.eye(w.dim_e) - phi_adj @ phi
+    if w.dim_k:
+        z = z[:, None, None]
+        factor = 1.0 - np.hypot(z.real, z.imag) ** 2
+        fwd = np.eye(w.dim_k) - z * w.D
+        adj = fwd.conj().transpose(0, 2, 1)
+        defect1 -= factor * (w.B @ np.linalg.solve(fwd, np.linalg.solve(adj, w.B.conj().T)))
+        defect2 -= factor * (w.C.conj().T @ np.linalg.solve(adj, np.linalg.solve(fwd, w.C)))
+    norms = spectral_norms(np.concatenate([defect1, defect2, phi])).reshape(3, -1)
+    return TransferReport(pts, *(float(v) for v in norms.max(axis=1)))
 
 
 def bcl_colligation(u, p, tol: float = DEFAULT_TOL) -> Colligation:

@@ -226,6 +226,18 @@ def _check_window_call(sym: MatrixSymbol, window: int, tol):
         raise ValueError(f"window must be positive, got {window!r}")
 
 
+def _check_sup_norm(sym: MatrixSymbol, tol, grid: CircleGrid | None = None):
+    """(grid, sup-norm estimate on it), the grid ``default_grid`` if None;
+    the one contractivity gate, refusing an estimate above 1 + tol."""
+    if grid is None:
+        grid = default_grid(sym)
+    sup = sup_norm_estimate(sym, grid)
+    # written so that a NaN estimate is refused too
+    if not sup <= 1.0 + tol:
+        raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
+    return grid, sup
+
+
 def _joint_kernels(t: np.ndarray, t_adj: np.ndarray, factors: np.ndarray, tol: float) -> list:
     """Kernels of prod (T - lambda E) stacked on prod (T_adj - conj(lambda) E),
     one per row of the (G, m) array ``factors``.
@@ -574,12 +586,7 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     non-positive tol is refused.
     """
     _check_window_call(sym, window, tol)
-    if grid is None:
-        grid = default_grid(sym)
-    sup = sup_norm_estimate(sym, grid)
-    # written so that a NaN estimate is refused too
-    if not sup <= 1.0 + tol:
-        raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
+    grid, sup = _check_sup_norm(sym, tol, grid)
 
     d = sym.dim_out
     route = _analytic_window_part if sym.is_analytic else _window_eigenspaces
@@ -668,10 +675,7 @@ def reducing_check(v_basis, a, tol: float = DEFAULT_TOL) -> bool:
     _check_finite_square(a)
     if v.ndim != 2 or v.shape[0] != a.shape[0]:
         raise ValueError(f"basis must be a matrix with {a.shape[0]} rows, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("basis has non-finite entries")
-    if v.shape[1] and spectral_norm(v.conj().T @ v - np.eye(v.shape[1])) > 100 * tol:
-        raise ValueError("basis columns are not isometric")
+    _check_orthonormal(v[None], tol)
     proj = v @ v.conj().T
     return spectral_norm(a @ proj - proj @ a) <= tol
 
@@ -700,8 +704,7 @@ def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,
     coeffs = np.atleast_1d(as_complex(poly_coeffs).ravel())
     if coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
         raise ValueError("scalar polynomial needs one or more finite coefficients")
-    if not sup_norm_estimate(sym) <= 1.0 + tol:
-        raise ValueError("symbol sup-norm estimate exceeds 1 + tol")
+    _check_sup_norm(sym, tol)
     boundary_grid = CircleGrid(max(DEFAULT_GRID_SIZE, 4 * len(coeffs)))
     vals = np.polyval(coeffs[::-1], np.exp(1j * boundary_grid.points))
     if np.max(np.abs(vals)) >= 1.0:

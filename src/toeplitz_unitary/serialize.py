@@ -110,14 +110,12 @@ def colligation_to_json(w: Colligation) -> dict:
 
 
 def colligation_from_json(obj) -> Colligation:
-    return Colligation(
-        _json_int(obj, "dim_e"),
-        _json_int(obj, "dim_k"),
-        decode_matrix(obj["A"]),
-        decode_matrix(obj["B"]),
-        decode_matrix(obj["C"]),
-        decode_matrix(obj["D"]),
-    )
+    dim_e, dim_k = _json_int(obj, "dim_e"), _json_int(obj, "dim_k")
+    a, b, c, d = (decode_matrix(obj[name]) for name in "ABCD")
+    # with no state space C and D have no rows, and [] keeps no column count
+    if dim_k == 0 and c.size == d.size == 0:
+        c, d = c.reshape(0, max(dim_e, 0)), d.reshape(0, 0)
+    return Colligation(dim_e, dim_k, a, b, c, d)
 
 
 def subspace_to_json(s: Subspace) -> dict:

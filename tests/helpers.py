@@ -1,6 +1,6 @@
 """Helpers shared by the test modules.
 
-Random instances, reference loops that the bitwise parity tests compare the
+Random instances, reference loops that the parity tests compare the
 library kernels against, the invariance polish that the window part is
 checked against, a Hardy vector with the exact Toeplitz action on it, and
 the residual and angle checks that only tests use.  No test module imports
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toeplitz_unitary.colligation import Colligation
+from toeplitz_unitary.colligation import Colligation, TransferReport, tau_eval
 from toeplitz_unitary.linalg import (
     as_complex,
     haar_unitary,
@@ -64,6 +64,35 @@ def random_colligation(dim_e: int, dim_k: int, rng: np.random.Generator) -> Coll
         C=m[dim_e:, :dim_e],
         D=m[dim_e:, dim_e:],
     )
+
+
+def reference_defect_identities(w: Colligation, lambda_grid) -> TransferReport:
+    """``defect_identities`` as one scalar ``tau_eval``, four solves and three
+    SVD norms per point."""
+    eye_e = np.eye(w.dim_e)
+    eye_k = np.eye(w.dim_k)
+    max_d1 = 0.0
+    max_d2 = 0.0
+    max_norm = 0.0
+    pts = tuple(complex(z) for z in lambda_grid)
+    for lam in pts:
+        phi = tau_eval(w, lam)
+        max_norm = max(max_norm, spectral_norm(phi))
+        factor = 1.0 - abs(lam) ** 2
+        if w.dim_k == 0:
+            rhs1 = np.zeros((w.dim_e, w.dim_e))
+            rhs2 = np.zeros((w.dim_e, w.dim_e))
+        else:
+            # B (I-lam D)^-1 (I-conj(lam) D*)^-1 B*
+            y = np.linalg.solve(eye_k - np.conj(lam) * w.D.conj().T, w.B.conj().T)
+            rhs1 = factor * (w.B @ np.linalg.solve(eye_k - lam * w.D, y))
+            # C* (I-conj(lam) D*)^-1 (I-lam D)^-1 C
+            x = np.linalg.solve(eye_k - lam * w.D, w.C)
+            rhs2 = factor * (w.C.conj().T @ np.linalg.solve(
+                eye_k - np.conj(lam) * w.D.conj().T, x))
+        max_d1 = max(max_d1, spectral_norm(eye_e - phi @ phi.conj().T - rhs1))
+        max_d2 = max(max_d2, spectral_norm(eye_e - phi.conj().T @ phi - rhs2))
+    return TransferReport(pts, max_d1, max_d2, max_norm)
 
 
 def colligation_symbol(seed, rank, d0=1, d1=2):

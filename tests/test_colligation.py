@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import assert_same_bits, random_colligation
+from helpers import assert_same_bits, random_colligation, reference_defect_identities
 from toeplitz_unitary.linalg import DEFAULT_TOL, haar_unitary, random_projection, spectral_norm
 from toeplitz_unitary.symbols import CircleGrid, eval_disc, eval_symbol
 from toeplitz_unitary.colligation import (
@@ -136,6 +136,68 @@ class TestDefectIdentities:
         bad = Colligation(3, 2, a_perturbed, w.B, w.C, w.D)
         rep = defect_identities(bad, disc_grid(100, 0.99))
         assert max(rep.max_defect1, rep.max_defect2) > 1e-4
+
+    @pytest.mark.parametrize("grid", [[], np.zeros(0)], ids=["list", "array"])
+    def test_empty_grid_rejected(self, grid):
+        # every maximum read 0.0 on no points, which looked like a pass
+        w = random_colligation(3, 2, np.random.default_rng(7))
+        with pytest.raises(ValueError, match="non-empty lambda grid"):
+            defect_identities(w, grid)
+
+
+class TestDefectIdentitiesParity:
+    """The stacked pass of ``defect_identities`` against the per-point loop
+    of ``helpers.reference_defect_identities``: the norms come from
+    ``spectral_norms`` instead of one SVD per matrix, so they agree within
+    8 eps (relative), not bit for bit."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _criterion_2_colligations():
+        # the draws of test_acceptance.py's criterion 2
+        for seed in range(100):
+            rng = np.random.default_rng(2000 + seed)
+            dim_e = int(rng.integers(1, 7))
+            dim_k = int(rng.integers(0, 7))
+            yield random_colligation(dim_e, dim_k, rng)
+
+    def _assert_agree(self, w, grid):
+        got = defect_identities(w, grid)
+        want = reference_defect_identities(w, grid)
+        assert got.lambda_grid == want.lambda_grid
+        assert abs(got.max_norm - want.max_norm) <= 8 * self.EPS * want.max_norm
+        assert max(got.max_defect1, got.max_defect2) <= 1e-10
+        assert max(want.max_defect1, want.max_defect2) <= 1e-10
+
+    def test_criterion_2_colligations(self):
+        shapes = set()
+        for w in self._criterion_2_colligations():
+            self._assert_agree(w, disc_grid(64, 0.99))
+            shapes.add((w.dim_e, w.dim_k))
+        assert {e for e, _ in shapes} == set(range(1, 7))
+        assert {k for _, k in shapes} == set(range(7))
+
+    @pytest.mark.parametrize("grid", [[0.5 - 0.25j], [0.0], [0.0, 0.9j, -0.3]],
+                             ids=["one-point", "zero", "with-zero"])
+    @pytest.mark.parametrize("dim_e, dim_k", [(3, 2), (1, 4), (2, 0)])
+    def test_small_grids(self, grid, dim_e, dim_k):
+        w = random_colligation(dim_e, dim_k, np.random.default_rng(10 * dim_e + dim_k))
+        self._assert_agree(w, grid)
+
+    def test_perturbed_colligation(self):
+        # the input of TestDefectIdentities::test_perturbed_colligation_detected
+        rng = np.random.default_rng(8)
+        w = random_colligation(3, 2, rng)
+        bad = Colligation(3, 2, w.A + 1e-3 * rng.standard_normal((3, 3)), w.B, w.C, w.D)
+        grid = disc_grid(100, 0.99)
+        got = defect_identities(bad, grid)
+        want = reference_defect_identities(bad, grid)
+        for name in ("max_defect1", "max_defect2", "max_norm"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-12 * b, name
+        for rep in (got, want):
+            assert rep.max_defect1 > 1e-4 and rep.max_defect2 > 1e-4
 
 
 class TestTauEvalParity:

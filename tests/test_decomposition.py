@@ -153,6 +153,17 @@ def test_non_finite_symbol_rejected(call, bad):
         call(sym)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sym: toeplitz_unitary_part(sym, 4),
+    lambda sym: poly_calculus(sym, [0.0, 0.5], 4),
+], ids=["toeplitz_unitary_part", "poly_calculus"])
+def test_expansive_symbol_rejected_with_its_estimate(call):
+    # one gate serves both entry points; poly_calculus's own copy named no value
+    with pytest.raises(ValueError) as info:
+        call(MatrixSymbol.constant(1.01 * np.eye(2)))
+    assert str(info.value) == "symbol sup-norm estimate 1.01 exceeds 1 + tol"
+
+
 @pytest.mark.parametrize("window", [0, -1])
 @pytest.mark.parametrize("call", [
     lambda w: toeplitz_unitary_part(MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]}), w),
@@ -1410,7 +1421,7 @@ class TestReducingCheck:
         assert agree == 200
 
     def test_non_isometric_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="basis columns are not orthonormal"):
             reducing_check(2.0 * np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("v, a, message", [

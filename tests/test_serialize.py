@@ -6,7 +6,7 @@ import pytest
 
 from toeplitz_unitary.linalg import haar_unitary, random_projection
 from toeplitz_unitary.symbols import MatrixSymbol, bcl_symbol
-from toeplitz_unitary.colligation import bcl_colligation
+from toeplitz_unitary.colligation import Colligation, bcl_colligation
 from toeplitz_unitary.decomposition import toeplitz_unitary_part
 from toeplitz_unitary.scenarios import run_all, swap_inner_symbol
 from toeplitz_unitary.serialize import (
@@ -65,6 +65,18 @@ def test_colligation_round_trip():
     w = bcl_colligation(haar_unitary(3, rng), random_projection(3, 1, rng))
     back = colligation_from_json(colligation_to_json(w))
     for name in "ABCD":
+        np.testing.assert_array_equal(getattr(back, name), getattr(w, name))
+
+
+@pytest.mark.parametrize("dim_k", [0, 2])
+def test_colligation_round_trip_through_json_text(dim_k):
+    # C and D of a colligation with no state space are written as [], which
+    # read back with shape (0,): the file was refused as malformed
+    m = haar_unitary(3 + dim_k, np.random.default_rng(dim_k))
+    w = Colligation(3, dim_k, m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:])
+    back = colligation_from_json(json.loads(json.dumps(colligation_to_json(w))))
+    for name in "ABCD":
+        assert getattr(back, name).shape == getattr(w, name).shape
         np.testing.assert_array_equal(getattr(back, name), getattr(w, name))
 
 
