@@ -627,44 +627,43 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
 
 def toeplitz_unitary_part_brute(sym: MatrixSymbol, window: int,
                                 tol: float = DEFAULT_TOL) -> Subspace:
-    """Window solutions of the power structure equations; independent oracle.
+    """Window polynomials h with norm(T_F^m h) = norm(h) = norm(T_F*^m h) for
+    m = 1 .. d window, the defining equations of the unitary part (Sz.-Nagy -
+    Foias); independent oracle, with no candidate eigenvalues.
 
-    For m = 1 .. d window accumulates the window polynomials h with F^m h
-    and (F*)^m h analytic and F^m (F*)^m h = h = (F*)^m F^m h, all as exact
-    coefficient identities of symbol powers, grown incrementally.  This
-    checks the defining equations of the unitary part directly, with no
-    invariance iteration and no candidate eigenvalues; the result contains
-    the window restriction of the true unitary part, and in particular
-    contains the ``toeplitz_unitary_part`` subspace.  Every power is solved,
-    for analytic symbols too.
+    It steps the operator, not a symbol power: with Y = F^(m-1) h and
+    Z = (F*)^(m-1) h kept as exact Laurent images, step m asks for
+    (I - F*F) Y = 0, (I - FF*) Z = 0 and F Y, F* Z analytic, then takes
+    Y <- F Y and Z <- F* Z.  For a contraction I - F*F >= 0 pointwise, so
+    (I - F*F) g = 0 exactly when norm(F g) = norm(g); over m these rows are
+    the power identities (F*)^m F^m h = h = F^m (F*)^m h.  The symbol is
+    gated like ``toeplitz_unitary_part``.  Each step keeps one ``nullspace``
+    of its rows on the current basis, for analytic symbols too; the result
+    contains the window restriction of the true unitary part.
     """
     _check_window_call(sym, window, tol)
+    _check_sup_norm(sym, tol)
     d = sym.dim_out
     n = d * window
+    adj = adjoint_symbol(sym)
+    eye = MatrixSymbol.constant(np.eye(d))
+    steps = ((sym, eye.add(multiply(adj, sym).scale(-1))),
+             (adj, eye.add(multiply(sym, adj).scale(-1))))
     basis = np.eye(n, dtype=complex)
-    fwd = MatrixSymbol.constant(np.eye(d))
-    for _ in range(n):
+    images = [basis.reshape(window, d, n)] * 2
+    for m in range(1, n + 1):
         r = basis.shape[1]
         if r == 0:
             break
-        fwd = multiply(fwd, sym)
-        adj = adjoint_symbol(fwd)
-        bm = fwd.band
-        blocks = basis.reshape(window, d, r)
-        conv_f = convolve_block_columns(fwd, blocks)
-        conv_a = convolve_block_columns(adj, blocks)
         rows = []
-        if bm:
-            rows.append(conv_f[:bm].reshape(bm * d, r))
-            rows.append(conv_a[:bm].reshape(bm * d, r))
-        # products F^m (F^m)* and (F^m)* F^m by composed exact convolution;
-        # the identity sits at output degrees 0 .. window-1, block offset 2 bm
-        for outer, inner in ((fwd, conv_a), (adj, conv_f)):
-            img = convolve_block_columns(outer, inner)
-            img[2 * bm:2 * bm + window] -= blocks
-            rows.append(img.reshape(-1, r))
-        basis = normalize_column_phases(basis @ nullspace(np.vstack(rows), tol))
-    return Subspace(n, basis, tol)
+        for i, (s, defect) in enumerate(steps):
+            rows.append(convolve_block_columns(defect, images[i]))
+            images[i] = convolve_block_columns(s, images[i])
+            rows.append(images[i][:sym.band * m])
+        kern = nullspace(np.vstack([x.reshape(-1, r) for x in rows]), tol)
+        basis = basis @ kern
+        images = [img @ kern for img in images]
+    return Subspace(n, normalize_column_phases(basis), tol)
 
 
 def reducing_check(v_basis, a, tol: float = DEFAULT_TOL) -> bool:

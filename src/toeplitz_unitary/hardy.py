@@ -9,17 +9,15 @@ The adjoint Toeplitz operator is always realized through the adjoint symbol
 sections appear only as ``toeplitz_window_matrix``, where the block-Toeplitz
 matrix itself is the object of interest.
 
-``convolve_block_columns`` takes the coefficient products a chunk at a time,
-stacked along the rows (``symbols._coefficient_products``).  Its result has
-the bits of one matmul per coefficient summed in coefficient order, which the
-rank decisions downstream depend on.
+``convolve_block_columns`` takes one matmul per coefficient and sums them in
+coefficient order; the rank decisions downstream depend on those bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .symbols import MatrixSymbol, _coefficient_products
+from .symbols import MatrixSymbol
 
 
 def toeplitz_window_matrix(sym: MatrixSymbol, n_in: int, n_out: int) -> np.ndarray:
@@ -51,9 +49,8 @@ def convolve_block_columns(sym: MatrixSymbol, blocks: np.ndarray) -> np.ndarray:
         raise ValueError("coefficient blocks do not match the symbol dimension")
     band = sym.band
     out = np.zeros((n_in + 2 * band, sym.dim_out, blocks.shape[2]), dtype=complex)
-    prods = _coefficient_products(list(sym.coeffs.values()), [blocks])
-    for diff, (prod,) in zip(sym.coeffs, prods):
+    for diff, mat in sym.coeffs.items():
         at = diff + band
-        out[at:at + n_in] += prod
+        out[at:at + n_in] += np.matmul(mat, blocks)
     return out
 

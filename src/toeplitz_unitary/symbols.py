@@ -25,11 +25,6 @@ import numpy as np
 from .linalg import DEFAULT_TOL, as_complex, spectral_norm, spectral_norms  # noqa: F401
 
 DEFAULT_GRID_SIZE = 512
-# most complex entries one row-stacked product of ``_coefficient_products``
-# holds (256 KB): 2**16 raised the peak RSS of the scenario-sweep and
-# decompose-small benchmarks by 0.8-1.4 MB, with no clear gain in speed
-# (2-vCPU x86-64 host, one OpenBLAS thread)
-COEFF_PRODUCT_MAX_ENTRIES = 2 ** 14
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -205,38 +200,6 @@ def adjoint_symbol(sym: MatrixSymbol) -> MatrixSymbol:
     )
 
 
-def _coefficient_products(mats: list, operands: list):
-    """Yield ``tuple(np.matmul(m, x) for x in operands)`` for each m in ``mats``.
-
-    ``mats`` share one shape; ``operands`` are matrices, or stacks of them
-    along one leading axis, with a common column count.  The matrices are
-    stacked along the rows, a chunk of at most COEFF_PRODUCT_MAX_ENTRIES
-    product entries at a time, so each operand takes one matmul per chunk and
-    every product is a row block (a view) of it.  The bits are those of the
-    separate calls: zgemm gives each output entry the same inner-dimension
-    sum whatever the row count.  Matrix-vector shapes go to zgemv instead,
-    whose bits depend on the row count and the layout, so one-row matrices
-    and one-column operands keep one call per matrix.
-    """
-    if not mats or not operands:
-        return
-    rows = mats[0].shape[0]
-    chunk = 1
-    if rows > 1 and operands[0].shape[-1] > 1:
-        entries = rows * sum(x.size // x.shape[-2] for x in operands)
-        chunk = max(1, COEFF_PRODUCT_MAX_ENTRIES // entries)
-    for start in range(0, len(mats), chunk):
-        part = mats[start:start + chunk]
-        stacked = part[0] if len(part) == 1 else np.concatenate(part)
-        blocks = []
-        for x in operands:
-            prod = np.matmul(stacked, x)
-            # row block i of the product as view i along the leading axis
-            prod = prod.reshape(prod.shape[:-2] + (len(part), rows, prod.shape[-1]))
-            blocks.append(prod.swapaxes(0, -3))
-        yield from zip(*blocks)
-
-
 def multiply(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
     """Pointwise product of symbols by exact coefficient convolution.
 
@@ -248,12 +211,11 @@ def multiply(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
             f"cannot multiply {a.dim_out}x{a.dim_in} by {b.dim_out}x{b.dim_in} symbols"
         )
     out: dict[int, np.ndarray] = {}
-    prods = _coefficient_products(list(a.coeffs.values()), list(b.coeffs.values()))
-    for j, row in zip(a.coeffs, prods):
-        for k, prod in zip(b.coeffs, row):
-            idx = j + k
-            cur = out.get(idx)
-            out[idx] = prod if cur is None else cur + prod
+    for j, ma in a.coeffs.items():
+        for k, mb in b.coeffs.items():
+            prod = ma @ mb
+            cur = out.get(j + k)
+            out[j + k] = prod if cur is None else cur + prod
     return MatrixSymbol(a.dim_out, b.dim_in, out)
 
 

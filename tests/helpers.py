@@ -13,15 +13,17 @@ import numpy as np
 
 from toeplitz_unitary.colligation import Colligation, TransferReport, tau_eval
 from toeplitz_unitary.linalg import (
+    DEFAULT_TOL,
     as_complex,
     haar_unitary,
     normalize_column_phases,
     nullspace,
     spectral_norm,
 )
+from toeplitz_unitary.decomposition import Subspace, _check_window_call
 from toeplitz_unitary.hardy import convolve_block_columns
 from toeplitz_unitary.scenarios import planted_block_symbol
-from toeplitz_unitary.symbols import MatrixSymbol, adjoint_symbol
+from toeplitz_unitary.symbols import MatrixSymbol, adjoint_symbol, multiply
 
 
 def gaussian(rng, *shape):
@@ -178,6 +180,40 @@ def reference_multiply(a, b):
             cur = out.get(idx)
             out[idx] = ma @ mb if cur is None else cur + ma @ mb
     return MatrixSymbol(a.dim_out, b.dim_in, out)
+
+
+def reference_toeplitz_unitary_part_brute(sym, window, tol=DEFAULT_TOL):
+    """The window oracle by symbol powers: for m = 1 .. d window, the window
+    polynomials h with F^m h and (F*)^m h analytic and
+    F^m (F*)^m h = h = (F*)^m F^m h, as exact coefficient identities of the
+    powers, grown incrementally."""
+    _check_window_call(sym, window, tol)
+    d = sym.dim_out
+    n = d * window
+    basis = np.eye(n, dtype=complex)
+    fwd = MatrixSymbol.constant(np.eye(d))
+    for _ in range(n):
+        r = basis.shape[1]
+        if r == 0:
+            break
+        fwd = multiply(fwd, sym)
+        adj = adjoint_symbol(fwd)
+        bm = fwd.band
+        blocks = basis.reshape(window, d, r)
+        conv_f = convolve_block_columns(fwd, blocks)
+        conv_a = convolve_block_columns(adj, blocks)
+        rows = []
+        if bm:
+            rows.append(conv_f[:bm].reshape(bm * d, r))
+            rows.append(conv_a[:bm].reshape(bm * d, r))
+        # products F^m (F^m)* and (F^m)* F^m by composed exact convolution;
+        # the identity sits at output degrees 0 .. window-1, block offset 2 bm
+        for outer, inner in ((fwd, conv_a), (adj, conv_f)):
+            img = convolve_block_columns(outer, inner)
+            img[2 * bm:2 * bm + window] -= blocks
+            rows.append(img.reshape(-1, r))
+        basis = normalize_column_phases(basis @ nullspace(np.vstack(rows), tol))
+    return Subspace(n, basis, tol)
 
 
 @dataclass(frozen=True, eq=False)

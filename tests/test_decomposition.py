@@ -11,6 +11,7 @@ from helpers import (
     planted_contraction,
     principal_angles,
     random_contraction,
+    reference_toeplitz_unitary_part_brute,
     rotated_swap_symbol,
     unitary_residuals,
 )
@@ -39,7 +40,6 @@ from toeplitz_unitary.symbols import (
     compose_scalar_polynomial,
     eval_symbol,
     is_inner,
-    multiply,
 )
 from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matrix
 from toeplitz_unitary.decomposition import (
@@ -143,7 +143,8 @@ def test_non_finite_or_non_positive_tol_rejected(call, tol):
 @pytest.mark.parametrize("call", [
     lambda sym: toeplitz_unitary_part(sym, 4),
     lambda sym: poly_calculus(sym, [0.0, 0.5], 4),
-], ids=["toeplitz_unitary_part", "poly_calculus"])
+    lambda sym: toeplitz_unitary_part_brute(sym, 4),
+], ids=["toeplitz_unitary_part", "poly_calculus", "toeplitz_unitary_part_brute"])
 def test_non_finite_symbol_rejected(call, bad):
     # the grid values of such a symbol are non-finite, so its sup-norm
     # estimate must stop the call by name: a NaN estimate would pass a
@@ -162,6 +163,18 @@ def test_expansive_symbol_rejected_with_its_estimate(call):
     with pytest.raises(ValueError) as info:
         call(MatrixSymbol.constant(1.01 * np.eye(2)))
     assert str(info.value) == "symbol sup-norm estimate 1.01 exceeds 1 + tol"
+
+
+def test_brute_oracle_refuses_a_non_contraction():
+    # the oracle gave dimension 0 on 1.5 I; its per-step rows are the power
+    # equations only for a contraction, so it takes the same gate as
+    # toeplitz_unitary_part, after the window check
+    sym = MatrixSymbol.constant([[1.5]])
+    with pytest.raises(ValueError) as info:
+        toeplitz_unitary_part_brute(sym, 4)
+    assert str(info.value) == "symbol sup-norm estimate 1.5 exceeds 1 + tol"
+    with pytest.raises(ValueError, match="window must be positive"):
+        toeplitz_unitary_part_brute(sym, 0)
 
 
 @pytest.mark.parametrize("window", [0, -1])
@@ -634,16 +647,60 @@ class TestStructureEarlyStop:
         assert subspace_gap(basis, polished) <= 1e-12
 
     def test_brute_oracle_keeps_full_budget(self, monkeypatch):
-        calls = []
-
-        def counting_multiply(a, b):
-            calls.append(1)
-            return multiply(a, b)
-
-        monkeypatch.setattr(decomposition, "multiply", counting_multiply)
+        # each step applies F once; the window part closes after one step,
+        # but the oracle still takes all d window of them
         sym = planted_block_symbol(np.random.default_rng(13), 2, 2)[0]
+        steps = []
+
+        def counting_convolve(s, blocks):
+            steps.append(s is sym)
+            return convolve_block_columns(s, blocks)
+
+        monkeypatch.setattr(decomposition, "convolve_block_columns", counting_convolve)
         assert toeplitz_unitary_part_brute(sym, 8).dim == 16
-        assert len(calls) == 4 * 8
+        assert sum(steps) == 4 * 8
+
+
+class TestWindowOracleParity:
+    """The window oracle, which steps T_F and T_F* once per power, against
+    the symbol-power loop it replaced
+    (``helpers.reference_toeplitz_unitary_part_brute``): in exact arithmetic
+    both solve the power equations for m = 1 .. d window."""
+
+    @staticmethod
+    def _assert_agree(sym, window):
+        got = toeplitz_unitary_part_brute(sym, window)
+        want = reference_toeplitz_unitary_part_brute(sym, window)
+        assert got.dim == want.dim
+        assert subspace_gap(got.basis, want.basis) <= 1e-9
+
+    @pytest.mark.parametrize("d0, d1", [(1, 1), (1, 2), (2, 2)])
+    def test_planted(self, d0, d1):
+        for seed in range(8):
+            self._assert_agree(planted_block_symbol(np.random.default_rng(seed), d0, d1)[0], 6)
+
+    @pytest.mark.parametrize("d0, d1", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_prop_ds_colligations(self, d0, d1):
+        for seed in range(2):
+            colligation, _ = planted_colligation(np.random.default_rng(seed), d0, d1)
+            self._assert_agree(polynomial_from_colligation(colligation), 6)
+
+    @pytest.mark.parametrize("window", [4, 6, 8])
+    def test_rotated_swap(self, window):
+        self._assert_agree(rotated_swap_symbol(8), window)
+
+    def test_swap(self):
+        self._assert_agree(swap_inner_symbol(), 6)
+
+    @pytest.mark.parametrize("name,make_symbol,window", CANARIES,
+                             ids=[f"{c[0]}-w{c[2]}" for c in CANARIES])
+    def test_canaries_same_dimension(self, name, make_symbol, window):
+        # both oracles cut near the rank threshold on the rank-1 colligation:
+        # their gap reads 1.5e-8 at window 6 and 6.0e-6 at window 8 (1.3e-14
+        # on the other two), so only the dimensions are compared
+        sym = make_symbol()
+        got = toeplitz_unitary_part_brute(sym, window)
+        assert got.dim == reference_toeplitz_unitary_part_brute(sym, window).dim
 
 
 class TestUnitaryKernel:

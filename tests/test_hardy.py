@@ -9,7 +9,6 @@ from helpers import (
     reference_convolve_block_columns,
     toeplitz_apply_exact,
 )
-from toeplitz_unitary import symbols
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm
 from toeplitz_unitary.symbols import (
     MatrixSymbol,
@@ -45,7 +44,7 @@ def row_form_apply(sym, h):
 
 
 class TestConvolveParity:
-    """Row-stacked coefficient products against one matmul per coefficient."""
+    """The convolution against an in-test loop of one matmul per coefficient."""
 
     @pytest.mark.parametrize("adjoint", [False, True], ids=["plain", "adjoint"])
     @pytest.mark.parametrize("d_out", [1, 2, 3, 4, 5])
@@ -68,12 +67,8 @@ class TestConvolveParity:
             assert_same_bits(convolve_block_columns(sym, blocks),
                              reference_convolve_block_columns(sym, blocks))
 
-    @pytest.mark.parametrize("max_entries", [1, None, 2 ** 40], ids=["one", "default", "huge"])
-    def test_many_coefficients_across_chunks(self, max_entries, monkeypatch):
-        # the brute oracle's outer convolution: 73 3x3 coefficients on 78
-        # slices of 12 columns, several chunks at the default bound
-        if max_entries is not None:
-            monkeypatch.setattr(symbols, "COEFF_PRODUCT_MAX_ENTRIES", max_entries)
+    def test_many_coefficients(self):
+        # 73 3x3 coefficients on 78 slices of up to 12 columns
         rng = np.random.default_rng(21)
         for adjoint in (False, True):
             sym = parity_symbol(rng, 3, 3, 73, adjoint, spread=1)

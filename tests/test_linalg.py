@@ -5,8 +5,8 @@ inputs by QR first, and
 ``normalize_column_phases`` works on whole arrays.  Every rank decision sits
 at a ``tol * max(sigma_1, 1)`` cut, so these must give the same bits as the
 plain SVD and the per-column loop below, not just close values.  The same
-holds for the row-stacked coefficient products of ``convolve_block_columns``
-and ``multiply``, whose per-coefficient loops live in helpers.py.
+holds for the coefficient products of ``convolve_block_columns`` and
+``multiply``, whose in-test copies live in helpers.py.
 """
 
 import numpy as np

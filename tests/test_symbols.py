@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_bits, parity_symbol, reference_multiply
-from toeplitz_unitary import symbols
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm, spectral_norms
 from toeplitz_unitary.symbols import (
     CircleGrid,
@@ -213,7 +212,7 @@ def assert_same_symbol(got, want):
 
 
 class TestMultiplyParity:
-    """Row-stacked coefficient products against one product per pair."""
+    """The product against an in-test loop of one product per pair."""
 
     @pytest.mark.parametrize("d_out", [1, 2, 3, 4, 5])
     def test_matches_per_pair_loop(self, d_out):
@@ -233,11 +232,8 @@ class TestMultiplyParity:
         assert_same_symbol(got, reference_multiply(a, b))
         assert 1 not in got.coeffs
 
-    @pytest.mark.parametrize("max_entries", [1, None, 2 ** 40], ids=["one", "default", "huge"])
-    def test_many_coefficients_across_chunks(self, max_entries, monkeypatch):
-        # symbol powers of the brute oracle: dozens of 3x3 coefficients
-        if max_entries is not None:
-            monkeypatch.setattr(symbols, "COEFF_PRODUCT_MAX_ENTRIES", max_entries)
+    def test_many_coefficients(self):
+        # dozens to thousands of 3x3 coefficients
         rng = np.random.default_rng(40)
         for count in (40, 2000):
             for adj_a, adj_b in ((False, False), (True, True)):
