@@ -42,6 +42,7 @@ from .decomposition import (
     unitary_part_matrix,
     unitary_parts,
     verify_maincondn,
+    window_span,
 )
 from .scenarios import SCENARIOS, ScenarioResult, run_all, run_scenario
 
@@ -58,6 +59,6 @@ __all__ = [
     "cdot0_test", "extract_constant_unitary", "poly_calculus",
     "reducing_check", "toeplitz_unitary_part",
     "toeplitz_unitary_part_brute", "unitary_part_brute", "unitary_part_matrix",
-    "unitary_parts", "verify_maincondn",
+    "unitary_parts", "verify_maincondn", "window_span",
     "SCENARIOS", "ScenarioResult", "run_all", "run_scenario",
 ]

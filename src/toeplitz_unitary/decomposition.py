@@ -33,7 +33,9 @@ unitary part; completeness is only claimed within the window.  For an
 analytic symbol the subspace has a closed form, the window polynomials with
 coefficients in the unitary part of F(0), and the same residuals certify it.
 A wandering subspace construction then extracts the inner polynomial
-spanning the subspace and the constant unitary it intertwines.
+spanning the subspace and the constant unitary it intertwines;
+``window_span`` gives the span of an inner polynomial's column shifts that
+fit in the window, Theta H^2 cut with it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    above_cut,
     as_complex,
     empty_basis,
     normalize_column_phases,
@@ -438,14 +441,16 @@ def _window_eigenspaces(sym: MatrixSymbol, window: int, tol: float):
     F* h = conj(lambda) h.  The window sections of F and F* into degrees
     < window + band hold T_F h and T_F* h exactly, so L is the sum of their
     joint kernels over the candidates (swap: 2 window - 2), one factor row
-    per candidate in one ``_joint_kernels``.  Returns (basis, trail: route,
-    kernel_factors).
+    per candidate in one ``_joint_kernels``; with no candidate L is zero.
+    Returns (basis, trail: route, kernel_factors).
     """
     factors = _kernel_candidates(sym, tol)
+    trail = {"route": "kernel", "kernel_factors": len(factors)}
+    if not factors:
+        return empty_basis(sym.dim_in * window), trail
     t, t_adj = _window_sections(sym, window)
     kernels = _joint_kernels(t, t_adj, np.reshape(factors, (-1, 1)), tol)
-    basis = orthonormal_columns(np.hstack([empty_basis(t.shape[1])] + kernels), tol)
-    return basis, {"route": "kernel", "kernel_factors": len(factors)}
+    return orthonormal_columns(np.hstack(kernels), tol), trail
 
 
 def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
@@ -466,13 +471,40 @@ def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
     return basis, {"route": "analytic", "kernel_factors": 0}
 
 
+def _column_degrees(blocks: np.ndarray, tol: float) -> np.ndarray:
+    """Degree of each column of a (degrees, dim, r) coefficient stack: its
+    last block whose norm is above the rank cut on the column's block norms
+    (``above_cut``), 0 for a zero column."""
+    live = above_cut(np.linalg.norm(blocks, axis=1).T, tol)
+    return np.where(live.any(axis=1), len(blocks) - 1 - np.argmax(live[:, ::-1], axis=1), 0)
+
+
+def window_span(theta: MatrixSymbol, window: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Theta H^2 cut with the window: the orthonormal span of the shifts
+    z^k theta_j that fit in it.
+
+    Column j of theta has degree delta_j (``_column_degrees``) and gives the
+    shifts k < window - delta_j.  When theta is column reduced, as the
+    symbol families' generators are, the predictable-degree property
+    (Forney 1975) makes this all of Theta H^2 cut with the window, of
+    dimension sum_j (window - delta_j).
+    """
+    blocks = np.stack([theta.coeff(k) for k in range(theta.band + 1)])
+    columns = [empty_basis(theta.dim_out * window)]
+    for j, dj in enumerate(_column_degrees(blocks, tol)):
+        if dj < window:
+            col = MatrixSymbol(theta.dim_out, 1, {k: blocks[k, :, j:j + 1] for k in range(dj + 1)})
+            columns.append(toeplitz_window_matrix(col, window - dj, window))
+    return orthonormal_columns(np.hstack(columns), tol)
+
+
 def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> ExtractionResult:
     """Extract the inner polynomial generating a shift-invariant window subspace.
 
     The wandering space m minus (shift of m) has an orthonormal basis that,
     read as polynomial columns, is the candidate inner polynomial.  Reported
     diagnostics: shift-invariance of the input and how much of the input
-    span the candidate's polynomial multiples miss.
+    span the candidate's polynomial multiples (``window_span``) miss.
     """
     if m.dim == 0:
         raise ValueError("cannot extract from the zero subspace")
@@ -497,19 +529,10 @@ def beurling_extract(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> Extract
 
     r = wandering.shape[1]
     blocks = wandering.reshape(window, dim, r)
-    scale = max(np.max(np.abs(blocks)), 1.0)
-    # each column's degree is its last block of norm above 1e-12 scale, and
-    # theta's degree is the largest of them
-    live = np.linalg.norm(blocks, axis=1) > 1e-12 * scale
-    degrees = np.where(live.any(axis=0), window - 1 - np.argmax(live[::-1], axis=0), 0)
-    theta = MatrixSymbol(dim, r, {k: blocks[k] for k in range(degrees.max() + 1)})
-
-    columns = []
-    for j, dj in enumerate(degrees):
-        # theta column j and its shifts that fit in the window
-        col = MatrixSymbol(dim, 1, {k: theta.coeff(k)[:, j:j + 1] for k in range(dj + 1)})
-        columns.append(toeplitz_window_matrix(col, window - dj, window))
-    span = orthonormal_columns(np.hstack(columns), tol)
+    # theta's degree is the largest column degree, the rule of window_span
+    degree = _column_degrees(blocks, tol).max()
+    theta = MatrixSymbol(dim, r, {k: blocks[k] for k in range(degree + 1)})
+    span = window_span(theta, window, tol)
     span_residual = spectral_norm(m.basis - span @ (span.conj().T @ m.basis))
 
     return ExtractionResult(

@@ -1,9 +1,10 @@
 """Dense linear-algebra helpers shared across the package.
 
 Only this module decides a rank, always at ``tol * max(largest singular
-value, 1)``.  The floor at 1 keeps kernels of numerically-zero matrices well
-defined: everything in this package is built from contractions, so 1 is the
-natural scale.
+value, 1)`` (``above_cut``, which also cuts a polynomial column's block
+norms to its degree).  The floor at 1 keeps kernels of numerically-zero
+matrices well defined: everything in this package is built from
+contractions, so 1 is the natural scale.
 
 Kernels (``nullspaces``) and spans (``orthonormal_bases``) take (G, m, n)
 stacks, each slice with the bits of its matrix alone; ``nullspace`` and
@@ -88,6 +89,16 @@ def spectral_norms(stack) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0)) * scale
 
 
+def block_diag(mats) -> np.ndarray:
+    """Block-diagonal matrix of the (possibly rectangular or empty) blocks."""
+    out = np.zeros(np.sum([np.shape(m) for m in mats], axis=0, dtype=int), dtype=complex)
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 def empty_basis(n: int) -> np.ndarray:
     return np.zeros((n, 0), dtype=complex)
 
@@ -120,13 +131,20 @@ def normalize_column_phases(b: np.ndarray) -> np.ndarray:
     return out.reshape(b.shape)
 
 
+def above_cut(values: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the nonnegative ``values`` above the cut tol * max(sigma_1, 1),
+    sigma_1 the largest value of each row along the last axis."""
+    top = np.max(values, axis=-1, keepdims=True, initial=0.0)
+    return values > tol * np.maximum(top, 1.0)
+
+
 def _rank(s: np.ndarray, tol: float):
-    """Count of singular values above the cut tol * max(sigma_1, 1).
+    """Count of singular values above the cut (``above_cut``).
 
     ``s`` holds descending singular values along its last axis, one row per
     matrix of a stack; an empty row gives 0.
     """
-    return (s > tol * np.maximum(s[..., :1], 1.0)).sum(axis=-1)
+    return above_cut(s, tol).sum(axis=-1)
 
 
 def orthonormal_bases(stack, tol: float = DEFAULT_TOL) -> list:

@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     as_complex,
+    block_diag,
     haar_unitary,
     nullspace,
     orthonormal_columns,
@@ -125,19 +126,67 @@ def random_trig_matrix(rng, dim: int, band: int, sup: float) -> MatrixSymbol:
     return sym.scale(sup / sup_norm_estimate(sym))
 
 
-def planted_block_symbol(rng, d0: int, d1: int) -> tuple[MatrixSymbol, np.ndarray]:
-    """diag(W0, band-2 block of grid sup norm 0.5); returns (symbol, W0)."""
+@dataclass(frozen=True, eq=False)
+class Family:
+    """A symbol F built with the pair (Theta, U) of its unitary part Theta H^2
+    (F Theta = Theta U, F* Theta = Theta U*): its window part is
+    ``window_span(theta, window)``.  ``theta`` is None, and U is 0 x 0, when
+    nothing is planted; ``colligation`` realizes F when F is a transfer
+    polynomial."""
+
+    symbol: MatrixSymbol
+    theta: MatrixSymbol | None
+    u: np.ndarray
+    colligation: Colligation | None = None
+
+
+def _as_family(part) -> Family:
+    if isinstance(part, Family):
+        return part
+    if isinstance(part, MatrixSymbol):
+        return Family(part, None, np.zeros((0, 0)))
+    return Family(MatrixSymbol.constant(part), MatrixSymbol.constant(np.eye(len(part))), part)
+
+
+def direct_sum(parts, q: np.ndarray | None = None) -> Family:
+    """diag(F_1, ..., F_n), in the frame of the unitary q if given:
+    Theta = q diag(Theta_i) and U = diag(U_i).  A bare ``MatrixSymbol`` part
+    plants nothing, and a unitary matrix U0 is the constant part with
+    Theta = I and U = U0."""
+    parts = [_as_family(p) for p in parts]
+    sym = block_diag_symbol([p.symbol for p in parts])
+    band = max((p.theta.band for p in parts if p.theta is not None), default=-1)
+    theta = [block_diag([np.zeros((p.symbol.dim_out, 0)) if p.theta is None else p.theta.coeff(k)
+                          for p in parts]) for k in range(band + 1)]
+    if q is not None:
+        sym = MatrixSymbol(sym.dim_out, sym.dim_in,
+                           {k: q @ c @ q.conj().T for k, c in sym.coeffs.items()})
+        theta = [q @ c for c in theta]
+    theta = MatrixSymbol(sym.dim_out, theta[0].shape[1], dict(enumerate(theta))) if theta else None
+    return Family(sym, theta, block_diag([p.u for p in parts]))
+
+
+def planted_family(rng, d0: int, d1: int) -> Family:
+    """diag(W0, band-2 block of grid sup norm 0.5): Theta = [I; 0], U = W0."""
     w0 = haar_unitary(d0, rng)
-    tail = random_trig_matrix(rng, d1, 2, 0.5)
-    return block_diag_symbol([MatrixSymbol.constant(w0), tail]), w0
+    return direct_sum([w0, random_trig_matrix(rng, d1, 2, 0.5)])
 
 
-def swap_inner_symbol(phase: complex = 1.0) -> MatrixSymbol:
-    """Unitary-valued symbol whose unitary part is shift-invariant but not of
-    product (coefficient-subspace) form: it is generated by diag(z, 1)."""
+def swap_family(rng=None, d0: int = 0) -> Family:
+    """The swap S = [[0, phi z], [conj(phi z), 0]], whose unitary part is
+    shift invariant but not of product form: Theta = diag(z, 1) and
+    U = [[0, phi], [conj(phi), 0]].  With no ``rng`` phi = 1; with one, phi
+    is a uniform phase, beside a Haar unitary U0 of size d0, in a Haar
+    frame Q: Theta = Q diag(I, z, 1) and U = diag(U0, [[0, phi], [conj(phi), 0]])."""
+    phase = 1.0 if rng is None else np.exp(1j * rng.uniform(0, 2 * np.pi))
     e12 = np.array([[0.0, phase], [0.0, 0.0]])
     e21 = np.array([[0.0, 0.0], [np.conj(phase), 0.0]])
-    return MatrixSymbol(2, 2, {1: e12, -1: e21})
+    theta = MatrixSymbol(2, 2, {0: np.diag([0.0, 1.0]), 1: np.diag([1.0, 0.0])})
+    swap = Family(MatrixSymbol(2, 2, {1: e12, -1: e21}), theta, e12 + e21)
+    if rng is None:
+        return swap
+    parts = [haar_unitary(d0, rng), swap] if d0 else [swap]
+    return direct_sum(parts, haar_unitary(d0 + 2, rng))
 
 
 def product_form_core(m: Subspace, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -309,23 +358,6 @@ def _butz_conditions(sym: MatrixSymbol, m: Subspace, dim: int, window: int,
                                        "pointwise_residual": res_iii}
 
 
-def butz_symbol(seed: int = 0, d0: int = 2, d1: int = 1,
-                planted: bool = True) -> tuple[MatrixSymbol, np.ndarray | None]:
-    """(symbol, W0) of ``scenario_butz_equivalence``; not planted, a Haar
-    rotation of diag(U0, swap) and W0 None."""
-    rng = np.random.default_rng(seed)
-    if planted:
-        return planted_block_symbol(rng, d0, d1)
-    base = swap_inner_symbol(np.exp(1j * rng.uniform(0, 2 * np.pi)))
-    blocks = [base]
-    if d0:
-        blocks.insert(0, MatrixSymbol.constant(haar_unitary(d0, rng)))
-    sym = block_diag_symbol(blocks)
-    q = haar_unitary(sym.dim_out, rng)
-    return MatrixSymbol(sym.dim_out, sym.dim_in,
-                        {k: q @ c @ q.conj().T for k, c in sym.coeffs.items()}), None
-
-
 def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
                               d1: int = 1, planted: bool = True,
                               tol: float = DEFAULT_TOL) -> ScenarioResult:
@@ -340,7 +372,9 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
     eigenspaces, so on diag(z, 1) it keeps all 2 window - 1 directions,
     (0, z^(window - 1)) included, and stays shift invariant.
     """
-    sym, w0 = butz_symbol(seed, d0, d1, planted)
+    rng = np.random.default_rng(seed)
+    family = planted_family(rng, d0, d1) if planted else swap_family(rng, d0)
+    sym = family.symbol
     dim = sym.dim_out
     m = Subspace(dim * window, _window_kernel(sym, window, tol), tol)
     cond_i, cond_ii, cond_iii, info = _butz_conditions(sym, m, dim, window, tol)
@@ -350,15 +384,13 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
         _check_bool("pointwise_iff_product_form", cond_iii == cond_i),
     ]
     if planted:
-        planted_core = np.vstack([np.eye(d0), np.zeros((d1, d0))]).astype(complex)
-        expected = np.kron(np.eye(window), planted_core)
+        expected = np.kron(np.eye(window), family.theta.coeff(0))
         checks.append(_check_bool("all_three_hold", cond_i and cond_ii and cond_iii))
         checks.append(_check("subspace_is_planted_window",
                              subspace_gap(m.basis, expected), 100 * tol))
         # restriction agrees with the constant block Toeplitz of W0
         t_win = toeplitz_window_matrix(sym, window, window)
-        w0_full = np.zeros((dim, dim), dtype=complex)
-        w0_full[:d0, :d0] = w0
+        w0_full = block_diag([family.u, np.zeros((d1, d1))])
         canon = orthonormal_columns(expected, tol)
         restriction = canon.conj().T @ t_win @ canon
         constant = canon.conj().T @ np.kron(np.eye(window), w0_full) @ canon
@@ -384,25 +416,29 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
     )
 
 
-def planted_colligation(rng, d0: int, d1: int) -> tuple[Colligation, np.ndarray]:
-    """Colligation whose A has the planted unitary block on the leading coords.
-
-    ``d1 = 0`` gives the degenerate case with no state space: A is unitary
-    and the transfer function is the constant U0.
-    """
+def colligation_family(rng, d0: int, d1: int, rank: int | None = None) -> Family:
+    """Transfer polynomial of a unitary colligation (D = 0) planting a Haar
+    U0 on the d0 leading coordinates, Theta = [I; 0] and U = U0, beside the
+    model symbol U1 ((I - P) + z P) of a Haar U1.  With no ``rank`` the rank
+    of P is drawn and the state space built from P; with one, from the Haar
+    columns Q of P = Q Q*.  With d1 = 0, F is the constant U0."""
     u0 = haar_unitary(d0, rng) if d0 else np.zeros((0, 0))
     if d1 == 0:
         if d0 == 0:
             raise ValueError("need at least one nonempty block")
-        return Colligation(d0, 0, u0, np.zeros((d0, 0)), np.zeros((0, d0)),
-                           np.zeros((0, 0))), u0
-    u1 = haar_unitary(d1, rng)
-    rank = int(rng.integers(1, d1 + 1))
-    p1 = random_projection(d1, rank, rng)
-    inner = bcl_colligation(u1, p1)
-    if d0 == 0:
-        return inner, u0
-    return embed_unitary_block(u0, inner), u0
+        w = Colligation(d0, 0, u0, np.zeros((d0, 0)), np.zeros((0, d0)), np.zeros((0, 0)))
+    else:
+        u1 = haar_unitary(d1, rng)
+        if rank is None:
+            rank = int(rng.integers(1, d1 + 1))
+            inner = bcl_colligation(u1, random_projection(d1, rank, rng))
+        else:
+            q = haar_unitary(d1, rng)[:, :rank]
+            inner = Colligation(d1, rank, u1 @ (np.eye(d1) - q @ q.conj().T), u1 @ q,
+                                q.conj().T, np.zeros((rank, rank)))
+        w = embed_unitary_block(u0, inner) if d0 else inner
+    theta = MatrixSymbol.constant(np.eye(d0 + d1, d0)) if d0 else None
+    return Family(polynomial_from_colligation(w), theta, u0, w)
 
 
 def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
@@ -412,10 +448,9 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     inclusion witness checked at disc points."""
     params = {"seed": seed, "d0": d0, "d1": d1, "window": window,
               "n_lambda": n_lambda, "tol": tol}
-    rng = np.random.default_rng(seed)
-    w, u0 = planted_colligation(rng, d0, d1)
+    family = colligation_family(np.random.default_rng(seed), d0, d1)
+    w, u0, sym = family.colligation, family.u, family.symbol
     rep = validate(w, tol)
-    sym = polynomial_from_colligation(w)
     lam_grid = disc_grid(n_lambda, 0.9)
 
     checks = [
@@ -428,7 +463,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
         records["note"] = "no planted block; implication assertions vacuous"
         return ScenarioResult("prop_ds", params, tuple(checks), records=records)
 
-    inclusion = np.vstack([np.eye(d0), np.zeros((d1, d0))]).astype(complex)
+    inclusion = family.theta.coeff(0)
     # (i) the constant term and (ii) the value at every disc point have the
     # planted block in their unitary part: one stacked pass over
     # [A, tau(lambda_1), ..., tau(lambda_n)]
@@ -532,10 +567,9 @@ def scenario_analytic_main(seed: int = 0, d0: int = 1, d1: int = 2,
     ``tests/test_decomposition.py::TestAnalyticRoute``, which compares that
     route with the planted block, the window pipeline and the brute oracle.
     """
-    rng = np.random.default_rng(seed)
-    w, _ = planted_colligation(rng, d0 if planted else 0, d1)
+    family = colligation_family(np.random.default_rng(seed), d0 if planted else 0, d1)
+    w, sym = family.colligation, family.symbol
     dim = w.dim_e
-    sym = polynomial_from_colligation(w)
     report = toeplitz_unitary_part(sym, window, tol)
     condition_res = _norm_condition_residual(report.subspace.basis, w.A, dim)
     condition_holds = report.subspace.dim > 0 and condition_res <= 100 * tol

@@ -5,6 +5,10 @@ library kernels against, the invariance polish that the window part is
 checked against, a Hardy vector with the exact Toeplitz action on it, and
 the residual and angle checks that only tests use.  No test module imports
 another; what two of them share lives here.
+
+The symbol families come from the builders in ``scenarios`` with their
+pair (Theta, U); a test reads a family's expected window part from
+``window_span(family.theta, window)``, never from a hand-built basis.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,12 @@ from toeplitz_unitary.linalg import (
 )
 from toeplitz_unitary.decomposition import Subspace, _check_window_call
 from toeplitz_unitary.hardy import convolve_block_columns
-from toeplitz_unitary.scenarios import planted_block_symbol
+from toeplitz_unitary.scenarios import (
+    colligation_family,
+    direct_sum,
+    planted_family,
+    swap_family,
+)
 from toeplitz_unitary.symbols import MatrixSymbol, adjoint_symbol, multiply
 
 
@@ -97,31 +106,31 @@ def reference_defect_identities(w: Colligation, lambda_grid) -> TransferReport:
     return TransferReport(pts, max_d1, max_d2, max_norm)
 
 
-def colligation_symbol(seed, rank, d0=1, d1=2):
-    """Transfer polynomial A + z B C of a unitary colligation (D = 0) with a
-    planted d0-dimensional unitary block (the first d0 coordinates) and a
-    projection of the given rank; the draws of the benchmark's
-    ``inputs.colligation_case``."""
-    rng = np.random.default_rng(seed)
-    d = d0 + d1
-    u0 = haar_unitary(d0, rng)
-    u1 = haar_unitary(d1, rng)
-    q = haar_unitary(d1, rng)[:, :rank]
-    a = np.zeros((d, d), dtype=complex)
-    a[:d0, :d0] = u0
-    a[d0:, d0:] = u1 @ (np.eye(d1) - q @ q.conj().T)
-    b = np.vstack([np.zeros((d0, rank)), u1 @ q])
-    c = np.hstack([np.zeros((rank, d0)), q.conj().T])
-    return MatrixSymbol(d, d, {0: a, 1: b @ c})
+def rotated(parts, seed):
+    """``direct_sum`` of the parts in the Haar frame drawn from ``seed``."""
+    dim = direct_sum(parts).symbol.dim_out
+    return direct_sum(parts, haar_unitary(dim, np.random.default_rng(seed)))
 
 
-def rotated_swap_symbol(seed):
-    """swap_inner_symbol with a random phase, in a random unitary frame."""
-    rng = np.random.default_rng(seed)
-    phase = np.exp(2j * np.pi * rng.uniform())
-    q = haar_unitary(2, rng)
-    e12 = np.array([[0.0, phase], [0.0, 0.0]])
-    return MatrixSymbol(2, 2, {1: q @ e12 @ q.conj().T, -1: q @ e12.conj().T @ q.conj().T})
+def colligation_rank_family(seed, rank):
+    """``colligation_family`` with d0 = 1, d1 = 2 and the given projection
+    rank: the draws of the benchmark's ``inputs.colligation_case``."""
+    return colligation_family(np.random.default_rng(seed), 1, 2, rank)
+
+
+# The report keeps the directions F and F* keep inside the window.  On a
+# swap family that is one direction fewer than Theta H^2 cut with the
+# window, which also holds the direction F pushes past it ((0, z^(w - 1))
+# in the swap block's frame, ``swap_pushed_out``); reading the product
+# kernel would keep it.
+REPORT_SWAP_SHORTFALL = 1
+
+
+def swap_pushed_out(theta, column, window):
+    """z^(window - 1) times the swap's degree-0 column ``column`` of Theta."""
+    v = np.zeros(theta.dim_out * window, dtype=complex)
+    v[-theta.dim_out:] = theta.coeff(0)[:, column]
+    return v
 
 
 # (name, symbol factory, window): inputs whose rank decisions sit closest to
@@ -132,10 +141,10 @@ def rotated_swap_symbol(seed):
 # route and the eigenspaces of F(0) or F(1); the unitary-part parity tests
 # compare those with the per-matrix loop as well
 CANARIES = [
-    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 6),
-    ("colligation_rank1_seed14", lambda: colligation_symbol(14, 1), 8),
-    ("swap", lambda: rotated_swap_symbol(8), 8),
-    ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0], 8),
+    ("colligation_rank1_seed14", lambda: colligation_rank_family(14, 1).symbol, 6),
+    ("colligation_rank1_seed14", lambda: colligation_rank_family(14, 1).symbol, 8),
+    ("swap", lambda: swap_family(np.random.default_rng(8)).symbol, 8),
+    ("planted_d4", lambda: planted_family(np.random.default_rng(4), 2, 2).symbol, 8),
 ]
 
 

@@ -27,7 +27,6 @@ from toeplitz_unitary.symbols import (
     MatrixSymbol,
     adjoint_symbol,
     bcl_symbol,
-    block_diag_symbol,
     is_inner,
     multiply,
 )
@@ -39,8 +38,10 @@ from toeplitz_unitary.decomposition import (
     unitary_part_brute,
     unitary_part_matrix,
     verify_maincondn,
+    window_span,
 )
 from toeplitz_unitary.scenarios import (
+    planted_family,
     run_all,
     scenario_analytic_main,
     scenario_bcl_example,
@@ -126,30 +127,20 @@ def test_criterion_4_planted_round_trip():
     ok = True
     detail = ""
     for seed in range(50):
-        rng = np.random.default_rng(4000 + seed)
-        d0 = 1 + seed % 2
-        d1 = 1 + (seed // 2) % 2
-        dim = d0 + d1
         window = 8
-        w0 = haar_unitary(d0, rng)
-        tail_coeffs = {
-            k: rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
-            for k in (-2, -1, 0, 1, 2)
-        }
-        tail = MatrixSymbol(d1, d1, tail_coeffs)
-        from toeplitz_unitary.symbols import sup_norm_estimate
-
-        tail = tail.scale(0.5 / sup_norm_estimate(tail))
-        sym = block_diag_symbol([MatrixSymbol.constant(w0), tail])
+        family = planted_family(np.random.default_rng(4000 + seed), 1 + seed % 2,
+                                1 + (seed // 2) % 2)
+        sym, w0, inclusion = family.symbol, family.u, family.theta.coeff(0)
 
         report = toeplitz_unitary_part(sym, window, 1e-8)
         brute = toeplitz_unitary_part_brute(sym, window, 1e-8)
-        inclusion = np.vstack([np.eye(d0), np.zeros((d1, d0))]).astype(complex)
-        if not (report.subspace.dim == d0 * window == brute.dim
+        expected = window_span(family.theta, window)
+        if not (report.subspace.dim == expected.shape[1] == brute.dim
                 and report.classification == "constant_type"):
             ok, detail = False, f" (seed {seed}: dim {report.subspace.dim})"
             break
-        if np.max(principal_angles(report.subspace.basis, brute.basis)) > 1e-7:
+        if max(np.max(principal_angles(report.subspace.basis, basis))
+               for basis in (brute.basis, expected)) > 1e-7:
             ok, detail = False, f" (seed {seed}: oracle angle)"
             break
         theta0 = report.theta.coeff(0)

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import colligation_symbol
+from helpers import colligation_rank_family
 from toeplitz_unitary import cli
 from toeplitz_unitary.cli import main
 from toeplitz_unitary.colligation import Colligation, bcl_colligation
+from toeplitz_unitary.decomposition import window_span
 from toeplitz_unitary.linalg import haar_unitary
 from toeplitz_unitary.serialize import (
     colligation_to_json,
@@ -15,7 +16,7 @@ from toeplitz_unitary.serialize import (
     symbol_to_json,
     write_json_atomic,
 )
-from toeplitz_unitary.scenarios import SCENARIOS, swap_inner_symbol
+from toeplitz_unitary.scenarios import SCENARIOS, swap_family
 from toeplitz_unitary.symbols import MatrixSymbol, bcl_symbol
 
 
@@ -75,9 +76,10 @@ class TestDecompose:
         assert report["residuals"] == {}
 
     def test_extraction_error_has_no_residuals(self, tmp_path):
-        # the swap symbol's window part is not shift invariant at window 5
+        # the report's window part of the swap symbol, the directions F and
+        # F* keep inside the window, is not shift invariant at window 5
         path = tmp_path / "swap.json"
-        write_json_atomic(str(path), symbol_to_json(swap_inner_symbol()))
+        write_json_atomic(str(path), symbol_to_json(swap_family().symbol))
         out = tmp_path / "report.json"
         rc = main(["decompose", "--input", str(path), "--out", str(out), "--window", "5"])
         assert rc == 0
@@ -114,13 +116,14 @@ class TestDecompose:
         # the input whose window pipeline stops one shift residual over tol;
         # as an analytic symbol it is decomposed through F(0)
         path = tmp_path / "colligation.json"
-        write_json_atomic(str(path), symbol_to_json(colligation_symbol(14, 1)))
+        family = colligation_rank_family(14, 1)
+        write_json_atomic(str(path), symbol_to_json(family.symbol))
         out = tmp_path / "report.json"
         rc = main(["decompose", "--input", str(path), "--out", str(out), "--window", "6"])
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["classification"] == "constant_type"
-        assert report["subspace"]["dim"] == 6
+        assert report["subspace"]["dim"] == window_span(family.theta, 6).shape[1]
         assert report["params"]["route"] == "analytic"
 
     def test_malformed_json_is_io_error(self, tmp_path):

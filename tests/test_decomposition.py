@@ -5,14 +5,16 @@ import pytest
 
 from helpers import (
     CANARIES,
+    REPORT_SWAP_SHORTFALL,
     assert_same_bits,
-    colligation_symbol,
+    colligation_rank_family,
     invariance_polish,
     planted_contraction,
     principal_angles,
     random_contraction,
     reference_toeplitz_unitary_part_brute,
-    rotated_swap_symbol,
+    rotated,
+    swap_pushed_out,
     unitary_residuals,
 )
 from toeplitz_unitary import decomposition
@@ -60,14 +62,16 @@ from toeplitz_unitary.decomposition import (
     unitary_part_matrix,
     unitary_parts,
     verify_maincondn,
+    window_span,
 )
 from toeplitz_unitary.scenarios import (
-    butz_symbol,
-    planted_block_symbol,
-    planted_colligation,
+    Family,
+    colligation_family,
+    direct_sum,
+    planted_family,
     random_trig_matrix,
     random_trig_scalar,
-    swap_inner_symbol,
+    swap_family,
 )
 
 P = np.diag([1.0, 0.0])
@@ -250,15 +254,17 @@ class TestUnitaryPartBrute:
             t, truth = planted_contraction(rng, n, int(rng.integers(1, n)), 1 - 1e-4)
             cases.append((f"strict-{seed}", t, truth))
         # F(1) of the symbol families: the colligation transfer polynomials
-        # and the non-planted butz symbols are unitary at z = 1
+        # are unitary at z = 1; the planted and swap families' unitary part
+        # at z = 1 is the range of Theta(1)
         for seed in range(60):
             for rank in (1, 2):
-                value = eval_symbol(colligation_symbol(seed, rank), 0.0)
+                value = eval_symbol(colligation_rank_family(seed, rank).symbol, 0.0)
                 cases.append((f"colligation{rank}-{seed}", value, np.eye(3)))
-            sym, _ = planted_block_symbol(np.random.default_rng(seed), 2, 2)
-            cases.append((f"planted_d4-{seed}", eval_symbol(sym, 0.0), np.eye(4, 2)))
-            sym, _ = butz_symbol(seed, planted=False)
-            cases.append((f"butz-{seed}", eval_symbol(sym, 0.0), np.eye(4)))
+            for name, family in (
+                    ("planted_d4", planted_family(np.random.default_rng(seed), 2, 2)),
+                    ("butz", swap_family(np.random.default_rng(seed), 2))):
+                cases.append((f"{name}-{seed}", eval_symbol(family.symbol, 0.0),
+                              eval_symbol(family.theta, 0.0)))
         # eigenvalues near the circle or near each other: a sqrt(tol) modulus
         # cut would admit 1 - 1e-6 and 1 - 1e-7, a sqrt(tol) merge would lose
         # e^(1e-6 i) and e^((0.7 + 1e-7) i)
@@ -376,13 +382,12 @@ class TestToeplitzUnitaryPart:
         np.testing.assert_allclose(align @ rep.u_matrix @ align.conj().T, u, atol=1e-10)
 
     def test_planted_block_dimension(self):
-        rng = np.random.default_rng(6)
-        w0 = haar_unitary(2, rng)
-        psi = MatrixSymbol(1, 1, {-1: [[0.2]], 0: [[0.1]], 1: [[0.15]]})
-        sym = block_diag_symbol([MatrixSymbol.constant(w0), psi])
+        family = direct_sum([haar_unitary(2, np.random.default_rng(6)),
+                             MatrixSymbol(1, 1, {-1: [[0.2]], 0: [[0.1]], 1: [[0.15]]})])
+        sym = family.symbol
         rep = toeplitz_unitary_part(sym, 6)
         assert rep.classification == "constant_type"
-        assert rep.subspace.dim == 2 * 6
+        assert rep.subspace.dim == window_span(family.theta, 6).shape[1]
         brute = toeplitz_unitary_part_brute(sym, 6)
         assert brute.dim == rep.subspace.dim
         assert np.max(principal_angles(rep.subspace.basis, brute.basis)) <= 1e-7
@@ -397,8 +402,7 @@ class TestToeplitzUnitaryPart:
         rng = np.random.default_rng(7)
         instances = [
             bcl_symbol(haar_unitary(2, rng), P),
-            MatrixSymbol(2, 2, {1: np.array([[0, 1], [0, 0]]),
-                                -1: np.array([[0, 0], [1, 0]])}),
+            swap_family().symbol,
             block_diag_symbol([MatrixSymbol.constant(haar_unitary(1, rng)),
                                MatrixSymbol(1, 1, {1: [[0.4]]})]),
         ]
@@ -411,12 +415,15 @@ class TestToeplitzUnitaryPart:
                     - brute.projector() @ rep.subspace.basis) <= 1e-7
 
     def test_swap_symbol_certified_but_inconclusive(self):
-        # unitary part generated by diag(z, 1): not expressible inside the
-        # window as a shift-invariant span, certification residuals still hold
-        sym = MatrixSymbol(2, 2, {1: np.array([[0, 1], [0, 0]]),
-                                  -1: np.array([[0, 0], [1, 0]])})
-        rep = toeplitz_unitary_part(sym, 5)
-        assert rep.subspace.dim == 8
+        # the unitary part is Theta H^2 with Theta = diag(z, 1), which is
+        # shift invariant; cut with the window it has 2 w - 1 directions.
+        # The report keeps the 2 w - 2 that F and F* keep inside the window,
+        # without (0, z^(w - 1)); their span is not shift invariant in the
+        # window, so extraction is inconclusive, and the certification
+        # residuals still hold
+        family = swap_family()
+        rep = toeplitz_unitary_part(family.symbol, 5)
+        assert rep.subspace.dim == window_span(family.theta, 5).shape[1] - REPORT_SWAP_SHORTFALL
         assert rep.classification == "extraction_inconclusive"
         assert rep.certified_sound
         assert max(rep.certification.values()) <= 1e-8
@@ -460,9 +467,8 @@ class TestToeplitzUnitaryPart:
             restriction, np.kron(np.eye(n), rep.u_matrix), atol=1e-10)
 
     def test_shift_invariance_certificate(self):
-        rng = np.random.default_rng(9)
-        sym = block_diag_symbol([MatrixSymbol.constant(haar_unitary(2, rng)),
-                                 MatrixSymbol(1, 1, {1: [[0.4]]})])
+        sym = direct_sum([haar_unitary(2, np.random.default_rng(9)),
+                          MatrixSymbol(1, 1, {1: [[0.4]]})]).symbol
         rep = toeplitz_unitary_part(sym, 5)
         assert rep.extraction_residuals["shift_invariance"] <= 1e-8
 
@@ -476,8 +482,7 @@ class TestStructureEarlyStop:
 
     @staticmethod
     def _coll4():
-        w, _ = planted_colligation(np.random.default_rng(4), 1, 2)
-        return polynomial_from_colligation(w)
+        return colligation_family(np.random.default_rng(4), 1, 2)
 
     @staticmethod
     def _rank2_colligation():
@@ -494,12 +499,12 @@ class TestStructureEarlyStop:
     def test_early_stop_matches_full_budget(self, name, window):
         rng = np.random.default_rng(11)
         sym = {
-            "planted_d2": lambda: planted_block_symbol(rng, 1, 1)[0],
-            "planted_d4": lambda: planted_block_symbol(rng, 2, 2)[0],
+            "planted_d2": lambda: planted_family(rng, 1, 1).symbol,
+            "planted_d4": lambda: planted_family(rng, 2, 2).symbol,
             "colligation_rank2": self._rank2_colligation,
-            "swap": swap_inner_symbol,
+            "swap": lambda: swap_family().symbol,
             "scalar_band4": lambda: random_trig_scalar(rng, 4),
-            "coll4": self._coll4,
+            "coll4": lambda: self._coll4().symbol,
             # F(1) = N has no unitary part: no candidate, an empty kernel
             "nilpotent_constant": lambda: MatrixSymbol.constant(np.eye(3, k=-1)),
         }[name]()
@@ -512,45 +517,44 @@ class TestStructureEarlyStop:
         # the structure span of coll4 first closes after 12 powers; the
         # kernel needs one factor per unimodular eigenvalue of F(1)
         # (coll4 is analytic, so toeplitz_unitary_part would not take it)
-        sym = self._coll4()
+        family = self._coll4()
+        sym = family.symbol
         kernel = _window_kernel(sym, 6, 1e-8)
         basis, trail = _window_eigenspaces(sym, 6, 1e-8)
-        assert kernel.shape[1] == basis.shape[1] == 6
+        assert kernel.shape[1] == basis.shape[1] == window_span(family.theta, 6).shape[1]
         assert trail == {"route": "kernel", "kernel_factors": 3}
         brute = toeplitz_unitary_part_brute(sym, 6)
         assert subspace_gap(basis, brute.basis) <= 1e-7
 
     def test_report_trail(self):
         rng = np.random.default_rng(13)
-        planted_sym = planted_block_symbol(rng, 2, 2)[0]
-        planted = toeplitz_unitary_part(planted_sym, 8)
+        family = planted_family(rng, 2, 2)
+        planted = toeplitz_unitary_part(family.symbol, 8)
         trail = ("route", "kernel_factors")
         assert [planted.params[k] for k in trail] == ["kernel", 2]
-        assert planted.subspace.dim == _window_kernel(planted_sym, 8, 1e-8).shape[1] == 16
+        expected = window_span(family.theta, 8).shape[1]
+        assert planted.subspace.dim == _window_kernel(family.symbol, 8, 1e-8).shape[1] == expected
         # the kernel keeps (0, z^7), whose image under F leaves the window;
         # the window eigenspaces do not
-        swap = toeplitz_unitary_part(swap_inner_symbol(), 8)
+        family = swap_family()
+        swap = toeplitz_unitary_part(family.symbol, 8)
         assert (swap.params["route"], swap.params["kernel_factors"]) == ("kernel", 2)
-        kernel = _window_kernel(swap_inner_symbol(), 8, 1e-8)
-        assert (kernel.shape[1], swap.subspace.dim) == (15, 14)
-        assert kernel.shape[1] == toeplitz_unitary_part_brute(swap_inner_symbol(), 8).dim
+        kernel = _window_kernel(family.symbol, 8, 1e-8)
+        expected = window_span(family.theta, 8).shape[1]
+        assert (kernel.shape[1], swap.subspace.dim) == (expected, expected - REPORT_SWAP_SHORTFALL)
+        assert kernel.shape[1] == toeplitz_unitary_part_brute(family.symbol, 8).dim
         scalar_sym = random_trig_scalar(rng, 4)
         scalar = toeplitz_unitary_part(scalar_sym, 8)
         assert (scalar.params["route"], scalar.subspace.dim) == ("kernel", 0)
         assert _window_kernel(scalar_sym, 8, 1e-8).shape[1] == 0
         assert scalar.classification == "trivial"
-        analytic = toeplitz_unitary_part(self._coll4(), 6)
+        family = self._coll4()
+        analytic = toeplitz_unitary_part(family.symbol, 6)
         assert [analytic.params[k] for k in trail] == ["analytic", 0]
-        assert analytic.subspace.dim == 6
+        assert analytic.subspace.dim == window_span(family.theta, 6).shape[1]
         dropped = {"structure_powers", "structure_stop", "kernel_dim", "refinement_iterations"}
         for rep in (planted, swap, scalar, analytic):
             assert not dropped & rep.params.keys()
-
-    @staticmethod
-    def _rotated(sym, seed):
-        q = haar_unitary(sym.dim_out, np.random.default_rng(seed))
-        return MatrixSymbol(sym.dim_out, sym.dim_in,
-                            {k: q @ mat @ q.conj().T for k, mat in sym.coeffs.items()})
 
     @staticmethod
     def _three_cycle():
@@ -563,13 +567,12 @@ class TestStructureEarlyStop:
     @staticmethod
     def _swap_tail():
         # swap plus a strict band-2 tail (grid sup norm 0.5), d = 4
-        tail = random_trig_matrix(np.random.default_rng(0), 2, 2, 0.5)
-        return block_diag_symbol([swap_inner_symbol(), tail])
+        return [swap_family(), random_trig_matrix(np.random.default_rng(0), 2, 2, 0.5)]
 
     @staticmethod
     def _swap_nilpotent():
         # F^2 = diag(I, N^2) is constant but not unitary
-        return block_diag_symbol([swap_inner_symbol(), MatrixSymbol.constant(np.eye(3, k=-1))])
+        return [swap_family(), MatrixSymbol.constant(np.eye(3, k=-1))]
 
     @staticmethod
     def _polish(sym, basis):
@@ -594,13 +597,12 @@ class TestStructureEarlyStop:
         # for F h and F* h analytic, and no later power removes anything;
         # the kernel keeps the same span, the coefficients F pushes above
         # the window included
-        sym = self._rotated({
-            "swap": swap_inner_symbol,
-            "u0_plus_swap": lambda: block_diag_symbol([
-                MatrixSymbol.constant(haar_unitary(2, np.random.default_rng(5))),
-                swap_inner_symbol()]),
-            "three_cycle": self._three_cycle,
-        }[name](), 7)
+        sym = rotated({
+            "swap": lambda: [swap_family()],
+            "u0_plus_swap": lambda: [
+                MatrixSymbol.constant(haar_unitary(2, np.random.default_rng(5))), swap_family()],
+            "three_cycle": lambda: [self._three_cycle()],
+        }[name](), 7).symbol
         kernel = _window_kernel(sym, window, 1e-8)
         full = toeplitz_unitary_part_brute(sym, window)
         assert kernel.shape == full.basis.shape
@@ -610,7 +612,7 @@ class TestStructureEarlyStop:
         # F^2 = diag(I, N^2) is constant but not unitary: the power-2 equations
         # remove the polynomials along the middle coordinate of N, and F(1)
         # has no unimodular eigenvalue there
-        sym = self._rotated(self._swap_nilpotent(), 7)
+        sym = rotated(self._swap_nilpotent(), 7).symbol
         kernel = _window_kernel(sym, 4, 1e-8)
         full = toeplitz_unitary_part_brute(sym, 4)
         assert kernel.shape == full.basis.shape
@@ -618,28 +620,33 @@ class TestStructureEarlyStop:
 
     def test_swap_plus_tail_kernel(self):
         # the tail's eigenvalues at t = 0 are strict, so only swap's two
-        # factors enter; the kernel is swap's 2 w - 1 window part and the
-        # window eigenspaces leave out one direction
-        sym = self._rotated(self._swap_tail(), 7)
+        # factors enter; the kernel is swap's window part Theta H^2 cut
+        # with the window, and the window eigenspaces leave out one direction
+        family = rotated(self._swap_tail(), 7)
+        sym = family.symbol
         basis, trail = _window_eigenspaces(sym, 8, 1e-8)
         kernel = _window_kernel(sym, 8, 1e-8)
-        assert (trail["kernel_factors"], kernel.shape[1]) == (2, 15)
+        span = window_span(family.theta, 8)
+        assert trail["kernel_factors"] == 2
+        assert kernel.shape == span.shape and subspace_gap(kernel, span) <= 1e-10
         assert kernel.shape[1] == toeplitz_unitary_part_brute(sym, 8).dim
         polished = self._polished_brute(sym, 8)
-        assert basis.shape == polished.shape == (32, 14)
+        assert basis.shape == polished.shape == (32, span.shape[1] - REPORT_SWAP_SHORTFALL)
         assert subspace_gap(basis, polished) <= 1e-12
         basis, _ = _window_eigenspaces(sym, 32, 1e-8)
-        assert (_window_kernel(sym, 32, 1e-8).shape[1], basis.shape[1]) == (63, 62)
+        expected = window_span(family.theta, 32).shape[1]
+        assert (_window_kernel(sym, 32, 1e-8).shape[1], basis.shape[1]) == (
+            expected, expected - REPORT_SWAP_SHORTFALL)
 
     @pytest.mark.parametrize("name, window", [
         ("swap_tail", 8), ("swap_nilpotent", 4), ("three_cycle", 8), ("coll4", 6),
     ])
     def test_polished_span_does_not_depend_on_the_stop(self, name, window):
         sym = {
-            "swap_tail": lambda: self._rotated(self._swap_tail(), 7),
-            "swap_nilpotent": lambda: self._rotated(self._swap_nilpotent(), 7),
-            "three_cycle": lambda: self._rotated(self._three_cycle(), 7),
-            "coll4": self._coll4,
+            "swap_tail": lambda: rotated(self._swap_tail(), 7).symbol,
+            "swap_nilpotent": lambda: rotated(self._swap_nilpotent(), 7).symbol,
+            "three_cycle": lambda: rotated([self._three_cycle()], 7).symbol,
+            "coll4": lambda: self._coll4().symbol,
         }[name]()
         basis, _ = _window_eigenspaces(sym, window, 1e-8)
         polished = self._polished_brute(sym, window)
@@ -649,7 +656,8 @@ class TestStructureEarlyStop:
     def test_brute_oracle_keeps_full_budget(self, monkeypatch):
         # each step applies F once; the window part closes after one step,
         # but the oracle still takes all d window of them
-        sym = planted_block_symbol(np.random.default_rng(13), 2, 2)[0]
+        family = planted_family(np.random.default_rng(13), 2, 2)
+        sym = family.symbol
         steps = []
 
         def counting_convolve(s, blocks):
@@ -657,7 +665,7 @@ class TestStructureEarlyStop:
             return convolve_block_columns(s, blocks)
 
         monkeypatch.setattr(decomposition, "convolve_block_columns", counting_convolve)
-        assert toeplitz_unitary_part_brute(sym, 8).dim == 16
+        assert toeplitz_unitary_part_brute(sym, 8).dim == window_span(family.theta, 8).shape[1]
         assert sum(steps) == 4 * 8
 
 
@@ -677,20 +685,19 @@ class TestWindowOracleParity:
     @pytest.mark.parametrize("d0, d1", [(1, 1), (1, 2), (2, 2)])
     def test_planted(self, d0, d1):
         for seed in range(8):
-            self._assert_agree(planted_block_symbol(np.random.default_rng(seed), d0, d1)[0], 6)
+            self._assert_agree(planted_family(np.random.default_rng(seed), d0, d1).symbol, 6)
 
     @pytest.mark.parametrize("d0, d1", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_prop_ds_colligations(self, d0, d1):
         for seed in range(2):
-            colligation, _ = planted_colligation(np.random.default_rng(seed), d0, d1)
-            self._assert_agree(polynomial_from_colligation(colligation), 6)
+            self._assert_agree(colligation_family(np.random.default_rng(seed), d0, d1).symbol, 6)
 
     @pytest.mark.parametrize("window", [4, 6, 8])
     def test_rotated_swap(self, window):
-        self._assert_agree(rotated_swap_symbol(8), window)
+        self._assert_agree(swap_family(np.random.default_rng(8)).symbol, window)
 
     def test_swap(self):
-        self._assert_agree(swap_inner_symbol(), 6)
+        self._assert_agree(swap_family().symbol, 6)
 
     @pytest.mark.parametrize("name,make_symbol,window", CANARIES,
                              ids=[f"{c[0]}-w{c[2]}" for c in CANARIES])
@@ -708,40 +715,21 @@ class TestUnitaryKernel:
     where their candidate step can go wrong, and on inputs whose structure
     equations never close inside the window."""
 
-    @staticmethod
-    def _rotated(sym, seed=7):
-        q = haar_unitary(sym.dim_out, np.random.default_rng(seed))
-        rotated = MatrixSymbol(sym.dim_out, sym.dim_in,
-                               {k: q @ mat @ q.conj().T for k, mat in sym.coeffs.items()})
-        return rotated, q
-
-    @staticmethod
-    def _window_span(q, window, vectors):
-        # orthonormal span of the (q v) z^j for the (v, degrees) pairs
-        cols = []
-        for vec, degrees in vectors:
-            for j in degrees:
-                col = np.zeros(q.shape[0] * window, dtype=complex)
-                col[j * q.shape[0]:(j + 1) * q.shape[0]] = q @ vec
-                cols.append(col)
-        return np.column_stack(cols)
-
     @pytest.mark.parametrize("window", [6, 10])
     def test_swap_plus_rank1_colligation_tail(self, window):
-        # swap's 2 w - 2 window part beside the colligation's planted block;
-        # on 18 of these 60 inputs the full-budget structure span is too large
-        unit = np.eye(5)
+        # the report's swap part beside the colligation's planted block, all
+        # inside Theta H^2 cut with the window; on 18 of these 60 inputs the
+        # full-budget structure span is too large
         wrong = []
         for seed in range(30):
-            sym, q = self._rotated(block_diag_symbol(
-                [swap_inner_symbol(), colligation_symbol(seed, 1)]))
-            rep = toeplitz_unitary_part(sym, window)
-            expected = self._window_span(q, window, [
-                (unit[0], range(1, window)), (unit[1], range(window - 1)),
-                (unit[2], range(window))])
-            if (rep.subspace.dim != 3 * window - 2
-                    or subspace_gap(rep.subspace.basis, expected) > 1e-7):
-                wrong.append((seed, rep.subspace.dim))
+            family = rotated([swap_family(), colligation_rank_family(seed, 1)], 7)
+            basis = toeplitz_unitary_part(family.symbol, window).subspace.basis
+            span = window_span(family.theta, window)
+            pushed_out = swap_pushed_out(family.theta, 1, window)
+            if (basis.shape[1] != span.shape[1] - REPORT_SWAP_SHORTFALL
+                    or spectral_norm(basis - span @ (span.conj().T @ basis)) > 1e-7
+                    or np.linalg.norm(pushed_out.conj() @ basis) > 1e-7):
+                wrong.append((seed, basis.shape[1]))
         assert wrong == []
 
     def test_candidates_within_tol_merge(self):
@@ -749,31 +737,29 @@ class TestUnitaryKernel:
         # (T - 1)^2 would shrink the 1 - 1e-5 direction's 1e-5 to 1e-10,
         # under the cut
         tail = random_trig_matrix(np.random.default_rng(0), 2, 2, 0.5)
-        sym, q = self._rotated(block_diag_symbol(
-            [MatrixSymbol.constant(np.diag([1.0, 1.0, 1.0 - 1e-5])), tail]))
-        rep = toeplitz_unitary_part(sym, 8)
+        head = Family(MatrixSymbol.constant(np.diag([1.0, 1.0, 1.0 - 1e-5])),
+                      MatrixSymbol.constant(np.eye(3, 2)), np.eye(2))
+        family = rotated([head, tail], 7)
+        rep = toeplitz_unitary_part(family.symbol, 8)
         assert (rep.params["kernel_factors"], rep.subspace.dim) == (1, 16)
-        unit = np.eye(5)
-        expected = self._window_span(q, 8, [(unit[0], range(8)), (unit[1], range(8))])
-        assert subspace_gap(rep.subspace.basis, expected) <= 1e-7
+        assert subspace_gap(rep.subspace.basis, window_span(family.theta, 8)) <= 1e-7
 
     def test_candidates_beyond_tol_stay_apart(self):
         # two constant eigenvalues 1e-7 apart: one shared factor would leave
         # the second direction a 1e-7 defect, over the cut
         tail = random_trig_matrix(np.random.default_rng(0), 2, 2, 0.5)
         phases = np.exp(1j * np.array([0.7, 0.7 + 1e-7]))
-        sym, q = self._rotated(block_diag_symbol([MatrixSymbol.constant(np.diag(phases)), tail]))
-        rep = toeplitz_unitary_part(sym, 8)
+        family = rotated([np.diag(phases), tail], 7)
+        rep = toeplitz_unitary_part(family.symbol, 8)
         assert (rep.params["kernel_factors"], rep.subspace.dim) == (2, 16)
-        unit = np.eye(4)
-        expected = self._window_span(q, 8, [(unit[0], range(8)), (unit[1], range(8))])
-        assert subspace_gap(rep.subspace.basis, expected) <= 1e-7
+        assert subspace_gap(rep.subspace.basis, window_span(family.theta, 8)) <= 1e-7
 
     def test_candidates_read_at_t0(self, monkeypatch):
         # random_trig_scalar is a contraction on the 512-point grid only;
         # F(1) is the grid value at t = 0, so the gate has checked that the
         # matrix whose eigenspaces give the candidates is a contraction; it
-        # comes as a stack of one
+        # comes as a stack of one.  With no candidate no window section is
+        # built
         seen = []
         eigenspaces = decomposition._unitary_eigenspaces
 
@@ -781,19 +767,24 @@ class TestUnitaryKernel:
             seen.append(t)
             return eigenspaces(t, tol)
 
+        def no_sections(*args):
+            raise AssertionError("window sections built with no candidate")
+
         monkeypatch.setattr(decomposition, "_unitary_eigenspaces", recording)
+        monkeypatch.setattr(decomposition, "_window_sections", no_sections)
         rng = np.random.default_rng(0)
         for _ in range(20):
             sym = random_trig_scalar(rng, 4)
             rep = toeplitz_unitary_part(sym, 8)
-            assert rep.classification == "trivial"
+            assert (rep.classification, rep.params["kernel_factors"]) == ("trivial", 0)
             assert np.array_equal(seen[-1], eval_symbol(sym, CircleGrid(512).points)[:1])
         assert len(seen) == 20
 
     @pytest.mark.parametrize("planted", [True, False], ids=["planted", "swap"])
     def test_butz_kernel_matches_brute(self, planted):
         for seed in range(10):
-            sym, _ = butz_symbol(seed, planted=planted)
+            rng = np.random.default_rng(seed)
+            sym = (planted_family(rng, 2, 1) if planted else swap_family(rng, 2)).symbol
             kernel = _window_kernel(sym, 6, 1e-8)
             brute = toeplitz_unitary_part_brute(sym, 6)
             assert kernel.shape == brute.basis.shape
@@ -811,21 +802,21 @@ class TestWindowEigenspaces:
         early = TestStructureEarlyStop
         cases = []
         for window in (4, 8, 16):
-            cases.append((f"swap-{window}", early._rotated(swap_inner_symbol(), 7), window))
+            cases.append((f"swap-{window}", rotated([swap_family()], 7).symbol, window))
         for window in (4, 8):
-            cases.append((f"three_cycle-{window}", early._rotated(early._three_cycle(), 7), window))
+            cases.append((f"three_cycle-{window}", rotated([early._three_cycle()], 7).symbol,
+                          window))
             cases.append((f"swap_nilpotent-{window}",
-                          early._rotated(early._swap_nilpotent(), 7), window))
+                          rotated(early._swap_nilpotent(), 7).symbol, window))
         for window in (8, 16):
-            cases.append((f"swap_tail-{window}", early._rotated(early._swap_tail(), 7), window))
+            cases.append((f"swap_tail-{window}", rotated(early._swap_tail(), 7).symbol, window))
         for seed in range(10):
-            cases.append((f"butz-{seed}", butz_symbol(seed, planted=False)[0], 6))
+            cases.append((f"butz-{seed}", swap_family(np.random.default_rng(seed), 2).symbol, 6))
         for seed in range(5):
-            sym = planted_block_symbol(np.random.default_rng(seed), 2, 2)[0]
+            sym = planted_family(np.random.default_rng(seed), 2, 2).symbol
             cases.append((f"planted_d4-{seed}", sym, 8))
         for seed in range(0, 30, 3):
-            sym = early._rotated(block_diag_symbol(
-                [swap_inner_symbol(), colligation_symbol(seed, 1)]), 7)
+            sym = rotated([swap_family(), colligation_rank_family(seed, 1)], 7).symbol
             cases.append((f"swap_rank1-{seed}", sym, 6))
         return cases
 
@@ -932,10 +923,10 @@ class TestJointKernelParity:
         assert sorted(widths) == [0] * 10 + [1] * 13 + [2] * 2
 
     SECTIONS = CANARIES + [
-        ("swap", swap_inner_symbol, 4),
-        ("swap", swap_inner_symbol, 16),
-        ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0], 16),
-        ("planted_d4_seed9", lambda: planted_block_symbol(np.random.default_rng(9), 2, 2)[0], 8),
+        ("swap", lambda: swap_family().symbol, 4),
+        ("swap", lambda: swap_family().symbol, 16),
+        ("planted_d4", lambda: planted_family(np.random.default_rng(4), 2, 2).symbol, 16),
+        ("planted_d4_seed9", lambda: planted_family(np.random.default_rng(9), 2, 2).symbol, 8),
     ]
 
     @pytest.mark.parametrize("name,make_symbol,window", SECTIONS,
@@ -973,8 +964,8 @@ class TestJointKernelParity:
             assert_same_bits(kernel, _joint_kernels(t, t_adj, row[None], 1e-8)[0])
             assert_same_bits(kernel, reference_product_kernel(t, t_adj, row, 1e-8))
 
-    PRODUCTS = SECTIONS + [("swap_tail", lambda: TestStructureEarlyStop._rotated(
-        TestStructureEarlyStop._swap_tail(), 7), 8)]
+    PRODUCTS = SECTIONS + [
+        ("swap_tail", lambda: rotated(TestStructureEarlyStop._swap_tail(), 7).symbol, 8)]
 
     @pytest.mark.parametrize("name,make_symbol,window", PRODUCTS,
                              ids=[f"{c[0]}-w{c[2]}" for c in PRODUCTS])
@@ -986,8 +977,8 @@ class TestJointKernelParity:
         assert_same_bits(_window_kernel(sym, window, 1e-8), want)
 
     @pytest.mark.parametrize("name,make_symbol", [
-        ("swap", lambda: rotated_swap_symbol(8)),
-        ("planted_d4", lambda: planted_block_symbol(np.random.default_rng(4), 2, 2)[0]),
+        ("swap", lambda: swap_family(np.random.default_rng(8)).symbol),
+        ("planted_d4", lambda: planted_family(np.random.default_rng(4), 2, 2).symbol),
     ])
     def test_window_eigenspaces_makes_two_kernel_calls(self, name, make_symbol, monkeypatch):
         # one stack for F(1)'s candidates and one for every window kernel
@@ -1131,14 +1122,15 @@ class TestAnalyticRoute:
 
     @pytest.mark.parametrize("rank, window", [(1, 6), (1, 10), (2, 6), (2, 10)])
     def test_analytic_route_sweep(self, rank, window):
-        planted = np.kron(np.eye(window), np.eye(3)[:, :1])
         wrong, outside, brute_wrong = [], [], []
         for seed in range(30):
-            sym = colligation_symbol(seed, rank)
+            family = colligation_rank_family(seed, rank)
+            sym = family.symbol
+            planted = window_span(family.theta, window)
             rep = toeplitz_unitary_part(sym, window)
             assert rep.params["route"] == "analytic"
             if (rep.classification != "constant_type" or not rep.certified_sound
-                    or rep.subspace.dim != window
+                    or rep.subspace.dim != planted.shape[1]
                     or subspace_gap(rep.subspace.basis, planted) > 1e-7):
                 wrong.append(seed)
             loop, _ = _window_eigenspaces(sym, window, 1e-8)
@@ -1246,11 +1238,11 @@ class TestExactWindowAction:
     def symbol(name):
         rng = np.random.default_rng(21)
         return {
-            "planted_d2": lambda: planted_block_symbol(rng, 1, 1)[0],
-            "planted_d4": lambda: planted_block_symbol(rng, 2, 2)[0],
+            "planted_d2": lambda: planted_family(rng, 1, 1).symbol,
+            "planted_d4": lambda: planted_family(rng, 2, 2).symbol,
             "colligation_rank2": TestStructureEarlyStop._rank2_colligation,
-            "swap": swap_inner_symbol,
-            "coll4": TestStructureEarlyStop._coll4,
+            "swap": lambda: swap_family().symbol,
+            "coll4": lambda: TestStructureEarlyStop._coll4().symbol,
         }[name]()
 
     @staticmethod
@@ -1297,14 +1289,8 @@ class TestExactWindowAction:
 class TestBeurlingExtract:
     def test_coordinate_subspace(self):
         # polynomials supported on the second coordinate: constant inclusion
-        n, d = 5, 2
-        cols = []
-        for k in range(n):
-            v = np.zeros(n * d, dtype=complex)
-            v[k * d + 1] = 1.0
-            cols.append(v)
-        m = Subspace(n * d, np.column_stack(cols))
-        ext = beurling_extract(m, d)
+        m = Subspace(10, window_span(MatrixSymbol.constant([[0.0], [1.0]]), 5))
+        ext = beurling_extract(m, 2)
         assert ext.theta.band == 0
         np.testing.assert_allclose(np.abs(ext.theta.coeff(0)), [[0.0], [1.0]], atol=1e-12)
         assert ext.span_residual <= 1e-12
@@ -1320,24 +1306,13 @@ class TestBeurlingExtract:
 
     def test_round_trip_recovery(self):
         # span of an inner 2x1 polynomial times low-degree monomials
-        a, b = 0.6, 0.8
-        theta0 = MatrixSymbol(2, 1, {0: [[a], [0.0]], 1: [[0.0], [b]]})
-        n = 6
-        cols = []
-        for k in range(n - 1):
-            v = np.zeros(2 * n, dtype=complex)
-            v[2 * k] = a
-            v[2 * (k + 1) + 1] = b
-            cols.append(v)
-        from toeplitz_unitary.linalg import orthonormal_columns
-
-        m = Subspace(2 * n, orthonormal_columns(np.column_stack(cols)))
+        theta0 = MatrixSymbol(2, 1, {0: [[0.6], [0.0]], 1: [[0.0], [0.8]]})
+        m = Subspace(12, window_span(theta0, 6))
+        assert m.dim == 5
         ext = beurling_extract(m, 2)
         assert ext.theta.band == 1
         assert is_inner(ext.theta).residual <= 1e-10
         # ranges agree pointwise up to the right unitary factor
-        from toeplitz_unitary.symbols import CircleGrid, eval_symbol
-
         for t in CircleGrid(32).points:
             v0, v1 = eval_symbol(theta0, t), eval_symbol(ext.theta, t)
             assert spectral_norm(v0 @ v0.conj().T - v1 @ v1.conj().T) <= 1e-10
@@ -1346,14 +1321,19 @@ class TestBeurlingExtract:
         # span{e1 + z 9e-13 (0, 1, 1), z e1} in C^3, window 2: every entry of
         # the top block is under 1e-12, its column norm 1.27e-12 is not.  A
         # rule that trims theta's degree entry by entry gave degree 0 in this
-        # frame and degree 1 once a rotation moves (0, 1, 1) onto one axis
+        # frame and degree 1 once a rotation moves (0, 1, 1) onto one axis.
+        # The degree is the rank cut on the block norms, so the 1.27e-12
+        # block is roundoff in every frame: degree 0, and both shifts of
+        # theta fit in the window, so no direction is lost
         h = np.zeros((6, 2), dtype=complex)
         h[0, 0], h[4:, 0], h[3, 1] = 1.0, 0.9e-12, 1.0
         c = np.sqrt(0.5)
         rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, c], [0.0, -c, c]])
         for frame in (np.eye(3), rotation):
             basis = orthonormal_columns(np.kron(np.eye(2), frame) @ h)
-            assert beurling_extract(Subspace(6, basis), 3).theta.band == 1
+            ext = beurling_extract(Subspace(6, basis), 3)
+            assert ext.theta.band == 0
+            assert ext.span_residual <= 1e-8
 
     def test_rejects_non_invariant(self):
         # span of a single degree-one vector is not shift invariant
@@ -1378,12 +1358,9 @@ class TestExtractConstantUnitary:
         assert max(res.values()) <= 1e-13
 
     def test_block_inclusion(self):
-        rng = np.random.default_rng(11)
-        u0 = haar_unitary(2, rng)
-        sym = block_diag_symbol([MatrixSymbol.constant(u0),
-                                 MatrixSymbol(1, 1, {1: [[0.3]]})])
-        theta = MatrixSymbol.constant(np.vstack([np.eye(2), np.zeros((1, 2))]))
-        u, res = extract_constant_unitary(sym, theta)
+        u0 = haar_unitary(2, np.random.default_rng(11))
+        family = direct_sum([u0, MatrixSymbol(1, 1, {1: [[0.3]]})])
+        u, res = extract_constant_unitary(family.symbol, family.theta)
         np.testing.assert_allclose(u, u0, atol=1e-14)
         assert max(res.values()) <= 1e-13
 
@@ -1395,15 +1372,10 @@ class TestExtractConstantUnitary:
         assert max(res.values()) <= 1e-13
 
     def test_verify_maincondn_on_same_instances(self):
-        rng = np.random.default_rng(12)
-        u0 = haar_unitary(2, rng)
-        cases = [
-            (MatrixSymbol.constant(u0), MatrixSymbol.constant(np.eye(2))),
-            (block_diag_symbol([MatrixSymbol.constant(u0),
-                                MatrixSymbol(1, 1, {1: [[0.3]]})]),
-             MatrixSymbol.constant(np.vstack([np.eye(2), np.zeros((1, 2))]))),
-            (bcl_symbol(np.eye(2), P), MatrixSymbol.constant([[0.0], [1.0]])),
-        ]
+        u0 = haar_unitary(2, np.random.default_rng(12))
+        families = [direct_sum([u0]), direct_sum([u0, MatrixSymbol(1, 1, {1: [[0.3]]})])]
+        cases = [(f.symbol, f.theta) for f in families]
+        cases.append((bcl_symbol(np.eye(2), P), MatrixSymbol.constant([[0.0], [1.0]])))
         for sym, theta in cases:
             u, _ = extract_constant_unitary(sym, theta)
             ok, res = verify_maincondn(sym, theta, u)
@@ -1420,22 +1392,14 @@ class TestMainTheoremRoundTrip:
     def test_planted_intertwining_appears_in_window_part(self):
         # a symbol built to intertwine a planted (theta, u) pair has the
         # theta-multiples inside its computed window subspace
-        rng = np.random.default_rng(14)
-        w0 = haar_unitary(2, rng)
-        sym = block_diag_symbol([MatrixSymbol.constant(w0),
-                                 MatrixSymbol(1, 1, {-1: [[0.2]], 1: [[0.25]]})])
-        theta = MatrixSymbol.constant(np.vstack([np.eye(2), np.zeros((1, 2))]))
-        ok, _ = verify_maincondn(sym, theta, w0)
+        family = direct_sum([haar_unitary(2, np.random.default_rng(14)),
+                             MatrixSymbol(1, 1, {-1: [[0.2]], 1: [[0.25]]})])
+        sym, theta = family.symbol, family.theta
+        ok, _ = verify_maincondn(sym, theta, family.u)
         assert ok
         n = 5
         rep = toeplitz_unitary_part(sym, n)
-        planted_cols = []
-        for k in range(n):
-            for j in range(2):
-                v = np.zeros(3 * n, dtype=complex)
-                v[3 * k:3 * k + 3] = theta.coeff(0)[:, j]
-                planted_cols.append(v)
-        planted = np.column_stack(planted_cols)
+        planted = window_span(theta, n)
         assert spectral_norm(
             planted - rep.subspace.projector() @ planted) <= 1e-8
         # and conversely the extracted pair verifies

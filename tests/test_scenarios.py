@@ -4,13 +4,14 @@ import pytest
 from helpers import HardyVector, toeplitz_apply_exact
 from toeplitz_unitary import scenarios
 from toeplitz_unitary.colligation import bcl_colligation, polynomial_from_colligation
-from toeplitz_unitary.decomposition import _window_kernel, toeplitz_unitary_part_brute
+from toeplitz_unitary.decomposition import _window_kernel, toeplitz_unitary_part_brute, window_span
 from toeplitz_unitary.linalg import haar_unitary, subspace_gap
 from toeplitz_unitary.symbols import MatrixSymbol
 from toeplitz_unitary.serialize import canonical_dumps
 from toeplitz_unitary.scenarios import (
     SCENARIOS,
-    planted_colligation,
+    colligation_family,
+    direct_sum,
     run_all,
     run_scenario,
     scenario_analytic_main,
@@ -156,34 +157,22 @@ class TestButz:
         canonical_dumps(info)
 
     def test_extra_inner_scalar_block_contributes_nothing(self):
-        # diag(W0, unimodular z): product form with exactly the W0 window
-        from toeplitz_unitary.decomposition import toeplitz_unitary_part_brute
-        from toeplitz_unitary.symbols import block_diag_symbol
-
-        rng = np.random.default_rng(5)
-        w0 = haar_unitary(2, rng)
-        sym = block_diag_symbol([
-            MatrixSymbol.constant(w0),
-            MatrixSymbol(1, 1, {1: [[np.exp(0.7j)]]}),
-        ])
-        m = toeplitz_unitary_part_brute(sym, 5)
-        assert m.dim == 2 * 5
+        # diag(W0, unimodular z): product form with exactly the W0 window;
+        # the shift block has no unitary part
+        family = direct_sum([haar_unitary(2, np.random.default_rng(5)),
+                             MatrixSymbol(1, 1, {1: [[np.exp(0.7j)]]})])
+        m = toeplitz_unitary_part_brute(family.symbol, 5)
+        assert m.dim == window_span(family.theta, 5).shape[1]
 
     def test_rotation_with_half_shift_tail(self):
         # rotation by angle 1 on the plane plus the scalar tail z/2, d = 3
-        from toeplitz_unitary.decomposition import toeplitz_unitary_part_brute
         from toeplitz_unitary.scenarios import _butz_conditions
-        from toeplitz_unitary.symbols import block_diag_symbol
 
         c, s = np.cos(1.0), np.sin(1.0)
-        w0 = np.array([[c, -s], [s, c]])
-        sym = block_diag_symbol([
-            MatrixSymbol.constant(w0),
-            MatrixSymbol(1, 1, {1: [[0.5]]}),
-        ])
-        window = 5
+        family = direct_sum([np.array([[c, -s], [s, c]]), MatrixSymbol(1, 1, {1: [[0.5]]})])
+        sym, window = family.symbol, 5
         m = toeplitz_unitary_part_brute(sym, window)
-        assert m.dim == 2 * window
+        assert m.dim == window_span(family.theta, window).shape[1]
         cond_i, cond_ii, cond_iii, _ = _butz_conditions(sym, m, 3, window, 1e-8)
         assert cond_i and cond_ii and cond_iii
 
@@ -201,7 +190,8 @@ class TestPropDS:
         # unitary and everything is unitary
         result = scenario_prop_ds(seed=1, d0=2, d1=0)
         assert result.overall
-        assert result.records["window_part_dim"] == 2 * 6
+        family = colligation_family(np.random.default_rng(1), 2, 0)
+        assert result.records["window_part_dim"] == window_span(family.theta, 6).shape[1]
 
     def test_small_planted_block(self):
         result = scenario_prop_ds(seed=1, d0=2, d1=1)
@@ -219,20 +209,19 @@ class TestPropDS:
 
     @pytest.mark.parametrize("d0, d1", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_kernel_matches_brute_on_prop_ds_symbols(self, d0, d1):
-        # check (iii) reads the exact kernel; the full-budget brute oracle,
-        # independent of it, checks it on the same symbols
+        # check (iii) reads the exact kernel: it is Theta H^2 cut with the
+        # window, and the full-budget brute oracle, independent of both,
+        # checks it on the same symbols
         window = 6
-        planted = np.kron(np.eye(window), np.eye(d0 + d1, d0))
         wrong = []
         for seed in range(16):
-            colligation, _ = planted_colligation(np.random.default_rng(seed), d0, d1)
-            sym = polynomial_from_colligation(colligation)
-            kernel = _window_kernel(sym, window, 1e-8)
-            brute = toeplitz_unitary_part_brute(sym, window, 1e-8)
-            if (kernel.shape[1] != d0 * window
-                    or subspace_gap(kernel, planted) > 1e-10):
-                wrong.append((seed, "planted", kernel.shape[1]))
-            if brute.dim == d0 * window and subspace_gap(kernel, brute.basis) > 1e-7:
+            family = colligation_family(np.random.default_rng(seed), d0, d1)
+            span = window_span(family.theta, window)
+            kernel = _window_kernel(family.symbol, window, 1e-8)
+            brute = toeplitz_unitary_part_brute(family.symbol, window, 1e-8)
+            if kernel.shape != span.shape or subspace_gap(kernel, span) > 1e-10:
+                wrong.append((seed, "theta", kernel.shape[1]))
+            if brute.dim == span.shape[1] and subspace_gap(kernel, brute.basis) > 1e-7:
                 wrong.append((seed, "brute", brute.dim))
         assert wrong == []
 

@@ -8,7 +8,7 @@ from toeplitz_unitary.linalg import haar_unitary, random_projection
 from toeplitz_unitary.symbols import MatrixSymbol, bcl_symbol
 from toeplitz_unitary.colligation import Colligation, bcl_colligation
 from toeplitz_unitary.decomposition import toeplitz_unitary_part
-from toeplitz_unitary.scenarios import run_all, swap_inner_symbol
+from toeplitz_unitary.scenarios import run_all, swap_family
 from toeplitz_unitary.serialize import (
     analytic_symbol_from_json,
     analytic_symbol_to_json,
@@ -198,7 +198,7 @@ def test_canonical_dumps_matches_json_dumps(obj):
 
 def test_canonical_dumps_matches_json_dumps_on_reports():
     analytic = toeplitz_unitary_part(bcl_symbol(np.eye(2), np.diag([1.0, 0.0])), 6)
-    kernel = toeplitz_unitary_part(swap_inner_symbol(), 8)
+    kernel = toeplitz_unitary_part(swap_family().symbol, 8)
     trivial = toeplitz_unitary_part(MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]}), 6)
     assert (analytic.params["route"], kernel.params["route"]) == ("analytic", "kernel")
     assert trivial.classification == "trivial"
