@@ -16,12 +16,17 @@ and the pair is kept as a cross-checking oracle throughout the test suite.
 
 Toeplitz level: by the paper's theorem the unitary part is Theta H^2 with
 F Theta = Theta U and F* Theta = Theta U*, so T_F acts on it as the unitary U.
-On the degree window {polynomials of degree < N} its part that F and F* keep
-inside the window is the sum of the joint eigenspaces of T_F and T_F* at the
-unimodular eigenvalues lambda of F(1), each one exact kernel with no
-finite-section truncation error; the scenarios read one kernel of their
-products (``_window_kernel``).  Every basis vector h then satisfies, with
-certified residuals:
+Its constant part is H^2(E_c), E_c the vectors on which F acts as a constant
+unitary, F(e^{it}) v = lambda v with |lambda| = 1 for every t: one d x d
+problem on the stacked Fourier coefficients (``_constant_part``), and for an
+analytic symbol the whole unitary part, E_c being then the unitary part of
+F(0).  On the degree window {polynomials of degree < N} the window part is
+kron(I, E_c) and, for any other symbol, the part of the remainder beside E_c
+that F and F* keep inside the window: the sum of the joint eigenspaces of
+T_F and T_F* at the unimodular eigenvalues lambda of F(1), each one exact
+kernel with no finite-section truncation error; the scenarios read one
+kernel of their products (``_window_kernel``).  Every basis vector h then
+satisfies, with certified residuals:
 
 * the symbol action on h and the adjoint-symbol action on h are analytic,
 * both preserve the Hardy norm of h,
@@ -29,11 +34,10 @@ certified residuals:
 
 On such a subspace the Toeplitz operator restricts to a unitary and the
 subspace is reducing, so the result is a certified subspace of the true
-unitary part; completeness is only claimed within the window.  For an
-analytic symbol the subspace has a closed form, the window polynomials with
-coefficients in the unitary part of F(0), and the same residuals certify it.
-A wandering subspace construction then extracts the inner polynomial
-spanning the subspace and the constant unitary it intertwines;
+unitary part; completeness is only claimed within the window.  When the
+remainder adds nothing, the inner polynomial and the constant unitary it
+intertwines are read off in closed form, theta = E_c and U = E_c* F_0 E_c;
+otherwise a wandering subspace construction extracts them.
 ``window_span`` gives the span of an inner polynomial's column shifts that
 fit in the window, Theta H^2 cut with it.
 """
@@ -263,6 +267,12 @@ def _joint_kernels(t: np.ndarray, t_adj: np.ndarray, factors: np.ndarray, tol: f
     return nullspaces(np.concatenate(blocks, axis=1), tol)
 
 
+def _near_circle(lams: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the candidate eigenvalues, those with |lambda| >= 1 - tol."""
+    # hypot rounds like the scalar abs of each eigenvalue
+    return np.hypot(lams.real, lams.imag) >= 1.0 - tol
+
+
 def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
     """Eigenspaces of each contraction of a (G, n, n) stack at its unimodular eigenvalues.
 
@@ -279,8 +289,7 @@ def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
     """
     spaces = [[] for _ in stack]
     lams = np.linalg.eigvals(stack)
-    # hypot rounds like the scalar abs of each eigenvalue
-    slices, cols = np.nonzero(np.hypot(lams.real, lams.imag) >= 1.0 - tol)
+    slices, cols = np.nonzero(_near_circle(lams, tol))
     lams = lams[slices, cols]
     t = stack[slices]
     kernels = _joint_kernels(t, t.conj().transpose(0, 2, 1), lams[:, None], tol)
@@ -359,6 +368,17 @@ def _window_images(syms, basis: np.ndarray) -> list:
     return [convolve_block_columns(s, blocks).reshape(-1, r) for s in syms]
 
 
+def _merged(lams, tol: float) -> list:
+    """The values of ``lams`` in order, each left out when it is within tol
+    of one already kept, since a repeated factor squares a small defect
+    under the cut."""
+    factors = []
+    for lam in lams:
+        if all(abs(lam - mu) > tol for mu in factors):
+            factors.append(lam)
+    return factors
+
+
 def _kernel_candidates(sym: MatrixSymbol, tol: float) -> list:
     """Candidate constant unimodular eigenvalues of F, merged within tol.
 
@@ -366,14 +386,38 @@ def _kernel_candidates(sym: MatrixSymbol, tol: float) -> list:
     F(1) - lambda and F(1)* - conj(lambda) (``_unitary_eigenspaces``), read
     at t = 0, a point of every ``CircleGrid``, so the gate has checked that
     F(1) is a contraction; one that is not a constant eigenvalue adds
-    nothing to either window kernel.  Candidates within tol are merged,
-    since a repeated factor squares a small defect under the cut.
+    nothing to either window kernel.  Candidates within tol are merged
+    (``_merged``).
     """
-    factors = []
-    for lam, _ in _unitary_eigenspaces(eval_symbol(sym, 0.0)[None], tol)[0]:
-        if all(abs(lam - mu) > tol for mu in factors):
-            factors.append(lam)
-    return factors
+    spaces = _unitary_eigenspaces(eval_symbol(sym, 0.0)[None], tol)[0]
+    return _merged([lam for lam, _ in spaces], tol)
+
+
+def _constant_part(sym: MatrixSymbol, tol: float) -> np.ndarray:
+    """E_c = {v : F(e^{it}) v = lambda v for every t, |lambda| = 1}, as a
+    (d, c) orthonormal basis.
+
+    Such a v has F_0 v = lambda v and F_k v = 0 for k != 0, and F* v =
+    conj(lambda) v as well, since norm(F* v - conj(lambda) v)^2 =
+    norm(F* v)^2 - norm(v)^2 <= 0 for a contraction; so E_c reduces every
+    coefficient and T_F acts on H^2(E_c) as a constant unitary.  The
+    candidates are the eigenvalues of F_0 with |lambda| >= 1 - tol, merged
+    within tol (``_merged``); for each, the joint kernel of the stacked
+    coefficients [F_0 - lambda; F_k] and [F_0* - conj(lambda); F_k*],
+    k != 0, from one ``_joint_kernels`` with E = [I; 0].  For an analytic
+    symbol E_c is the unitary part of F(0) = F_0: there norm(F_0 v) =
+    norm(v) already forces F_k v = 0 and F_k* v = 0 by Parseval.
+    """
+    f0 = sym.coeff(0)
+    lams = np.linalg.eigvals(f0)
+    factors = _merged(lams[_near_circle(lams, tol)], tol)
+    if not factors:
+        return empty_basis(sym.dim_in)
+    others = [c for k, c in sorted(sym.coeffs.items()) if k]
+    t = np.vstack([f0] + others)
+    t_adj = np.vstack([f0.conj().T] + [c.conj().T for c in others])
+    kernels = _joint_kernels(t, t_adj, np.reshape(factors, (-1, 1)), tol)
+    return orthonormal_columns(np.hstack(kernels), tol)
 
 
 def _window_sections(sym: MatrixSymbol, degrees: int):
@@ -430,7 +474,8 @@ def _window_certificate(sym: MatrixSymbol, basis: np.ndarray) -> dict:
 
 
 def _window_eigenspaces(sym: MatrixSymbol, window: int, tol: float):
-    """Window part of a non-analytic symbol: joint eigenspaces of T_F, T_F*.
+    """Window part of a non-analytic symbol, or of the remainder beside its
+    constant part: joint eigenspaces of T_F, T_F*.
 
     The part L of the unitary part that F and F* keep inside the window is
     finite and T_F is unitary on it, so it is spanned by eigenvectors
@@ -453,22 +498,25 @@ def _window_eigenspaces(sym: MatrixSymbol, window: int, tol: float):
     return orthonormal_columns(np.hstack(kernels), tol), trail
 
 
-def _analytic_window_part(sym: MatrixSymbol, window: int, tol: float):
-    """Window part of an analytic symbol: polynomials with coefficients in E_u.
+def _remainder_window_part(sym: MatrixSymbol, e_c: np.ndarray, window: int, tol: float):
+    """Window part of the remainder of F beside its constant part E_c.
 
-    E_u is the unitary part of F(0).  Every x in E_u has norm(F_0 x) =
-    norm(x), so contractivity and Parseval force F_k x = 0 and F_k* x = 0
-    for k >= 1: F = U0 + Psi splits along E_u, and T_F acts on H^2(E_u) as
-    the constant unitary U0.  The unitary part of T_Psi is zero: by the
-    paper's theorem it is Theta H^2 with Psi Theta = Theta U, and the lowest
-    nonzero coefficient Theta_j satisfies Psi_0 Theta_j = Theta_j U, which
-    would give Psi_0 a unitary part.  So the window part is kron(I, E_u),
-    with no candidates and no window kernel.  Returns (basis, trail) like
-    ``_window_eigenspaces``.
+    E_c reduces every coefficient, so F = F|E_c + F' with F' = Q'* F Q' on
+    the orthocomplement Q' of E_c, and the window part of F' is found by
+    ``_window_eigenspaces`` and lifted as kron(I, Q') K'.  With E_c = 0 the
+    remainder is F itself and K' is returned as it is.  Returns (basis,
+    trail) like ``_window_eigenspaces``.
     """
-    e_u = unitary_part_matrix(sym.coeff(0), tol).basis
-    basis = np.kron(np.eye(window), e_u)
-    return basis, {"route": "analytic", "kernel_factors": 0}
+    c, d = e_c.shape[1], sym.dim_in
+    if c == 0:
+        return _window_eigenspaces(sym, window, tol)
+    if c == d:
+        return empty_basis(d * window), {"route": "kernel", "kernel_factors": 0}
+    q = nullspace(e_c.conj().T, tol)
+    rest = MatrixSymbol(d - c, d - c, {k: q.conj().T @ f @ q for k, f in sym.coeffs.items()})
+    kernel, trail = _window_eigenspaces(rest, window, tol)
+    r = kernel.shape[1]
+    return (q @ kernel.reshape(window, d - c, r)).reshape(d * window, r), trail
 
 
 def _column_degrees(blocks: np.ndarray, tol: float) -> np.ndarray:
@@ -601,19 +649,27 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     the constant unitary it intertwines.  Every residual that backs the
     classification is carried in the report.
 
-    An analytic symbol takes its subspace from the unitary part of F(0)
-    (``route`` ``analytic``); any other symbol from the joint eigenspaces of
-    T_F and T_F* at the candidate eigenvalues (``route`` ``kernel``).  Both
-    certify it the same way, and ``params`` records the route and the
-    merged candidate count ``kernel_factors``.  A non-finite or
-    non-positive tol is refused.
+    Every window part starts as kron(I, E_c), E_c the constant part of F
+    (``_constant_part``).  For an analytic symbol that is all of it (the
+    paper's analytic correspondence: ``route`` ``analytic``); any other
+    symbol adds the joint eigenspaces of T_F' and T_F'* on the remainder F'
+    beside E_c (``_remainder_window_part``, ``route`` ``kernel``).  Both
+    certify the result with F itself, and ``params`` records the route,
+    ``constant_part`` (dim E_c) and the remainder's merged candidate count
+    ``kernel_factors``.  When the remainder adds nothing, the pair is read
+    off in closed form, theta = E_c and U = E_c* F_0 E_c, and
+    ``extraction_residuals`` is empty; otherwise ``beurling_extract`` runs
+    on the whole subspace.  A non-finite or non-positive tol is refused.
     """
     _check_window_call(sym, window, tol)
     grid, sup = _check_sup_norm(sym, tol, grid)
 
     d = sym.dim_out
-    route = _analytic_window_part if sym.is_analytic else _window_eigenspaces
-    basis, trail = route(sym, window, tol)
+    e_c = _constant_part(sym, tol)
+    rest, trail = empty_basis(d * window), {"route": "analytic", "kernel_factors": 0}
+    if not sym.is_analytic:
+        rest, trail = _remainder_window_part(sym, e_c, window, tol)
+    basis = np.hstack([np.kron(np.eye(window), e_c), rest]) if e_c.shape[1] else rest
     cert = _window_certificate(sym, basis)
     subspace = Subspace(d * window, basis, tol)
     params = {
@@ -623,24 +679,30 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         "tol": tol,
         "grid_size": grid.size,
         "sup_norm_estimate": sup,
+        "constant_part": e_c.shape[1],
         **trail,
     }
 
     theta = u = None
     residuals, diagnostics = {}, {}
     classification = "trivial" if subspace.dim == 0 else "extraction_inconclusive"
-    if subspace.dim:
+    if subspace.dim and not rest.shape[1]:
+        theta = MatrixSymbol.constant(e_c)
+    elif subspace.dim:
         try:
             extraction = beurling_extract(subspace, d, tol)
         except ValueError as exc:
             params["extraction_error"] = str(exc)
         else:
             theta = extraction.theta
-            u, residuals = extract_constant_unitary(sym, theta)
             diagnostics = {"shift_invariance": extraction.shift_residual,
                            "span": extraction.span_residual}
-            if all(v <= tol for v in (*residuals.values(), extraction.span_residual)):
-                classification = "constant_type"
+    if theta is not None:
+        u, residuals = extract_constant_unitary(sym, theta)
+        # beurling_extract refuses a shift residual over tol, so of the
+        # diagnostics only the span residual can fail here
+        if all(v <= tol for v in (*residuals.values(), *diagnostics.values())):
+            classification = "constant_type"
     return UnitaryPartReport(
         subspace=subspace, theta=theta, u_matrix=u,
         classification=classification, params=params, certification=cert,

@@ -370,7 +370,9 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
     every instance.  The window part is ``_window_kernel``, whose products
     of T_F and T_F* factors act past the window, not the report's joint
     eigenspaces, so on diag(z, 1) it keeps all 2 window - 1 directions,
-    (0, z^(window - 1)) included, and stays shift invariant.
+    (0, z^(window - 1)) included, and stays shift invariant.  ``d1`` sizes
+    the planted tail; the swap family has none, so its result does not
+    record ``d1``.
     """
     rng = np.random.default_rng(seed)
     family = planted_family(rng, d0, d1) if planted else swap_family(rng, d0)
@@ -404,10 +406,10 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
         checks.append(_check_bool("nonconstant_generator_intertwines",
                                   all(v <= 100 * tol for v in residuals.values())))
         checks.append(_check_bool("generator_not_constant", ext.theta.band >= 1))
+    sizes = {"d0": d0, "d1": d1} if planted else {"d0": d0}
     return ScenarioResult(
         "butz_equivalence",
-        {"seed": seed, "window": window, "d0": d0, "d1": d1,
-         "planted": planted, "tol": tol},
+        {"seed": seed, "window": window, **sizes, "planted": planted, "tol": tol},
         tuple(checks),
         records={"conditions": {"product_form": cond_i,
                                 "constant_restriction": cond_ii,
@@ -482,8 +484,9 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     # (iii) the multiplication operator has unitary vectors in the window;
     # the planted block is checked against the exact kernel of q(T_F) stacked
     # on conj(q)(T_F*), whose candidates come from F(1), not against the
-    # report's subspace, which the Phi(0) route builds from (i); the report
-    # gives nontriviality and the certificate
+    # report's subspace, which is the window of the constant part E_c, the
+    # unitary part of Phi(0) that (i) reads; the report gives nontriviality
+    # and the certificate
     report = toeplitz_unitary_part(sym, window, tol)
     kernel = _window_kernel(sym, window, tol)
     planted_window = np.kron(np.eye(window), inclusion)
@@ -561,11 +564,14 @@ def scenario_analytic_main(seed: int = 0, d0: int = 1, d1: int = 2,
     vectors, it has a unitary part of its own; probes where the hypothesis
     fails are recorded, never asserted.
 
-    The symbol is analytic, so ``toeplitz_unitary_part`` takes its subspace
-    from the unitary part of the constant term: the implication holds here
-    by construction.  The independent evidence is
-    ``tests/test_decomposition.py::TestAnalyticRoute``, which compares that
-    route with the planted block, the window pipeline and the brute oracle.
+    The symbol is analytic, so the subspace of ``toeplitz_unitary_part`` is
+    the window of its constant part E_c, the vectors on which F acts as a
+    constant unitary; E_c lies in the unitary part of the constant term, so
+    the implication holds here by construction.  The independent evidence
+    is ``tests/test_decomposition.py::TestAnalyticRoute``, which compares
+    the report with the planted block, the window pipeline and the brute
+    oracle, and ``TestConstantPart``, which compares E_c with the unitary
+    part of F(0).
     """
     family = colligation_family(np.random.default_rng(seed), d0 if planted else 0, d1)
     w, sym = family.colligation, family.symbol
@@ -601,10 +607,11 @@ def scenario_bcl_theorem(u=None, p=None, seed: int | None = None, dim: int = 3,
     """Degree-one model symbols: either norm condition on the computed
     unitary vectors forces a unitary part of the constant term.
 
-    The model symbol is analytic, so the computed vectors come from the
-    unitary part of the constant term and the implication holds by
-    construction; ``tests/test_decomposition.py::TestAnalyticRoute`` holds
-    the independent evidence.
+    The model symbol is analytic, so the computed vectors are the window of
+    its constant part E_c, which lies in the unitary part of the constant
+    term, and the implication holds by construction;
+    ``tests/test_decomposition.py::TestAnalyticRoute`` and
+    ``TestConstantPart`` hold the independent evidence.
     """
     if u is None or p is None:
         rng = np.random.default_rng(0 if seed is None else seed)

@@ -24,6 +24,7 @@ from toeplitz_unitary.colligation import (
     polynomial_from_colligation,
 )
 from toeplitz_unitary.linalg import (
+    block_diag,
     haar_unitary,
     normalize_column_phases,
     nullspace,
@@ -47,6 +48,7 @@ from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matri
 from toeplitz_unitary.decomposition import (
     ExtractionResult,
     Subspace,
+    _constant_part,
     _joint_kernels,
     _kernel_candidates,
     _window_eigenspaces,
@@ -470,7 +472,9 @@ class TestToeplitzUnitaryPart:
         sym = direct_sum([haar_unitary(2, np.random.default_rng(9)),
                           MatrixSymbol(1, 1, {1: [[0.4]]})]).symbol
         rep = toeplitz_unitary_part(sym, 5)
-        assert rep.extraction_residuals["shift_invariance"] <= 1e-8
+        # theta is read off the constant part, so no extraction runs
+        assert rep.extraction_residuals == {}
+        assert beurling_extract(rep.subspace, sym.dim_out).shift_residual <= 1e-8
 
 
 class TestStructureEarlyStop:
@@ -530,27 +534,30 @@ class TestStructureEarlyStop:
         rng = np.random.default_rng(13)
         family = planted_family(rng, 2, 2)
         planted = toeplitz_unitary_part(family.symbol, 8)
-        trail = ("route", "kernel_factors")
-        assert [planted.params[k] for k in trail] == ["kernel", 2]
+        # the planted block is the constant part; the tail has no candidate
+        trail = ("route", "constant_part", "kernel_factors")
+        assert [planted.params[k] for k in trail] == ["kernel", 2, 0]
+        assert len(_kernel_candidates(family.symbol, 1e-8)) == 2
         expected = window_span(family.theta, 8).shape[1]
         assert planted.subspace.dim == _window_kernel(family.symbol, 8, 1e-8).shape[1] == expected
         # the kernel keeps (0, z^7), whose image under F leaves the window;
         # the window eigenspaces do not
         family = swap_family()
         swap = toeplitz_unitary_part(family.symbol, 8)
-        assert (swap.params["route"], swap.params["kernel_factors"]) == ("kernel", 2)
+        assert [swap.params[k] for k in trail] == ["kernel", 0, 2]
         kernel = _window_kernel(family.symbol, 8, 1e-8)
         expected = window_span(family.theta, 8).shape[1]
         assert (kernel.shape[1], swap.subspace.dim) == (expected, expected - REPORT_SWAP_SHORTFALL)
         assert kernel.shape[1] == toeplitz_unitary_part_brute(family.symbol, 8).dim
         scalar_sym = random_trig_scalar(rng, 4)
         scalar = toeplitz_unitary_part(scalar_sym, 8)
-        assert (scalar.params["route"], scalar.subspace.dim) == ("kernel", 0)
+        assert [scalar.params[k] for k in trail] == ["kernel", 0, 0]
+        assert scalar.subspace.dim == 0
         assert _window_kernel(scalar_sym, 8, 1e-8).shape[1] == 0
         assert scalar.classification == "trivial"
         family = self._coll4()
         analytic = toeplitz_unitary_part(family.symbol, 6)
-        assert [analytic.params[k] for k in trail] == ["analytic", 0]
+        assert [analytic.params[k] for k in trail] == ["analytic", family.theta.dim_in, 0]
         assert analytic.subspace.dim == window_span(family.theta, 6).shape[1]
         dropped = {"structure_powers", "structure_stop", "kernel_dim", "refinement_iterations"}
         for rep in (planted, swap, scalar, analytic):
@@ -741,8 +748,12 @@ class TestUnitaryKernel:
                       MatrixSymbol.constant(np.eye(3, 2)), np.eye(2))
         family = rotated([head, tail], 7)
         rep = toeplitz_unitary_part(family.symbol, 8)
-        assert (rep.params["kernel_factors"], rep.subspace.dim) == (1, 16)
+        assert (rep.params["constant_part"], rep.subspace.dim) == (2, 16)
         assert subspace_gap(rep.subspace.basis, window_span(family.theta, 8)) <= 1e-7
+        # the kernel route, which the report runs only on the remainder,
+        # merges the same way
+        assert len(_kernel_candidates(family.symbol, 1e-8)) == 1
+        assert _window_eigenspaces(family.symbol, 8, 1e-8)[0].shape[1] == 16
 
     def test_candidates_beyond_tol_stay_apart(self):
         # two constant eigenvalues 1e-7 apart: one shared factor would leave
@@ -751,8 +762,10 @@ class TestUnitaryKernel:
         phases = np.exp(1j * np.array([0.7, 0.7 + 1e-7]))
         family = rotated([np.diag(phases), tail], 7)
         rep = toeplitz_unitary_part(family.symbol, 8)
-        assert (rep.params["kernel_factors"], rep.subspace.dim) == (2, 16)
+        assert (rep.params["constant_part"], rep.subspace.dim) == (2, 16)
         assert subspace_gap(rep.subspace.basis, window_span(family.theta, 8)) <= 1e-7
+        assert len(_kernel_candidates(family.symbol, 1e-8)) == 2
+        assert _window_eigenspaces(family.symbol, 8, 1e-8)[0].shape[1] == 16
 
     def test_candidates_read_at_t0(self, monkeypatch):
         # random_trig_scalar is a contraction on the 512-point grid only;
@@ -1144,7 +1157,7 @@ class TestAnalyticRoute:
         assert (wrong, outside, brute_wrong) == ([], [], [])
 
     def test_constant_term_without_unitary_part_is_trivial(self, monkeypatch):
-        # nilpotent F(0) and a strict contraction: E_u = 0, and the empty
+        # nilpotent F(0) and a strict contraction: E_c = 0, and the empty
         # window basis must not reach the symbol action
         def no_images(*args):
             raise AssertionError("_window_images called on an empty basis")
@@ -1157,6 +1170,120 @@ class TestAnalyticRoute:
             assert rep.subspace.basis.shape == (sym.dim_out * 5, 0)
             assert rep.certification == {}
             assert (rep.params["route"], rep.params["kernel_factors"]) == ("analytic", 0)
+
+
+class TestConstantPart:
+    """The constant part E_c, where F acts as a constant unitary, and the
+    closed form it gives the report.  On an analytic symbol E_c is the
+    unitary part of F(0), the paper's analytic correspondence; where the
+    remainder beside E_c adds nothing, theta = E_c and U = E_c* F_0 E_c
+    with no extraction."""
+
+    @staticmethod
+    def _block_bcl(seed, a, b):
+        """The model symbol U((I - P) + z P) with U = Q diag(U_a, U_b) Q* and
+        P = Q diag(0, I_b) Q*: F = Q diag(U_a, z U_b) Q*, whose unitary part
+        is H^2 of Q's first a columns."""
+        rng = np.random.default_rng(seed)
+        q = haar_unitary(a + b, rng)
+        u_a = haar_unitary(a, rng)
+        u = q @ block_diag([u_a, haar_unitary(b, rng)]) @ q.conj().T
+        p = q @ np.diag([0.0] * a + [1.0] * b) @ q.conj().T
+        sym = polynomial_from_colligation(bcl_colligation(u, p))
+        return Family(sym, MatrixSymbol.constant(q[:, :a]), u_a)
+
+    @staticmethod
+    def _analytic_symbols():
+        # TestAnalyticRoute's colligation sweep, Haar and block model
+        # symbols, and scenario_wold_dichotomy's constant unitaries
+        syms = [colligation_rank_family(seed, rank).symbol
+                for seed in range(30) for rank in (1, 2)]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for dim in (2, 3):
+                u = haar_unitary(dim, rng)
+                syms.append(polynomial_from_colligation(
+                    bcl_colligation(u, random_projection(dim, seed % (dim + 1), rng))))
+                syms.append(MatrixSymbol.constant(haar_unitary(dim, np.random.default_rng(seed))))
+            syms.append(TestConstantPart._block_bcl(seed, 1 + seed % 2, 1).symbol)
+        return syms
+
+    def test_matches_the_unitary_part_of_f0_on_analytic_symbols(self):
+        dims = []
+        for sym in self._analytic_symbols():
+            e_c = _constant_part(sym, 1e-8)
+            part = unitary_part_matrix(sym.coeff(0)).basis
+            assert e_c.shape == part.shape
+            assert subspace_gap(e_c, part) <= 1e-12
+            dims.append(e_c.shape[1])
+        assert len(dims) == 110 and (min(dims), max(dims)) == (0, 3)
+
+    FAMILIES = {
+        "planted_d2": lambda rng: planted_family(rng, 1, 1),
+        "planted_d4": lambda rng: planted_family(rng, 2, 2),
+        "colligation_rank1": lambda rng: colligation_family(rng, 1, 2, 1),
+        "colligation": lambda rng: colligation_family(rng, 2, 2),
+        "bcl_block": lambda rng: TestConstantPart._block_bcl(int(rng.integers(100)), 2, 1),
+        "constant_unitary": lambda rng: direct_sum([haar_unitary(3, rng)]),
+    }
+
+    @pytest.mark.parametrize("window", [4, 8])
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_closed_form(self, name, window):
+        for seed in range(4):
+            family = self.FAMILIES[name](np.random.default_rng(seed))
+            sym = family.symbol
+            rep = toeplitz_unitary_part(sym, window)
+            assert rep.classification == "constant_type" and rep.certified_sound
+            assert (rep.theta.band, rep.extraction_residuals) == (0, {})
+            assert rep.params["constant_part"] == family.theta.dim_in
+            span = window_span(rep.theta, window)
+            assert span.shape == rep.subspace.basis.shape
+            assert subspace_gap(span, rep.subspace.basis) <= 1e-12
+            assert subspace_gap(window_span(family.theta, window), rep.subspace.basis) <= 1e-12
+            assert verify_maincondn(sym, rep.theta, rep.u_matrix)[0]
+
+    @pytest.mark.parametrize("window", [5, 8])
+    def test_swap_beside_a_constant_unitary(self, window):
+        # u0 + swap in a Haar frame: E_c is the u0 block and the remainder
+        # adds the swap part, so the whole span goes through beurling_extract
+        # and reads as it did on the kernel route alone
+        for seed in range(4):
+            family = swap_family(np.random.default_rng(seed), 2)
+            rep = toeplitz_unitary_part(family.symbol, window)
+            assert [rep.params[k] for k in ("constant_part", "kernel_factors")] == [2, 2]
+            expected = window_span(family.theta, window).shape[1] - REPORT_SWAP_SHORTFALL
+            assert rep.subspace.dim == expected == 4 * window - 2
+            assert rep.classification == "extraction_inconclusive"
+            assert "extraction_error" in rep.params
+            kernel, _ = _window_eigenspaces(family.symbol, window, 1e-8)
+            assert kernel.shape == rep.subspace.basis.shape
+            assert subspace_gap(kernel, rep.subspace.basis) <= 1e-10
+
+    def test_constant_part_can_fill_a_non_analytic_symbol(self):
+        # a negative coefficient under the rank cut leaves E_c all of C^d,
+        # with no remainder to compress
+        u = haar_unitary(2, np.random.default_rng(6))
+        sym = MatrixSymbol(2, 2, {0: u, -1: 1e-12 * np.eye(2)})
+        rep = toeplitz_unitary_part(sym, 4)
+        assert [rep.params[k] for k in ("route", "constant_part", "kernel_factors")] == [
+            "kernel", 2, 0]
+        assert (rep.subspace.dim, rep.classification, rep.extraction_residuals) == (
+            8, "constant_type", {})
+        e_c = rep.theta.coeff(0)
+        np.testing.assert_allclose(rep.u_matrix, e_c.conj().T @ u @ e_c, atol=1e-12)
+
+    @pytest.mark.parametrize("name, make_symbol", [
+        ("swap", lambda: swap_family().symbol),
+        ("rotated_swap", lambda: swap_family(np.random.default_rng(8)).symbol),
+        ("scalar", lambda: random_trig_scalar(np.random.default_rng(3), 4)),
+    ])
+    def test_no_constant_part_keeps_the_kernel_bits(self, name, make_symbol):
+        # with E_c = 0 the remainder is F itself
+        sym = make_symbol()
+        rep = toeplitz_unitary_part(sym, 8)
+        assert rep.params["constant_part"] == 0
+        assert_same_bits(rep.subspace.basis, _window_eigenspaces(sym, 8, 1e-8)[0])
 
 
 def dense_certification(sym, basis, window):

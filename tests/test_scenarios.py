@@ -142,6 +142,15 @@ class TestButz:
             conds = result.records["conditions"]
             assert not any(conds.values())
 
+    def test_parameters_are_those_that_built_the_symbol(self):
+        # the swap family has no tail: d1 builds nothing, so it is not
+        # recorded, and two values of it give the same result
+        swaps = [scenario_butz_equivalence(seed=3, planted=False, d1=d1) for d1 in (1, 3)]
+        assert canonical_dumps(swaps[0].to_json()) == canonical_dumps(swaps[1].to_json())
+        assert sorted(swaps[0].parameters) == ["d0", "planted", "seed", "tol", "window"]
+        planted = scenario_butz_equivalence(seed=3, planted=True, d1=3)
+        assert (planted.parameters["d0"], planted.parameters["d1"]) == (2, 3)
+
     def test_empty_part_records_no_residuals(self):
         # an empty part has no restriction to measure: the residuals are
         # null, which a strict JSON writer accepts, not Infinity
