@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex, spectral_norm, spectral_norms
+from .linalg import DEFAULT_TOL, as_complex, block_diag, spectral_norm, spectral_norms
 from .symbols import MatrixSymbol
 
 
@@ -217,13 +217,9 @@ def embed_unitary_block(u0, w: Colligation) -> Colligation:
     """
     u0 = as_complex(u0)
     d0 = u0.shape[0]
-    dim_e = d0 + w.dim_e
-    a = np.zeros((dim_e, dim_e), dtype=complex)
-    a[:d0, :d0] = u0
-    a[d0:, d0:] = w.A
     b = np.vstack([np.zeros((d0, w.dim_k)), w.B])
     c = np.hstack([np.zeros((w.dim_k, d0)), w.C])
-    return Colligation(dim_e, w.dim_k, a, b, c, w.D)
+    return Colligation(d0 + w.dim_e, w.dim_k, block_diag([u0, w.A]), b, c, w.D)
 
 
 def disc_grid(n: int, radius: float = 0.9) -> np.ndarray:

@@ -23,10 +23,11 @@ analytic symbol the whole unitary part, E_c being then the unitary part of
 F(0).  On the degree window {polynomials of degree < N} the window part is
 kron(I, E_c) and, for any other symbol, the part of the remainder beside E_c
 that F and F* keep inside the window: the sum of the joint eigenspaces of
-T_F and T_F* at the unimodular eigenvalues lambda of F(1), each one exact
-kernel with no finite-section truncation error; the scenarios read one
-kernel of their products (``_window_kernel``).  Every basis vector h then
-satisfies, with certified residuals:
+T_F and T_F* at the candidates lambda, each one exact kernel with no
+finite-section truncation error; the scenarios read one kernel of their
+products (``_window_kernel``).  E_c and the window parts take their
+candidates by one rule (``_candidates``), on F_0 and on F(1).  Every basis
+vector h then satisfies, with certified residuals:
 
 * the symbol action on h and the adjoint-symbol action on h are analytic,
 * both preserve the Hardy norm of h,
@@ -273,49 +274,36 @@ def _near_circle(lams: np.ndarray, tol: float) -> np.ndarray:
     return np.hypot(lams.real, lams.imag) >= 1.0 - tol
 
 
-def _unitary_eigenspaces(stack: np.ndarray, tol: float) -> list:
-    """Eigenspaces of each contraction of a (G, n, n) stack at its unimodular eigenvalues.
-
-    For |lambda| = 1, T x = lambda x forces T* x = conj(lambda) x, since
-    norm(T* x - conj(lambda) x)^2 = norm(T* x)^2 - norm(x)^2 <= 0; so the
-    eigenspace is the joint kernel of T - lambda and T* - conj(lambda), and
-    it reduces T.  The T* rows reject the eigenvectors of a non-normal block
-    with eigenvalues near the circle.  The candidates are the eigenvalues
-    with |lambda| >= 1 - tol, unmerged.  Returns, per slice, the
-    (lambda, kernel basis) pairs whose kernel is nonzero.
-
-    One batched ``eigvals`` gives every slice's eigenvalues and one
-    ``_joint_kernels`` the kernel of every (slice, candidate) pair.
-    """
-    spaces = [[] for _ in stack]
-    lams = np.linalg.eigvals(stack)
-    slices, cols = np.nonzero(_near_circle(lams, tol))
-    lams = lams[slices, cols]
-    t = stack[slices]
-    kernels = _joint_kernels(t, t.conj().transpose(0, 2, 1), lams[:, None], tol)
-    for g, mu, kernel in zip(slices, lams, kernels):
-        if kernel.shape[1]:
-            spaces[g].append((mu, kernel))
-    return spaces
-
-
 def unitary_parts(stack, tol: float = DEFAULT_TOL) -> list:
     """Unitary part of each contraction in a (G, n, n) stack, as Subspaces.
 
     On C^n the unitary part is a finite unitary, so it is the sum of the
-    eigenspaces of T at its unimodular eigenvalues (``_unitary_eigenspaces``),
-    each of which reduces T; their span is orthonormalized by one
-    ``orthonormal_bases`` per group of slices with equal kernel widths.  Each
-    slice's basis has the bits that the stack of that slice alone gives,
-    whatever else the stack holds.  A stack that is not
-    (G, n, n), has a non-finite entry or a slice of norm above 1 + tol
+    eigenspaces of T at its unimodular eigenvalues.  For |lambda| = 1,
+    T x = lambda x forces T* x = conj(lambda) x, since
+    norm(T* x - conj(lambda) x)^2 = norm(T* x)^2 - norm(x)^2 <= 0; so each
+    eigenspace is the joint kernel of T - lambda and T* - conj(lambda), and
+    it reduces T.  The T* rows reject the eigenvectors of a non-normal block
+    with eigenvalues near the circle.  The candidates are the eigenvalues
+    with |lambda| >= 1 - tol, unmerged: one batched ``eigvals`` gives every
+    slice's eigenvalues and one ``_joint_kernels`` the kernel of every
+    (slice, candidate) pair.  The span of each slice's kernels is
+    orthonormalized by one ``orthonormal_bases`` per group of slices with
+    equal kernel widths.  Each slice's basis has the bits that the stack of
+    that slice alone gives, whatever else the stack holds.  A stack that is
+    not (G, n, n), has a non-finite entry or a slice of norm above 1 + tol
     raises ``ValueError``.
     """
     stack = as_complex(stack)
     _check_contractions(stack, tol)
     n = stack.shape[1]
-    spans = [np.hstack([empty_basis(n)] + [kernel for _, kernel in spaces])
-             for spaces in _unitary_eigenspaces(stack, tol)]
+    lams = np.linalg.eigvals(stack)
+    slices, cols = np.nonzero(_near_circle(lams, tol))
+    t = stack[slices]
+    kernels = _joint_kernels(t, t.conj().transpose(0, 2, 1), lams[slices, cols][:, None], tol)
+    spans = [[empty_basis(n)] for _ in stack]
+    for g, kernel in zip(slices, kernels):
+        spans[g].append(kernel)
+    spans = [np.hstack(x) for x in spans]
     bases = {}
     for width in {x.shape[1] for x in spans}:
         members = [g for g, x in enumerate(spans) if x.shape[1] == width]
@@ -379,18 +367,14 @@ def _merged(lams, tol: float) -> list:
     return factors
 
 
-def _kernel_candidates(sym: MatrixSymbol, tol: float) -> list:
-    """Candidate constant unimodular eigenvalues of F, merged within tol.
-
-    The candidates are the eigenvalues of F(1) that carry a joint kernel of
-    F(1) - lambda and F(1)* - conj(lambda) (``_unitary_eigenspaces``), read
-    at t = 0, a point of every ``CircleGrid``, so the gate has checked that
-    F(1) is a contraction; one that is not a constant eigenvalue adds
-    nothing to either window kernel.  Candidates within tol are merged
-    (``_merged``).
-    """
-    spaces = _unitary_eigenspaces(eval_symbol(sym, 0.0)[None], tol)[0]
-    return _merged([lam for lam, _ in spaces], tol)
+def _candidates(mat: np.ndarray, tol: float) -> list:
+    """Candidate unimodular eigenvalues of a d x d contraction: its
+    eigenvalues with |lambda| >= 1 - tol (``_near_circle``), merged within
+    tol (``_merged``); read on F_0 by ``_constant_part`` and on F(1) by both
+    window routes, whose adjoint rows reject a candidate with no joint
+    eigenvector."""
+    lams = np.linalg.eigvals(mat)
+    return _merged(lams[_near_circle(lams, tol)], tol)
 
 
 def _constant_part(sym: MatrixSymbol, tol: float) -> np.ndarray:
@@ -401,16 +385,15 @@ def _constant_part(sym: MatrixSymbol, tol: float) -> np.ndarray:
     conj(lambda) v as well, since norm(F* v - conj(lambda) v)^2 =
     norm(F* v)^2 - norm(v)^2 <= 0 for a contraction; so E_c reduces every
     coefficient and T_F acts on H^2(E_c) as a constant unitary.  The
-    candidates are the eigenvalues of F_0 with |lambda| >= 1 - tol, merged
-    within tol (``_merged``); for each, the joint kernel of the stacked
-    coefficients [F_0 - lambda; F_k] and [F_0* - conj(lambda); F_k*],
-    k != 0, from one ``_joint_kernels`` with E = [I; 0].  For an analytic
-    symbol E_c is the unitary part of F(0) = F_0: there norm(F_0 v) =
-    norm(v) already forces F_k v = 0 and F_k* v = 0 by Parseval.
+    candidates are those of F_0 (``_candidates``); for each, the joint
+    kernel of the stacked coefficients [F_0 - lambda; F_k] and
+    [F_0* - conj(lambda); F_k*], k != 0, from one ``_joint_kernels`` with
+    E = [I; 0].  For an analytic symbol E_c is the unitary part of
+    F(0) = F_0: there norm(F_0 v) = norm(v) already forces F_k v = 0 and
+    F_k* v = 0 by Parseval.
     """
     f0 = sym.coeff(0)
-    lams = np.linalg.eigvals(f0)
-    factors = _merged(lams[_near_circle(lams, tol)], tol)
+    factors = _candidates(f0, tol)
     if not factors:
         return empty_basis(sym.dim_in)
     others = [c for k, c in sorted(sym.coeffs.items()) if k]
@@ -429,13 +412,14 @@ def _window_sections(sym: MatrixSymbol, degrees: int):
 def _window_kernel(sym: MatrixSymbol, window: int, tol: float) -> np.ndarray:
     """ker q(T_F) cut with ker conj(q)(T_F*) on the window, q(x) = prod (x - lambda).
 
-    Over the m ``_kernel_candidates`` these hold the sum of the joint kernels
-    of T_F - lambda and T_F* - conj(lambda), which reduce T_F and carry no
-    Jordan chain; the factors are blocks of the exact sections from
-    window + (m - 1) band degrees.
+    Over the m candidates of F(1) (``_candidates``) these hold the sum of
+    the joint kernels of T_F - lambda and T_F* - conj(lambda), which reduce
+    T_F and carry no Jordan chain, as in ``_window_eigenspaces``; the
+    factors are blocks of the exact sections from window + (m - 1) band
+    degrees.
     """
     _check_window_call(sym, window, tol)
-    factors = _kernel_candidates(sym, tol)
+    factors = _candidates(eval_symbol(sym, 0.0), tol)
     if not factors:
         return empty_basis(sym.dim_in * window)
     t, t_adj = _window_sections(sym, window + (len(factors) - 1) * sym.band)
@@ -480,16 +464,22 @@ def _window_eigenspaces(sym: MatrixSymbol, window: int, tol: float):
     The part L of the unitary part that F and F* keep inside the window is
     finite and T_F is unitary on it, so it is spanned by eigenvectors
     T_F h = lambda h with |lambda| = 1; such an h has F h = lambda h a.e.,
-    so lambda is a ``_kernel_candidates`` eigenvalue.  Conversely, if
+    so det(F - lambda) vanishes wherever h does not, hence everywhere, and
+    lambda is an eigenvalue of F(1).  The candidates are those of F(1)
+    (``_candidates``), read at t = 0, a point of every ``CircleGrid``, so
+    the gate has checked that F(1) is a contraction.  Conversely, if
     T_F h = lambda h and T_F* h = conj(lambda) h for h in the window,
     norm(F h) <= norm(h) = norm(P_+ F h) forces F h = lambda h and
     F* h = conj(lambda) h.  The window sections of F and F* into degrees
     < window + band hold T_F h and T_F* h exactly, so L is the sum of their
     joint kernels over the candidates (swap: 2 window - 2), one factor row
     per candidate in one ``_joint_kernels``; with no candidate L is zero.
-    Returns (basis, trail: route, kernel_factors).
+    A candidate that is no constant eigenvalue of F, such as the eigenvalue
+    of a non-normal block near the circle, gets an empty kernel: the T_F*
+    rows reject its eigenvectors, as in ``unitary_parts``.  Returns
+    (basis, trail: route, kernel_factors).
     """
-    factors = _kernel_candidates(sym, tol)
+    factors = _candidates(eval_symbol(sym, 0.0), tol)
     trail = {"route": "kernel", "kernel_factors": len(factors)}
     if not factors:
         return empty_basis(sym.dim_in * window), trail
@@ -535,8 +525,13 @@ def window_span(theta: MatrixSymbol, window: int, tol: float = DEFAULT_TOL) -> n
     shifts k < window - delta_j.  When theta is column reduced, as the
     symbol families' generators are, the predictable-degree property
     (Forney 1975) makes this all of Theta H^2 cut with the window, of
-    dimension sum_j (window - delta_j).
+    dimension sum_j (window - delta_j).  A theta with a negative Fourier
+    index or a window below 1 raises ``ValueError``.
     """
+    if not theta.is_analytic:
+        raise ValueError("symbol has negative Fourier coefficients")
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window!r}")
     blocks = np.stack([theta.coeff(k) for k in range(theta.band + 1)])
     columns = [empty_basis(theta.dim_out * window)]
     for j, dj in enumerate(_column_degrees(blocks, tol)):

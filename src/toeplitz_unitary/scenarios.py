@@ -60,6 +60,8 @@ from .decomposition import (
     toeplitz_unitary_part_brute,
     unitary_part_matrix,
     unitary_parts,
+    verify_maincondn,
+    window_span,
 )
 
 
@@ -101,20 +103,6 @@ def _check(name, residual, tol) -> ScenarioCheck:
 
 def _check_bool(name, condition) -> ScenarioCheck:
     return ScenarioCheck(name, 0.0 if condition else 1.0, bool(condition))
-
-
-def random_trig_scalar(rng, band: int) -> MatrixSymbol:
-    """Random nonconstant scalar trigonometric polynomial, normalized to grid
-    sup norm 1."""
-    while True:
-        coeffs = {}
-        for k in range(-band, band + 1):
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            coeffs[k] = np.array([[c]])
-        sym = MatrixSymbol(1, 1, coeffs)
-        if any(k != 0 for k in sym.coeffs):
-            break
-    return sym.scale(1.0 / sup_norm_estimate(sym))
 
 
 def random_trig_matrix(rng, dim: int, band: int, sup: float) -> MatrixSymbol:
@@ -210,7 +198,7 @@ def scenario_goor(seed: int = 0, degree: int = 4, window: int = 12,
     if degree < 1:
         raise ValueError("degree must be at least 1 (constant symbols excluded)")
     rng = np.random.default_rng(seed)
-    sym = random_trig_scalar(rng, band=degree)
+    sym = random_trig_matrix(rng, 1, degree, 1.0)
     report = toeplitz_unitary_part(sym, window, tol)
     brute = toeplitz_unitary_part_brute(sym, window, tol)
     checks = (
@@ -386,18 +374,14 @@ def scenario_butz_equivalence(seed: int = 0, window: int = 6, d0: int = 2,
         _check_bool("pointwise_iff_product_form", cond_iii == cond_i),
     ]
     if planted:
-        expected = np.kron(np.eye(window), family.theta.coeff(0))
+        expected = window_span(family.theta, window, tol)
         checks.append(_check_bool("all_three_hold", cond_i and cond_ii and cond_iii))
         checks.append(_check("subspace_is_planted_window",
                              subspace_gap(m.basis, expected), 100 * tol))
-        # restriction agrees with the constant block Toeplitz of W0
-        t_win = toeplitz_window_matrix(sym, window, window)
-        w0_full = block_diag([family.u, np.zeros((d1, d1))])
-        canon = orthonormal_columns(expected, tol)
-        restriction = canon.conj().T @ t_win @ canon
-        constant = canon.conj().T @ np.kron(np.eye(window), w0_full) @ canon
+        # T_F acts on Theta H^2 as the constant W0: F Theta = Theta W0
+        _, pair = verify_maincondn(sym, family.theta, family.u, tol)
         checks.append(_check("restriction_is_constant_toeplitz",
-                             spectral_norm(restriction - constant), 100 * tol))
+                             pair["intertwine_fwd"], 100 * tol))
     else:
         checks.append(_check_bool("all_three_fail",
                                   not (cond_i or cond_ii or cond_iii)))
@@ -489,7 +473,7 @@ def scenario_prop_ds(seed: int = 0, d0: int = 1, d1: int = 2, window: int = 6,
     # and the certificate
     report = toeplitz_unitary_part(sym, window, tol)
     kernel = _window_kernel(sym, window, tol)
-    planted_window = np.kron(np.eye(window), inclusion)
+    planted_window = window_span(family.theta, window, tol)
     res_iii = spectral_norm(
         planted_window - kernel @ (kernel.conj().T @ planted_window))
     checks.append(_check_bool("window_part_nontrivial", report.subspace.dim > 0))
@@ -550,10 +534,8 @@ def _norm_condition_residual(basis: np.ndarray, a: np.ndarray, dim: int,
     """Defect of coefficientwise isometry of a constant matrix on a window span."""
     if basis.shape[1] == 0:
         return 0.0
-    window = basis.shape[0] // dim
     op = a.conj().T if adjoint else a
-    big = np.kron(np.eye(window), op)
-    img = big @ basis
+    img = (op @ basis.reshape(-1, dim, basis.shape[1])).reshape(basis.shape)
     return spectral_norm(img.conj().T @ img - np.eye(basis.shape[1]))
 
 
@@ -691,8 +673,12 @@ def scenario_cnu_calculus(seed: int = 0, instance: str = "goor_scalar",
 
     The base symbol must have no unitary vectors in the window; u(T) is then
     checked to be contractive with no unitary vectors either, via the exact
-    composed symbol.
+    composed symbol.  The parameters record the real coefficients, so a
+    ``poly_coeffs`` entry with a nonzero imaginary part raises
+    ``ValueError``.
     """
+    if np.any(np.imag(np.atleast_1d(poly_coeffs))):
+        raise ValueError(f"poly_coeffs must be real, got {poly_coeffs!r}")
     if instance == "goor_scalar":
         sym = MatrixSymbol(1, 1, {0: [[0.25]], 1: [[0.5]]})
     elif instance == "strict_matrix":

@@ -138,8 +138,10 @@ def swap_pushed_out(theta, column, window):
 # colligations are analytic, so the kernel route is run through
 # _window_eigenspaces as well.  Patching decomposition.nullspaces covers
 # every kernel that _joint_kernels takes: the window kernels of the kernel
-# route and the eigenspaces of F(0) or F(1); the unitary-part parity tests
-# compare those with the per-matrix loop as well
+# route and the joint kernel of the stacked coefficients behind the constant
+# part E_c; the candidates of F_0 and F(1) take eigenvalues only.  The
+# unitary-part parity tests compare the matrix eigenspaces with the
+# per-matrix loop
 CANARIES = [
     ("colligation_rank1_seed14", lambda: colligation_rank_family(14, 1).symbol, 6),
     ("colligation_rank1_seed14", lambda: colligation_rank_family(14, 1).symbol, 8),

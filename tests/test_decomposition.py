@@ -50,7 +50,7 @@ from toeplitz_unitary.decomposition import (
     Subspace,
     _constant_part,
     _joint_kernels,
-    _kernel_candidates,
+    _candidates,
     _window_eigenspaces,
     _window_kernel,
     beurling_extract,
@@ -72,11 +72,15 @@ from toeplitz_unitary.scenarios import (
     direct_sum,
     planted_family,
     random_trig_matrix,
-    random_trig_scalar,
     swap_family,
 )
 
 P = np.diag([1.0, 0.0])
+
+
+def f1_candidates(sym, tol):
+    """The window routes' candidates: ``_candidates`` on F(1)."""
+    return _candidates(eval_symbol(sym, 0.0), tol)
 
 
 class TestUnitaryPartMatrix:
@@ -507,7 +511,7 @@ class TestStructureEarlyStop:
             "planted_d4": lambda: planted_family(rng, 2, 2).symbol,
             "colligation_rank2": self._rank2_colligation,
             "swap": lambda: swap_family().symbol,
-            "scalar_band4": lambda: random_trig_scalar(rng, 4),
+            "scalar_band4": lambda: random_trig_matrix(rng, 1, 4, 1.0),
             "coll4": lambda: self._coll4().symbol,
             # F(1) = N has no unitary part: no candidate, an empty kernel
             "nilpotent_constant": lambda: MatrixSymbol.constant(np.eye(3, k=-1)),
@@ -537,7 +541,7 @@ class TestStructureEarlyStop:
         # the planted block is the constant part; the tail has no candidate
         trail = ("route", "constant_part", "kernel_factors")
         assert [planted.params[k] for k in trail] == ["kernel", 2, 0]
-        assert len(_kernel_candidates(family.symbol, 1e-8)) == 2
+        assert len(f1_candidates(family.symbol, 1e-8)) == 2
         expected = window_span(family.theta, 8).shape[1]
         assert planted.subspace.dim == _window_kernel(family.symbol, 8, 1e-8).shape[1] == expected
         # the kernel keeps (0, z^7), whose image under F leaves the window;
@@ -549,7 +553,7 @@ class TestStructureEarlyStop:
         expected = window_span(family.theta, 8).shape[1]
         assert (kernel.shape[1], swap.subspace.dim) == (expected, expected - REPORT_SWAP_SHORTFALL)
         assert kernel.shape[1] == toeplitz_unitary_part_brute(family.symbol, 8).dim
-        scalar_sym = random_trig_scalar(rng, 4)
+        scalar_sym = random_trig_matrix(rng, 1, 4, 1.0)
         scalar = toeplitz_unitary_part(scalar_sym, 8)
         assert [scalar.params[k] for k in trail] == ["kernel", 0, 0]
         assert scalar.subspace.dim == 0
@@ -752,7 +756,7 @@ class TestUnitaryKernel:
         assert subspace_gap(rep.subspace.basis, window_span(family.theta, 8)) <= 1e-7
         # the kernel route, which the report runs only on the remainder,
         # merges the same way
-        assert len(_kernel_candidates(family.symbol, 1e-8)) == 1
+        assert len(f1_candidates(family.symbol, 1e-8)) == 1
         assert _window_eigenspaces(family.symbol, 8, 1e-8)[0].shape[1] == 16
 
     def test_candidates_beyond_tol_stay_apart(self):
@@ -764,34 +768,35 @@ class TestUnitaryKernel:
         rep = toeplitz_unitary_part(family.symbol, 8)
         assert (rep.params["constant_part"], rep.subspace.dim) == (2, 16)
         assert subspace_gap(rep.subspace.basis, window_span(family.theta, 8)) <= 1e-7
-        assert len(_kernel_candidates(family.symbol, 1e-8)) == 2
+        assert len(f1_candidates(family.symbol, 1e-8)) == 2
         assert _window_eigenspaces(family.symbol, 8, 1e-8)[0].shape[1] == 16
 
     def test_candidates_read_at_t0(self, monkeypatch):
-        # random_trig_scalar is a contraction on the 512-point grid only;
-        # F(1) is the grid value at t = 0, so the gate has checked that the
-        # matrix whose eigenspaces give the candidates is a contraction; it
-        # comes as a stack of one.  With no candidate no window section is
-        # built
+        # a random scalar of grid sup norm 1 is a contraction on the 512-point
+        # grid only; F(1) is the grid value at t = 0, so the gate has checked
+        # that the matrix whose eigenvalues give the window candidates is a
+        # contraction.  One rule reads F_0 for the constant part, then F(1).
+        # With no candidate no window section is built
         seen = []
-        eigenspaces = decomposition._unitary_eigenspaces
+        candidates = decomposition._candidates
 
-        def recording(t, tol):
-            seen.append(t)
-            return eigenspaces(t, tol)
+        def recording(mat, tol):
+            seen.append(mat)
+            return candidates(mat, tol)
 
         def no_sections(*args):
             raise AssertionError("window sections built with no candidate")
 
-        monkeypatch.setattr(decomposition, "_unitary_eigenspaces", recording)
+        monkeypatch.setattr(decomposition, "_candidates", recording)
         monkeypatch.setattr(decomposition, "_window_sections", no_sections)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            sym = random_trig_scalar(rng, 4)
+            sym = random_trig_matrix(rng, 1, 4, 1.0)
             rep = toeplitz_unitary_part(sym, 8)
             assert (rep.classification, rep.params["kernel_factors"]) == ("trivial", 0)
-            assert np.array_equal(seen[-1], eval_symbol(sym, CircleGrid(512).points)[:1])
-        assert len(seen) == 20
+            assert np.array_equal(seen[-2], sym.coeff(0))
+            assert np.array_equal(seen[-1], eval_symbol(sym, CircleGrid(512).points)[0])
+        assert len(seen) == 40
 
     @pytest.mark.parametrize("planted", [True, False], ids=["planted", "swap"])
     def test_butz_kernel_matches_brute(self, planted):
@@ -848,7 +853,7 @@ class TestWindowEigenspaces:
         # ker q(T_F) with no T_F* rows, one window section per factor
         q = np.eye(sym.dim_in * window, dtype=complex)
         degrees = window
-        for lam in _kernel_candidates(sym, tol):
+        for lam in f1_candidates(sym, tol):
             img = toeplitz_window_matrix(sym, degrees, degrees + sym.band) @ q
             img[:q.shape[0]] -= lam * q
             q, degrees = img, degrees + sym.band
@@ -874,6 +879,26 @@ class TestWindowEigenspaces:
         rep = toeplitz_unitary_part(sym, 6)
         assert (rep.subspace.dim, rep.classification) == (6, "constant_type")
         assert rep.certified_sound
+
+    @pytest.mark.parametrize("window", [4, 6, 8])
+    @pytest.mark.parametrize("frame", [None, 5], ids=["identity", "haar"])
+    def test_candidate_with_no_joint_eigenvector(self, frame, window):
+        # diag(-1, N, 0.3 (z + 1/z)), N as above: the constant part is the
+        # first coordinate, and the remainder's F(1) has the candidate a,
+        # whose eigenvectors N* does not share, so its window kernel is
+        # empty; the product kernel with the factor x - a keeps the window
+        # of the first coordinate as well
+        a = 1.0 - 1e-9
+        n = np.array([[a, 0.99 * np.sqrt(1.0 - a * a)], [0.0, 0.0]])
+        q = None if frame is None else haar_unitary(4, np.random.default_rng(frame))
+        family = direct_sum([-np.eye(1), MatrixSymbol.constant(n),
+                             MatrixSymbol(1, 1, {1: [[0.3]], -1: [[0.3]]})], q)
+        rep = toeplitz_unitary_part(family.symbol, window)
+        trail = [rep.params[k] for k in ("route", "constant_part", "kernel_factors")]
+        assert (rep.subspace.dim, trail) == (window, ["kernel", 1, 1])
+        assert subspace_gap(rep.subspace.basis, window_span(family.theta, window)) <= 1e-12
+        assert rep.classification == "constant_type"
+        assert _window_kernel(family.symbol, window, 1e-8).shape[1] == window
 
 
 def reference_joint_kernel(t, t_adj, lam, tol):
@@ -949,7 +974,7 @@ class TestJointKernelParity:
         n_out = window + sym.band
         t = toeplitz_window_matrix(sym, window, n_out)
         t_adj = toeplitz_window_matrix(adjoint_symbol(sym), window, n_out)
-        factors = _kernel_candidates(sym, 1e-8)
+        factors = f1_candidates(sym, 1e-8)
         assert factors
         kernels = [np.zeros((t.shape[1], 0))]
         for lam in factors:
@@ -969,7 +994,7 @@ class TestJointKernelParity:
         band = sym.band
         t = toeplitz_window_matrix(sym, window + band, window + 2 * band)
         t_adj = toeplitz_window_matrix(adjoint_symbol(sym), window + band, window + 2 * band)
-        lam, mu = (_kernel_candidates(sym, 1e-8) * 2)[:2]
+        lam, mu = (f1_candidates(sym, 1e-8) * 2)[:2]
         factors = np.array([[lam, mu], [mu, lam], [lam, lam], [0.5, np.exp(0.3j)]])
         got = _joint_kernels(t, t_adj, factors, 1e-8)
         assert len(got) == len(factors)
@@ -984,7 +1009,7 @@ class TestJointKernelParity:
                              ids=[f"{c[0]}-w{c[2]}" for c in PRODUCTS])
     def test_window_kernel_product(self, name, make_symbol, window):
         sym = make_symbol()
-        factors = _kernel_candidates(sym, 1e-8)
+        factors = f1_candidates(sym, 1e-8)
         t, t_adj = decomposition._window_sections(sym, window + (len(factors) - 1) * sym.band)
         want = reference_product_kernel(t, t_adj, factors, 1e-8)
         assert_same_bits(_window_kernel(sym, window, 1e-8), want)
@@ -994,7 +1019,8 @@ class TestJointKernelParity:
         ("planted_d4", lambda: planted_family(np.random.default_rng(4), 2, 2).symbol),
     ])
     def test_window_eigenspaces_makes_two_kernel_calls(self, name, make_symbol, monkeypatch):
-        # one stack for F(1)'s candidates and one for every window kernel
+        # one nullspaces stack, for every window kernel at once; F(1)'s
+        # candidates take no kernel of their own
         sym = make_symbol()
         stacks = []
 
@@ -1008,8 +1034,8 @@ class TestJointKernelParity:
         monkeypatch.setattr(decomposition, "nullspaces", counted)
         monkeypatch.setattr(decomposition, "nullspace", refused)
         _, trail = _window_eigenspaces(sym, 8, 1e-8)
-        assert len(stacks) == 2
-        assert stacks[1][0] == trail["kernel_factors"] >= 2
+        assert len(stacks) == 1
+        assert stacks[0][0] == trail["kernel_factors"] >= 2
 
 
 def reference_unitary_part(t, tol=1e-8):
@@ -1276,7 +1302,7 @@ class TestConstantPart:
     @pytest.mark.parametrize("name, make_symbol", [
         ("swap", lambda: swap_family().symbol),
         ("rotated_swap", lambda: swap_family(np.random.default_rng(8)).symbol),
-        ("scalar", lambda: random_trig_scalar(np.random.default_rng(3), 4)),
+        ("scalar", lambda: random_trig_matrix(np.random.default_rng(3), 1, 4, 1.0)),
     ])
     def test_no_constant_part_keeps_the_kernel_bits(self, name, make_symbol):
         # with E_c = 0 the remainder is F itself
@@ -1411,6 +1437,19 @@ class TestExactWindowAction:
                    for e in (got, want)]
         assert subspace_gap(*map(orthonormal_columns, stacked)) <= 1e-12
         assert self.classification(sym, got) == self.classification(sym, want)
+
+
+class TestWindowSpan:
+    def test_non_analytic_theta_is_refused(self):
+        # its k = -1 coefficient has no place in Theta H^2 cut with the window
+        theta = MatrixSymbol(2, 1, {-1: [[1.0], [0.0]], 0: [[0.0], [1.0]]})
+        with pytest.raises(ValueError, match="symbol has negative Fourier coefficients"):
+            window_span(theta, 3)
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_window_below_one_is_refused(self, window):
+        with pytest.raises(ValueError, match="window must be positive"):
+            window_span(MatrixSymbol.constant([[0.0], [1.0]]), window)
 
 
 class TestBeurlingExtract:

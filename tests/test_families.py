@@ -6,6 +6,8 @@ and F* Theta = Theta U*, so the window part is ``window_span(theta, w)``, of
 dimension sum_j (w - delta_j) over Theta's column degrees delta_j.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from toeplitz_unitary.decomposition import (
     verify_maincondn,
     window_span,
 )
+from toeplitz_unitary import scenarios
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm, subspace_gap
 from toeplitz_unitary.scenarios import (
     colligation_family,
@@ -23,7 +26,7 @@ from toeplitz_unitary.scenarios import (
     random_trig_matrix,
     swap_family,
 )
-from toeplitz_unitary.symbols import MatrixSymbol, block_diag_symbol
+from toeplitz_unitary.symbols import MatrixSymbol, block_diag_symbol, sup_norm_estimate
 
 FAMILIES = {
     "swap": lambda rng: swap_family(rng),
@@ -100,3 +103,40 @@ def test_builders_keep_the_parent_bits(name, make_symbol, window):
     assert list(got.coeffs) == list(want.coeffs)
     for k, mat in want.coeffs.items():
         assert_same_bits(got.coeffs[k], mat)
+
+
+def parent_trig_scalar(rng, band):
+    """The scalar generator that ``random_trig_matrix(rng, 1, band, 1.0)``
+    replaces, as it was; its loop never ran twice, since a draw with every
+    k != 0 coefficient zero has probability zero."""
+    while True:
+        coeffs = {}
+        for k in range(-band, band + 1):
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            coeffs[k] = np.array([[c]])
+        sym = MatrixSymbol(1, 1, coeffs)
+        if any(k != 0 for k in sym.coeffs):
+            break
+    return sym.scale(1.0 / sup_norm_estimate(sym))
+
+
+# sha256 of the unscaled band-4 draws of the scalar generator, coefficients
+# k = -4 .. 4 as complex128, for seeds 0 and 1: the inputs of the goor scenario
+SCALAR_DRAWS = {
+    0: "0f0d77489b89560613244891e6dd6e438a15132bb03afacb48b46e5d59b17025",
+    1: "a9b543c247c91e6ab95857de5e9eb2107ac6e60ccf1019384e31c345e9604ab0",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCALAR_DRAWS))
+def test_scalar_draws_keep_the_parent_bits(seed, monkeypatch):
+    got = random_trig_matrix(np.random.default_rng(seed), 1, 4, 1.0)
+    want = parent_trig_scalar(np.random.default_rng(seed), 4)
+    assert list(got.coeffs) == list(want.coeffs) == list(range(-4, 5))
+    for k, mat in want.coeffs.items():
+        assert_same_bits(got.coeffs[k], mat)
+    # with the scale fixed at 1 the coefficients are the draws themselves
+    monkeypatch.setattr(scenarios, "sup_norm_estimate", lambda sym: 1.0)
+    draws = random_trig_matrix(np.random.default_rng(seed), 1, 4, 1.0)
+    data = np.stack([draws.coeff(k) for k in range(-4, 5)]).tobytes()
+    assert hashlib.sha256(data).hexdigest() == SCALAR_DRAWS[seed]

@@ -342,6 +342,13 @@ class TestLaurentAndCalculus:
         with pytest.raises(ValueError):
             scenario_cnu_calculus(instance="nope")
 
+    def test_complex_coefficient_is_refused(self):
+        # the parameters record real parts: (0, 0.5j) would read as (0, 0)
+        with pytest.raises(ValueError, match="poly_coeffs must be real"):
+            scenario_cnu_calculus(poly_coeffs=(0.0, 0.5j))
+        result = scenario_cnu_calculus(poly_coeffs=(0.0, 0.5 + 0j))
+        assert result.parameters["poly_coeffs"] == [0.0, 0.5]
+
 
 class TestRegistry:
     def test_unknown_name(self):
