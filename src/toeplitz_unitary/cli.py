@@ -32,7 +32,6 @@ from .serialize import (
     symbol_from_json,
     write_json_atomic,
 )
-from .symbols import DEFAULT_GRID_SIZE, CircleGrid
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -70,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--out", required=True, help="report JSON output path")
     p_dec.add_argument("--window", type=int, default=8,
                        help="degree window size N (default 8)")
-    p_dec.add_argument("--grid", type=int, default=None,
-                       help="circle grid size (default max(%d, 2 * band + 1))"
-                            % DEFAULT_GRID_SIZE)
     p_dec.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="classification tolerance (default %(default)s)")
     p_dec.add_argument("--seed", type=int, default=0,
@@ -89,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--radius", type=float, default=0.95,
                       help="disc sample radius in [0, 1) (default 0.95)")
     p_tr.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                      help="validation tolerance (default %(default)s)")
+                      help="tolerance of the validation and the transfer "
+                           "identities (default %(default)s)")
 
     p_sc = sub.add_parser("scenario", help="run one or all theorem scenarios")
     p_sc.add_argument("--scenario", default="all",
@@ -99,16 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output directory (default scenario-results)")
     p_sc.add_argument("--seed", type=int, default=None,
                       help="seed override for seeded scenarios")
-    p_sc.add_argument("--window", type=int, default=None,
-                      help="window override for windowed scenarios")
-    p_sc.add_argument("--tol", type=_tolerance, default=None,
-                      help="tolerance override")
     return parser
 
 
 def _config_dict(args, keys) -> dict:
-    return {"command": args.command,
-            **{k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
+    return {"command": args.command, **{k: getattr(args, k) for k in keys}}
 
 
 class CommandError(Exception):
@@ -141,12 +133,11 @@ def _write(path: str, obj) -> None:
 def cmd_decompose(args) -> int:
     sym = _read(args.input, symbol_from_json, "symbol")
     try:
-        grid = None if args.grid is None else CircleGrid(args.grid)
-        report = toeplitz_unitary_part(sym, args.window, args.tol, grid=grid)
+        report = toeplitz_unitary_part(sym, args.window, args.tol)
     except ValueError as exc:
         raise CommandError(EXIT_DOMAIN, str(exc)) from exc
 
-    config = _config_dict(args, ["input", "window", "grid", "tol", "seed"])
+    config = _config_dict(args, ["input", "window", "tol", "seed"])
     _write(args.out, report_to_json(report, config))
 
     print(f"classification: {report.classification}")
@@ -192,7 +183,7 @@ def cmd_transfer(args) -> int:
     print(f"defect identities: {tr.max_defect1:.3e} / {tr.max_defect2:.3e}, "
           f"max transfer norm {tr.max_norm:.9f}")
     print(f"report written to {args.out}")
-    if tr.max_norm > 1.0 + args.tol or max(tr.max_defect1, tr.max_defect2) > 1e-8:
+    if tr.max_norm > 1.0 + args.tol or max(tr.max_defect1, tr.max_defect2) > args.tol:
         print("error: transfer identities exceeded tolerance", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK
@@ -208,8 +199,7 @@ def cmd_scenario(args) -> int:
     results = []
     for name in names:
         try:
-            result = run_scenario(name, seed=args.seed, window=args.window,
-                                  tol=args.tol)
+            result = run_scenario(name, seed=args.seed)
         except ValueError as exc:
             raise CommandError(EXIT_DOMAIN,
                                f"scenario {name} rejected its input: {exc}") from exc

@@ -234,16 +234,15 @@ def _check_window_call(sym: MatrixSymbol, window: int, tol):
         raise ValueError(f"window must be positive, got {window!r}")
 
 
-def _check_sup_norm(sym: MatrixSymbol, tol, grid: CircleGrid | None = None):
-    """(grid, sup-norm estimate on it), the grid ``default_grid`` if None;
-    the one contractivity gate, refusing an estimate above 1 + tol."""
-    if grid is None:
-        grid = default_grid(sym)
-    sup = sup_norm_estimate(sym, grid)
+def _check_sup_norm(sym: MatrixSymbol, tol) -> float:
+    """The sup-norm estimate on ``default_grid``; the one contractivity gate
+    of the report, its window oracle and ``poly_calculus``, refusing an
+    estimate above 1 + tol."""
+    sup = sup_norm_estimate(sym, default_grid(sym))
     # written so that a NaN estimate is refused too
     if not sup <= 1.0 + tol:
         raise ValueError(f"symbol sup-norm estimate {sup:.6g} exceeds 1 + tol")
-    return grid, sup
+    return sup
 
 
 def _joint_kernels(t: np.ndarray, t_adj: np.ndarray, factors: np.ndarray, tol: float) -> list:
@@ -634,8 +633,7 @@ def verify_maincondn(sym: MatrixSymbol, theta: MatrixSymbol, u,
 
 
 def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
-                          tol: float = DEFAULT_TOL,
-                          grid: CircleGrid | None = None) -> UnitaryPartReport:
+                          tol: float = DEFAULT_TOL) -> UnitaryPartReport:
     """Window decomposition of a contractive block Toeplitz operator.
 
     Finds the largest subspace of polynomials of degree < window on which the
@@ -654,10 +652,13 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
     ``kernel_factors``.  When the remainder adds nothing, the pair is read
     off in closed form, theta = E_c and U = E_c* F_0 E_c, and
     ``extraction_residuals`` is empty; otherwise ``beurling_extract`` runs
-    on the whole subspace.  A non-finite or non-positive tol is refused.
+    on the whole subspace.  A non-finite or non-positive tol is refused, and
+    so is a symbol that fails the contractivity gate ``_check_sup_norm``, on
+    the grid that ``toeplitz_unitary_part_brute`` and ``poly_calculus`` use
+    too (``params.grid_size`` records its size).
     """
     _check_window_call(sym, window, tol)
-    grid, sup = _check_sup_norm(sym, tol, grid)
+    sup = _check_sup_norm(sym, tol)
 
     d = sym.dim_out
     e_c = _constant_part(sym, tol)
@@ -672,7 +673,7 @@ def toeplitz_unitary_part(sym: MatrixSymbol, window: int,
         "band": sym.band,
         "dim": d,
         "tol": tol,
-        "grid_size": grid.size,
+        "grid_size": default_grid(sym).size,
         "sup_norm_estimate": sup,
         "constant_part": e_c.shape[1],
         **trail,

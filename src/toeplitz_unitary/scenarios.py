@@ -728,24 +728,15 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, seed: int | None = None, window: int | None = None,
-                 tol: float | None = None) -> ScenarioResult:
-    """Run one registered scenario with optional overrides."""
+def run_scenario(name: str, seed: int | None = None) -> ScenarioResult:
+    """Run one registered scenario, at ``seed`` if it takes one."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}")
-    kwargs = {}
     fn = SCENARIOS[name]
-    params = inspect.signature(fn).parameters
-    if seed is not None and "seed" in params:
-        kwargs["seed"] = seed
-    if window is not None and "window" in params:
-        kwargs["window"] = window
-    if tol is not None and "tol" in params:
-        kwargs["tol"] = tol
-    return fn(**kwargs)
+    if seed is not None and "seed" in inspect.signature(fn).parameters:
+        return fn(seed=seed)
+    return fn()
 
 
-def run_all(seed: int | None = None, window: int | None = None,
-            tol: float | None = None) -> list[ScenarioResult]:
-    return [run_scenario(name, seed=seed, window=window, tol=tol)
-            for name in SCENARIOS]
+def run_all(seed: int | None = None) -> list[ScenarioResult]:
+    return [run_scenario(name, seed=seed) for name in SCENARIOS]

@@ -125,6 +125,11 @@ def colligation_rank_family(seed, rank):
 # kernel would keep it.
 REPORT_SWAP_SHORTFALL = 1
 
+# 1.02 sin 3t, F_{+-3} = -+0.51i: its grid maximum is 0.9944 on 7 points and
+# 1.02 on 16, 64 and 512, so only a grid of enough points sees it is no
+# contraction.
+SIN3T = MatrixSymbol(1, 1, {3: [[-0.51j]], -3: [[0.51j]]})
+
 
 def swap_pushed_out(theta, column, window):
     """z^(window - 1) times the swap's degree-0 column ``column`` of Theta."""

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import colligation_rank_family
+from helpers import SIN3T, colligation_rank_family
 from toeplitz_unitary import cli
 from toeplitz_unitary.cli import main
 from toeplitz_unitary.colligation import Colligation, bcl_colligation
@@ -103,15 +103,6 @@ class TestDecompose:
         assert report["params"]["grid_size"] == 601
         assert "grid" not in report["config"]
 
-    def test_given_grid_is_recorded(self, symbol_file, tmp_path):
-        out = tmp_path / "report.json"
-        rc = main(["decompose", "--input", str(symbol_file), "--out", str(out),
-                   "--grid", "64"])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["params"]["grid_size"] == 64
-        assert report["config"]["grid"] == 64
-
     def test_rank1_colligation_is_constant_type(self, tmp_path):
         # the input whose window pipeline stops one shift residual over tol;
         # as an analytic symbol it is decomposed through F(0)
@@ -144,12 +135,19 @@ class TestDecompose:
         rc = main(["decompose", "--input", str(path), "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
-    def test_grid_below_band_is_domain_error(self, symbol_file, tmp_path):
-        rc = main(["decompose", "--input", str(symbol_file),
-                   "--out", str(tmp_path / "x.json"), "--grid", "2"])
-        assert rc == 2
+    def test_gate_refuses_a_non_contraction_between_few_points(self, tmp_path):
+        # 1.02 sin 3t: grid maximum 0.9944 on 7 points, 1.02 on the default
+        # grid, the only one the gate samples; no option picks another
+        path = tmp_path / "sin3t.json"
+        write_json_atomic(str(path), symbol_to_json(SIN3T))
+        out = tmp_path / "report.json"
+        assert main(["decompose", "--input", str(path), "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--input", str(path), "--out", str(out), "--grid", "7"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--window", "--grid"])
+    @pytest.mark.parametrize("flag", ["--window"])
     def test_nonpositive_window_or_grid_is_domain_error(self, symbol_file, tmp_path, flag):
         out = tmp_path / "x.json"
         rc = main(["decompose", "--input", str(symbol_file), "--out", str(out), flag, "0"])
@@ -228,11 +226,10 @@ class TestScenario:
     @pytest.mark.parametrize("window", ["0", "-1"])
     @pytest.mark.parametrize("name", sorted(
         name for name, fn in SCENARIOS.items() if "window" in inspect.signature(fn).parameters))
-    def test_window_below_one_is_domain_error(self, tmp_path, capsys, name, window):
-        out = tmp_path / "res"
-        assert main(["scenario", "--scenario", name, "--window", window, "--out", str(out)]) == 2
-        assert f"window must be positive, got {window}" in capsys.readouterr().err
-        assert not out.exists()
+    def test_window_below_one_is_domain_error(self, name, window):
+        # the command takes no window; each windowed scenario refuses one < 1
+        with pytest.raises(ValueError, match=f"window must be positive, got {window}"):
+            SCENARIOS[name](window=int(window))
 
     def test_unknown_scenario(self, tmp_path):
         rc = main(["scenario", "--scenario", "nonexistent",
@@ -265,7 +262,7 @@ class TestScenario:
 
 
 class TestToleranceArgument:
-    """--tol takes only a finite value > 0, in every subcommand."""
+    """--tol takes only a finite value > 0, in decompose and transfer."""
 
     @pytest.fixture
     def big_scalar_file(self, tmp_path):
@@ -292,13 +289,23 @@ class TestToleranceArgument:
         assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-    def test_scenario_rejects(self, tmp_path, tol):
-        out = tmp_path / "res"
-        with pytest.raises(SystemExit) as exc:
-            main(["scenario", "--scenario", "goor", "--out", str(out), "--tol", tol])
-        assert exc.value.code == 2
-        assert not out.exists()
+    @pytest.mark.parametrize("scale, tol, code", [
+        (1 + 3e-8, None, 2), (1 + 3e-8, "1e-6", 0), (1 + 3e-7, "1e-6", 3),
+    ], ids=["default", "loose", "loose_defects_over"])
+    def test_transfer_judges_identities_at_tol(self, tmp_path, scale, tol, code):
+        # a Haar W scaled by 1 + 3e-8 has validation residual 6.0e-8 and
+        # defects 4.13e-7; scaled by 1 + 3e-7, 6.0e-7 and 4.1e-6
+        m = haar_unitary(4, np.random.default_rng(3)) * scale
+        path = tmp_path / "scaled.json"
+        write_json_atomic(str(path), colligation_to_json(
+            Colligation(2, 2, m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:])))
+        out = tmp_path / "transfer.json"
+        argv = ["transfer", "--input", str(path), "--out", str(out)]
+        assert main(argv + (["--tol", tol] if tol else [])) == code
+        if tol is None:
+            assert not out.exists()
+        else:
+            assert json.loads(out.read_text())["config"]["tol"] == float(tol)
 
     def test_finite_positive_tolerance_is_used(self, symbol_file, tmp_path):
         out = tmp_path / "report.json"
@@ -316,10 +323,10 @@ class TestCachedParser:
     def test_options_do_not_carry_over(self, symbol_file, tmp_path):
         first, second = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["decompose", "--input", str(symbol_file), "--out", str(first),
-                     "--grid", "600"]) == 0
+                     "--tol", "1e-9"]) == 0
         assert main(["decompose", "--input", str(symbol_file), "--out", str(second)]) == 0
-        assert json.loads(first.read_text())["config"]["grid"] == 600
-        assert "grid" not in json.loads(second.read_text())["config"]
+        assert json.loads(first.read_text())["config"]["tol"] == 1e-9
+        assert json.loads(second.read_text())["config"]["tol"] == cli.DEFAULT_TOL
 
     def test_parser_survives_an_error_exit(self, symbol_file, tmp_path):
         out = tmp_path / "report.json"

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     CANARIES,
     REPORT_SWAP_SHORTFALL,
+    SIN3T,
     assert_same_bits,
     colligation_rank_family,
     invariance_polish,
@@ -43,6 +44,7 @@ from toeplitz_unitary.symbols import (
     compose_scalar_polynomial,
     eval_symbol,
     is_inner,
+    sup_norm_estimate,
 )
 from toeplitz_unitary.hardy import convolve_block_columns, toeplitz_window_matrix
 from toeplitz_unitary.decomposition import (
@@ -438,14 +440,28 @@ class TestToeplitzUnitaryPart:
         with pytest.raises(ValueError):
             toeplitz_unitary_part(MatrixSymbol.constant(2.0 * np.eye(2)), 4)
 
-    @pytest.mark.parametrize("size, message", [
-        (3, r"below 2\*band\+1 = 7"), (6, r"below 2\*band\+1 = 7"), (7, r"exceeds 1 \+ tol"),
-    ], ids=["grid3", "grid6", "grid7"])
-    def test_undersampled_grid_rejected(self, size, message):
-        # sup norm 1.4, but the symbol vanishes on the 3- and 6-point grids
+    @pytest.mark.parametrize("size", [3, 6, 7], ids=["grid3", "grid6", "grid7"])
+    def test_undersampled_grid_rejected(self, size):
+        # sup norm 1.4, but the symbol vanishes on the 3- and 6-point grids,
+        # so sup_norm_estimate refuses them; the report's gate samples the
+        # default grid
         sym = MatrixSymbol(1, 1, {3: [[0.7j]], -3: [[-0.7j]]})
-        with pytest.raises(ValueError, match=message):
-            toeplitz_unitary_part(sym, 4, grid=CircleGrid(size))
+        if size < 2 * sym.band + 1:
+            with pytest.raises(ValueError, match=r"below 2\*band\+1 = 7"):
+                sup_norm_estimate(sym, CircleGrid(size))
+        else:
+            assert sup_norm_estimate(sym, CircleGrid(size)) > 1.0 + 1e-8
+        with pytest.raises(ValueError, match=r"exceeds 1 \+ tol"):
+            toeplitz_unitary_part(sym, 4)
+
+    @pytest.mark.parametrize("call", [toeplitz_unitary_part, toeplitz_unitary_part_brute],
+                             ids=["report", "oracle"])
+    def test_gate_refuses_a_non_contraction_between_few_points(self, call):
+        assert sup_norm_estimate(SIN3T, CircleGrid(7)) < 1.0
+        for size in (16, 64, 512):
+            assert sup_norm_estimate(SIN3T, CircleGrid(size)) == pytest.approx(1.02)
+        with pytest.raises(ValueError, match=r"exceeds 1 \+ tol"):
+            call(SIN3T, 4)
 
     def test_reducing_and_restriction_on_constant_type(self):
         # constant-type subspaces reduce the window section and the
@@ -1018,7 +1034,7 @@ class TestJointKernelParity:
         ("swap", lambda: swap_family(np.random.default_rng(8)).symbol),
         ("planted_d4", lambda: planted_family(np.random.default_rng(4), 2, 2).symbol),
     ])
-    def test_window_eigenspaces_makes_two_kernel_calls(self, name, make_symbol, monkeypatch):
+    def test_window_eigenspaces_makes_one_kernel_call(self, name, make_symbol, monkeypatch):
         # one nullspaces stack, for every window kernel at once; F(1)'s
         # candidates take no kernel of their own
         sym = make_symbol()
