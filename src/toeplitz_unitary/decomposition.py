@@ -761,11 +761,11 @@ def reducing_check(v_basis, a, tol: float = DEFAULT_TOL) -> bool:
 
 
 def cdot0_test(a, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the powers of a contraction tend to zero (spectral radius test)."""
+    """Whether the powers of a contraction tend to zero: it has no candidate
+    unimodular eigenvalue (``_candidates``), so its spectral radius is < 1 - tol."""
     a = as_complex(a)
     _check_contraction(a, tol)
-    radius = float(np.max(np.abs(np.linalg.eigvals(a)))) if a.size else 0.0
-    return radius < 1.0 - tol
+    return not _candidates(a, tol)
 
 
 def poly_calculus(sym: MatrixSymbol, poly_coeffs, window: int,

@@ -7,7 +7,8 @@ the residual and angle checks that only tests use.  No test module imports
 another; what two of them share lives here.
 
 The symbol families come from the builders in ``scenarios`` with their
-pair (Theta, U); a test reads a family's expected window part from
+pair (Theta, U), and ``rotating_family`` builds one more the same way; a
+test reads a family's expected window part from
 ``window_span(family.theta, window)``, never from a hand-built basis.
 """
 
@@ -27,6 +28,7 @@ from toeplitz_unitary.linalg import (
 from toeplitz_unitary.decomposition import Subspace, _check_window_call
 from toeplitz_unitary.hardy import convolve_block_columns
 from toeplitz_unitary.scenarios import (
+    Family,
     colligation_family,
     direct_sum,
     planted_family,
@@ -110,6 +112,26 @@ def rotated(parts, seed):
     """``direct_sum`` of the parts in the Haar frame drawn from ``seed``."""
     dim = direct_sum(parts).symbol.dim_out
     return direct_sum(parts, haar_unitary(dim, np.random.default_rng(seed)))
+
+
+def rotating_family(rng, degree):
+    """F = lambda theta theta* + mu (I - theta theta*) with
+    theta = (a, b z^degree), |a|^2 + |b|^2 = 1, |lambda| = 1 and |mu| <= 0.9,
+    in a Haar frame: F(e^{it}) has the eigenvalue lambda on the eigenvector
+    theta(e^{it}), which turns with t.  F is not analytic, its constant part
+    E_c is 0, and its unitary part is theta H^2 with U = lambda, so the
+    report reads a theta of degree ``degree`` through ``beurling_extract``.
+    The angle of (a, b) is drawn from [pi/8, 3 pi/8], so |a|, |b| > 0.38: at
+    |a| <= 1e-4 one more window direction has a defect near |a|^2, under the
+    rank cut, and the window routes keep it."""
+    angle = rng.uniform(np.pi / 8, 3 * np.pi / 8)
+    a, b = np.cos(angle), np.sin(angle) * np.exp(2j * np.pi * rng.uniform())
+    lam = np.exp(2j * np.pi * rng.uniform())
+    mu = rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.uniform())
+    theta = MatrixSymbol(2, 1, {0: [[a], [0.0]], degree: [[0.0], [b]]})
+    proj = multiply(theta, adjoint_symbol(theta))
+    sym = proj.scale(lam - mu).add(MatrixSymbol.constant(mu * np.eye(2)))
+    return direct_sum([Family(sym, theta, np.array([[lam]]))], haar_unitary(2, rng))
 
 
 def colligation_rank_family(seed, rank):

@@ -147,10 +147,9 @@ class TestDecompose:
         assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--window"])
-    def test_nonpositive_window_or_grid_is_domain_error(self, symbol_file, tmp_path, flag):
+    def test_nonpositive_window_is_domain_error(self, symbol_file, tmp_path):
         out = tmp_path / "x.json"
-        rc = main(["decompose", "--input", str(symbol_file), "--out", str(out), flag, "0"])
+        rc = main(["decompose", "--input", str(symbol_file), "--out", str(out), "--window", "0"])
         assert rc == 2
         assert not out.exists()
 

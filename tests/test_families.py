@@ -11,7 +11,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import CANARIES, REPORT_SWAP_SHORTFALL, assert_same_bits, swap_pushed_out
+from helpers import (
+    CANARIES,
+    REPORT_SWAP_SHORTFALL,
+    assert_same_bits,
+    rotating_family,
+    swap_pushed_out,
+)
 from toeplitz_unitary.decomposition import (
     _window_kernel,
     toeplitz_unitary_part,
@@ -22,6 +28,7 @@ from toeplitz_unitary import scenarios
 from toeplitz_unitary.linalg import haar_unitary, spectral_norm, subspace_gap
 from toeplitz_unitary.scenarios import (
     colligation_family,
+    direct_sum,
     planted_family,
     random_trig_matrix,
     swap_family,
@@ -34,7 +41,13 @@ FAMILIES = {
     "planted_d4": lambda rng: planted_family(rng, 2, 2),
     "colligation_rank1": lambda rng: colligation_family(rng, 1, 2, 1),
     "colligation": lambda rng: colligation_family(rng, 1, 2),
+    "rotating": lambda rng: rotating_family(rng, 1),
+    "rotating_degree2": lambda rng: rotating_family(rng, 2),
+    "u0_plus_rotating": lambda rng: direct_sum([haar_unitary(1, rng), rotating_family(rng, 1)],
+                                               haar_unitary(3, rng)),
 }
+# the families whose report falls REPORT_SWAP_SHORTFALL short of Theta H^2
+SWAPS = ("swap", "u0_plus_swap")
 
 
 def exact_degrees(theta):
@@ -54,8 +67,9 @@ def test_window_part_is_theta_h2(name, seed, window):
     kernel = _window_kernel(family.symbol, window, 1e-8)
     assert kernel.shape == span.shape
     assert subspace_gap(kernel, span) <= 1e-10
-    basis = toeplitz_unitary_part(family.symbol, window).subspace.basis
-    if family.theta.band:
+    rep = toeplitz_unitary_part(family.symbol, window)
+    basis = rep.subspace.basis
+    if name in SWAPS:
         assert basis.shape[1] == span.shape[1] - REPORT_SWAP_SHORTFALL
         assert spectral_norm(basis - span @ (span.conj().T @ basis)) <= 1e-10
         pushed_out = swap_pushed_out(family.theta, family.theta.dim_in - 1, window)
@@ -63,6 +77,13 @@ def test_window_part_is_theta_h2(name, seed, window):
     else:
         assert basis.shape == span.shape
         assert subspace_gap(basis, span) <= 1e-10
+        # the report's pair: a Theta of degree >= 1 comes from
+        # beurling_extract, a constant one in closed form
+        assert rep.classification == "constant_type"
+        assert (rep.theta.band, rep.theta.dim_in) == (family.theta.band, family.theta.dim_in)
+        assert bool(rep.extraction_residuals) == bool(family.theta.band)
+        assert verify_maincondn(family.symbol, rep.theta, rep.u_matrix)[0]
+        np.testing.assert_allclose(np.poly(rep.u_matrix), np.poly(family.u), atol=1e-10)
 
 
 def parent_colligation_symbol(seed, rank, d0=1, d1=2):

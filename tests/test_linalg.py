@@ -123,7 +123,7 @@ class TestRFactorRoute:
             for rank in (0, 1, cols // 2, cols - 1, cols):
                 a = _planted(rng, rows, cols, rank)
                 assert same_bits(nullspace(a), reference_nullspace(a))
-                # weak rows next to strong ones, as when the structure loop
+                # weak rows next to strong ones, as when the window oracle
                 # stacks constraint rows of very different size
                 stacked = np.vstack([a[:rows // 2], 1e-9 * a[rows // 2:]])
                 assert same_bits(nullspace(stacked), reference_nullspace(stacked))
