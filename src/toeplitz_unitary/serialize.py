@@ -1,14 +1,12 @@
 """JSON encoding of symbols, inner polynomials, colligations and reports.
 
 Complex matrices are encoded as separate row-major ``re`` / ``im`` lists of
-finite 64-bit floats.  Serialization is canonical (sorted keys, fixed separators) and
-files are written atomically, so identical runs produce byte-identical files.
+finite 64-bit floats.  Serialization is canonical and files are written
+atomically, so identical runs produce byte-identical files.
 
-The canonical text is exactly ``json.dumps(obj, sort_keys=True, indent=1)``,
-built by string joins rather than the standard library's pure-Python indenting
-encoder: a list of floats is written with one join over ``float.__repr__``.
-The writer is strict JSON (RFC 8259): a non-finite float is a ``ValueError``,
-and a non-string key or a value of any other type is a ``TypeError``.
+The canonical text is one line, ``json.dumps(obj, sort_keys=True,
+allow_nan=False)``: strict JSON (RFC 8259), so a non-finite float is a
+``ValueError`` and a value of any other type is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,9 +29,22 @@ def encode_matrix(m) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
+def _json_numbers(obj, part: str) -> np.ndarray:
+    """``obj[part]`` as a float array, whose entries must be JSON numbers: a
+    string or a boolean is an error, not a value to convert."""
+    values = np.asarray(obj[part], dtype=object)
+    for value in values.flat:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{part} entries must be numbers, got {value!r}")
+    try:
+        return values.astype(float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{part} entries must be finite: {exc}") from exc
+
+
 def decode_matrix(obj) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    re = _json_numbers(obj, "re")
+    im = _json_numbers(obj, "im") if "im" in obj else np.zeros_like(re)
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -144,64 +154,26 @@ def report_to_json(report: UnitaryPartReport, config: dict | None = None) -> dic
     return obj
 
 
-def _encode(obj, pad: str) -> str:
-    """Canonical JSON text of ``obj``, whose line is indented by ``pad``."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        if "n" in text:  # inf, -inf, nan: finite reprs hold no letter n
-            raise ValueError(f"non-finite float {text} is not valid JSON")
-        return text
-    inner = pad + " "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        body = sep.join(encode_basestring_ascii(key) + ": " + _encode(obj[key], inner)
-                        for key in sorted(obj))
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        try:
-            body = sep.join(map(float.__repr__, obj))
-        except TypeError:  # not all floats: encode item by item
-            body = sep.join(_encode(item, inner) for item in obj)
-        else:
-            if "n" in body:
-                raise ValueError("non-finite float in a list is not valid JSON")
-        return "[\n" + inner + body + "\n" + pad + "]"
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def canonical_dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, but strict."""
-    return _encode(obj, "")
+    """The canonical one-line text of ``obj``: strict, with sorted keys."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def write_json_atomic(path: str, obj) -> None:
     """Serialize canonically and rename into place.
 
     The text is built before the temporary file is made, so an object the
-    writer refuses leaves no file behind.
+    writer refuses leaves no file behind.  The file gets the mode a plain
+    ``open(path, "w")`` would give, 0o666 less the umask, not mkstemp's 0o600.
     """
     text = canonical_dumps(obj)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
             fh.write("\n")

@@ -167,7 +167,8 @@ class TestDecompose:
         monkeypatch.setattr(cli, "report_to_json", lambda report, config: {
             **report_to_json(report, config), "bad": float("inf")})
         assert main(["decompose", "--input", str(symbol_file), "--out", str(out)]) == 1
-        assert f"cannot write {out}: non-finite float inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: " in err and "not JSON compliant" in err
         assert list(tmp_path.iterdir()) == [symbol_file]
 
 
@@ -376,6 +377,21 @@ class TestMalformedInput:
         assert rc == 1
         assert "malformed colligation file" in err
 
+    def test_string_matrix_entry(self, tmp_path, capsys):
+        # a conversion to float would decompose the symbol 0.5
+        text = json.dumps({"dim_out": 1, "dim_in": 1, "coeffs": [
+            {"k": 0, "re": [["0.5"]], "im": [[0.0]]}]})
+        rc, err = self.run("decompose", tmp_path, text, capsys)
+        assert rc == 1
+        assert "malformed symbol file: re entries must be numbers" in err
+
+    def test_boolean_matrix_entry(self, colligation_file, tmp_path, capsys):
+        obj = json.loads(colligation_file.read_text())
+        obj["B"]["im"][0][0] = False
+        rc, err = self.run("transfer", tmp_path, json.dumps(obj), capsys)
+        assert rc == 1
+        assert "malformed colligation file: im entries must be numbers" in err
+
     @pytest.mark.parametrize("key, value", [
         ("dim_out", 1.9), ("dim_in", True), ("k", 0.7), ("k", "1")])
     def test_non_integer_symbol_field(self, tmp_path, capsys, key, value):
@@ -396,3 +412,39 @@ class TestMalformedInput:
         rc, err = self.run("transfer", tmp_path, json.dumps(obj), capsys)
         assert rc == 1
         assert "malformed colligation file" in err
+
+
+def _keys(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _keys(item)
+
+
+def test_every_written_key_is_a_string(symbol_file, colligation_file, tmp_path,
+                                       monkeypatch):
+    # the writer would turn an int, float, bool or None key into a string, so
+    # every dict the commands write must be keyed by strings already
+    written = {}
+    monkeypatch.setattr(cli, "write_json_atomic",
+                        lambda path, obj: written.__setitem__(path, obj))
+    swap, trivial = tmp_path / "swap.json", tmp_path / "trivial.json"
+    write_json_atomic(str(swap), symbol_to_json(swap_family().symbol))
+    write_json_atomic(str(trivial), symbol_to_json(MatrixSymbol(1, 1, {0: [[0.25]],
+                                                                       1: [[0.5]]})))
+    for path in (symbol_file, swap, trivial):
+        assert main(["decompose", "--input", str(path), "--out", f"{path}.out",
+                     "--window", "6"]) == 0
+    assert main(["transfer", "--input", str(colligation_file),
+                 "--out", str(tmp_path / "transfer.json")]) == 0
+    main(["scenario", "--scenario", "all", "--seed", "0", "--out", str(tmp_path / "s")])
+    routes = {written[f"{path}.out"]["params"].get("route") for path in (symbol_file, swap)}
+    assert routes == {"analytic", "kernel"}
+    assert written[f"{trivial}.out"]["classification"] == "trivial"
+    assert str(tmp_path / "transfer.json") in written
+    assert len(written) == 4 + len(SCENARIOS) + 1  # with the scenarios' index.json
+    for obj in written.values():
+        assert all(type(key) is str for key in _keys(obj))
